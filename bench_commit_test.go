@@ -1,10 +1,9 @@
-// Commit-throughput benchmark for the staged commit pipeline (PR 6). The
-// sub-benchmark grid crosses commit mode (serial = the pre-pipeline single
-// critical section, via Options.SerialCommit; pipeline = staged commit with
-// group-commit WAL) with the WAL sync policy and the number of concurrent
+// Commit-throughput benchmark for the staged commit pipeline. The
+// sub-benchmark grid crosses the WAL sync policy with the number of concurrent
 // committers. Each committer performs disjoint single-row inserts, so every
 // measured commit is conflict-free and the curve isolates commit-path cost.
-// The committed BENCH_6.json snapshot is regenerated by `make bench-commit`.
+// BENCH_6.json is the frozen PR 6 recording of this grid, which also carried
+// the since-removed serial commit path as its baseline.
 package feralcc_test
 
 import (
@@ -19,22 +18,11 @@ import (
 )
 
 func BenchmarkCommitThroughput(b *testing.B) {
-	modes := []struct {
-		name   string
-		serial bool
-	}{
-		{"serial", true},
-		{"pipeline", false},
-	}
-	policies := []storage.SyncPolicy{storage.SyncAlways, storage.SyncInterval, storage.SyncOff}
-	for _, mode := range modes {
-		for _, pol := range policies {
-			for _, workers := range []int{1, 4, 8, 16} {
-				name := fmt.Sprintf("mode=%s/sync=%s/goroutines=%d", mode.name, pol, workers)
-				b.Run(name, func(b *testing.B) {
-					benchCommitThroughput(b, mode.serial, pol, workers)
-				})
-			}
+	for _, pol := range []storage.SyncPolicy{storage.SyncAlways, storage.SyncInterval, storage.SyncOff} {
+		for _, workers := range []int{1, 4, 8, 16} {
+			b.Run(fmt.Sprintf("sync=%s/goroutines=%d", pol, workers), func(b *testing.B) {
+				benchCommitThroughput(b, pol, workers)
+			})
 		}
 	}
 }
@@ -42,11 +30,10 @@ func BenchmarkCommitThroughput(b *testing.B) {
 // benchCommitThroughput drives b.N disjoint insert-commit transactions
 // through `workers` goroutines against a durable store and reports the p99
 // commit latency alongside the standard ns/op (wall time per commit).
-func benchCommitThroughput(b *testing.B, serial bool, pol storage.SyncPolicy, workers int) {
+func benchCommitThroughput(b *testing.B, pol storage.SyncPolicy, workers int) {
 	store, err := storage.OpenDir(storage.Options{
-		DataDir:      b.TempDir(),
-		SyncPolicy:   pol,
-		SerialCommit: serial,
+		DataDir:    b.TempDir(),
+		SyncPolicy: pol,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -14,6 +14,11 @@
 //	feralhunt -dsl custom.hunt -level "READ COMMITTED" -baseline 500
 //	feralhunt -list
 //
+// Witness headers and certificates name the workload, level, anomaly and
+// schedule. Files written before the serial commit path was removed (PR 12)
+// also carry serial=false; feralcheck skips header lines, so they replay
+// unchanged.
+//
 // Exit status: 0 when the hunt completed (anomaly found and admitted at the
 // level, or certificate emitted), 1 when a FORBIDDEN anomaly was found — the
 // engine broke its isolation contract — and 2 on usage errors.
@@ -44,14 +49,13 @@ func run(args []string, out, errw io.Writer) int {
 		levelStr = fs.String("level", "READ COMMITTED", "isolation level to hunt at")
 		budget   = fs.Int("budget", 100, "maximum schedules to explore")
 		seed     = fs.Int64("seed", 1, "base seed for random schedules")
-		serial   = fs.Bool("serial", false, "hunt the SerialCommit ablation instead of the staged pipeline")
 		target   = fs.String("target", "any", `what counts as a find: "any", an Adya class (G-single, G2-item, ...), or "invariant"`)
 		outPath  = fs.String("o", "", "write the witness JSONL or certificate JSON here (default stdout summary only)")
 		baseline = fs.Int("baseline", 0, "also run up to N unscheduled stress iterations and report the comparison")
 		list     = fs.Bool("list", false, "list built-in workloads and exit")
 	)
 	fs.Usage = func() {
-		fmt.Fprintf(errw, "usage: feralhunt -workload NAME|-dsl FILE [-level L] [-budget N] [-seed S] [-serial] [-target T] [-o FILE] [-baseline N]\n")
+		fmt.Fprintf(errw, "usage: feralhunt -workload NAME|-dsl FILE [-level L] [-budget N] [-seed S] [-target T] [-o FILE] [-baseline N]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -95,9 +99,9 @@ func run(args []string, out, errw io.Writer) int {
 		return 2
 	}
 
-	fmt.Fprintf(out, "feralhunt: workload=%s level=%s serial=%v budget=%d seed=%d target=%s\n",
-		w.Name, level, *serial, *budget, *seed, *target)
-	res, err := hunt(w, level, *serial, *budget, *seed, *target)
+	fmt.Fprintf(out, "feralhunt: workload=%s level=%s budget=%d seed=%d target=%s\n",
+		w.Name, level, *budget, *seed, *target)
+	res, err := hunt(w, level, *budget, *seed, *target)
 	if err != nil {
 		fmt.Fprintf(errw, "feralhunt: %v\n", err)
 		return 2
@@ -117,12 +121,12 @@ func run(args []string, out, errw io.Writer) int {
 			fmt.Fprintf(out, "invariant: %s\n", res.Invariant)
 		}
 		fmt.Fprintf(out, "witness: %d events (minimized from %d)\n", len(res.Witness), len(res.Raw))
-		if err := writeWitness(*outPath, out, w, level, *serial, res); err != nil {
+		if err := writeWitness(*outPath, out, w, level, res); err != nil {
 			fmt.Fprintf(errw, "feralhunt: %v\n", err)
 			return 2
 		}
 	} else {
-		cert := newCertificate(w, level, *serial, res, *seed, *target)
+		cert := newCertificate(w, level, res, *seed, *target)
 		fmt.Fprintf(out, "no anomaly in %d schedules (%d directed): certificate follows\n", res.Schedules, res.Directed)
 		if err := writeCertificate(*outPath, out, cert); err != nil {
 			fmt.Fprintf(errw, "feralhunt: %v\n", err)
@@ -131,7 +135,7 @@ func run(args []string, out, errw io.Writer) int {
 	}
 
 	if *baseline > 0 {
-		runs, err := stressBaseline(w, level, *serial, *baseline, *target)
+		runs, err := stressBaseline(w, level, *baseline, *target)
 		if err != nil {
 			fmt.Fprintf(errw, "feralhunt: baseline: %v\n", err)
 			return 2
@@ -150,7 +154,7 @@ func run(args []string, out, errw io.Writer) int {
 
 // writeWitness writes the minimized witness JSONL (with provenance header) to
 // path, or to out when path is empty.
-func writeWitness(path string, out io.Writer, w experiment.HuntWorkload, level storage.IsolationLevel, serial bool, res *outcome) error {
+func writeWitness(path string, out io.Writer, w experiment.HuntWorkload, level storage.IsolationLevel, res *outcome) error {
 	dst := out
 	if path != "" {
 		f, err := os.Create(path)
@@ -160,7 +164,7 @@ func writeWitness(path string, out io.Writer, w experiment.HuntWorkload, level s
 		defer f.Close()
 		dst = f
 	}
-	for _, line := range witnessHeader(w, level, serial, res) {
+	for _, line := range witnessHeader(w, level, res) {
 		if _, err := fmt.Fprintln(dst, line); err != nil {
 			return err
 		}

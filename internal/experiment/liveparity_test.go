@@ -97,7 +97,7 @@ func TestHuntLiveParitySchedules(t *testing.T) {
 			for si, sc := range schedules {
 				var d *storage.Database
 				w := withLiveCheck(base, &d)
-				res, err := RunHuntSchedule(w, level, sc, false)
+				res, err := RunHuntSchedule(w, level, sc)
 				if err != nil {
 					t.Fatalf("%s@%v sched %d: %v", base.Name, level, si, err)
 				}
@@ -126,7 +126,7 @@ func TestHuntLiveParityDirectedHitsAnomalies(t *testing.T) {
 	}
 	for _, tc := range cases {
 		var d *storage.Database
-		res, err := RunHuntSchedule(withLiveCheck(tc.workload, &d), tc.level, delay, false)
+		res, err := RunHuntSchedule(withLiveCheck(tc.workload, &d), tc.level, delay)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.workload.Name, err)
 		}
@@ -160,7 +160,7 @@ func TestHuntLiveParityStress(t *testing.T) {
 			for rep := 0; rep < reps; rep++ {
 				var d *storage.Database
 				w := withLiveCheck(base, &d)
-				res, err := RunHuntStress(w, level, false)
+				res, err := RunHuntStress(w, level)
 				if err != nil {
 					t.Fatalf("%s@%v rep %d: %v", base.Name, level, rep, err)
 				}

@@ -17,8 +17,7 @@ import (
 // nothing was acknowledged.
 var errPipelineClosed = errors.New("storage: commit pipeline closed")
 
-// The commit pipeline replaces the old global commitMu critical section with
-// three stages:
+// The commit pipeline runs every writing commit through three stages:
 //
 //	validate ──▶ group-commit WAL ──▶ ordered install
 //
@@ -31,12 +30,10 @@ var errPipelineClosed = errors.New("storage: commit pipeline closed")
 // single fsync over the batch. Finally versions are installed strictly in CSN
 // order — the clock publishes CSNs densely, so readers, histcheck's
 // install-order serialization graph, and recovery's committed-prefix replay
-// observe exactly the history a serial commit path would have produced.
+// observe exactly the history one-commit-at-a-time execution would produce.
 //
 // Lock ordering: gate ≺ catalogMu ≺ registry mu ≺ activeMu, and table latches
-// are acquired in sorted name order. The old code took catalogMu before
-// commitMu in DDL but commitMu before catalogMu in Commit — a latent ABBA the
-// gate ordering removes.
+// are acquired in sorted name order.
 type commitPipeline struct {
 	db *Database
 
@@ -202,20 +199,10 @@ func (p *commitPipeline) latch(names []string) []*sync.Mutex {
 	return ms
 }
 
-// gateLock and gateRLock acquire the quiesce gate, parking instead of blocking
-// when a scheduler is attached: an exclusive holder may be an unscheduled
-// goroutine (Checkpoint, Vacuum, DDL from setup code), and a blocked scheduled
-// task would otherwise freeze the baton.
-func (p *commitPipeline) gateLock() {
-	if y := p.db.opts.Yielder; y != nil {
-		for !p.gate.TryLock() {
-			y.ParkExternal(ParkGate)
-		}
-		return
-	}
-	p.gate.Lock()
-}
-
+// gateRLock acquires the quiesce gate shared, parking instead of blocking when
+// a scheduler is attached: an exclusive holder may be an unscheduled goroutine
+// (Checkpoint, Vacuum, DDL from setup code), and a blocked scheduled task
+// would otherwise freeze the baton.
 func (p *commitPipeline) gateRLock() {
 	if y := p.db.opts.Yielder; y != nil {
 		for !p.gate.TryRLock() {

@@ -1,10 +1,9 @@
-// Commit-storm suites for the staged commit pipeline: the pipeline must be
-// observationally equivalent to the pre-pipeline serial commit path
-// (Options.SerialCommit) at every isolation level. Deterministic anomaly
-// shapes pin the equivalence exactly — same per-step outcomes, same anomaly
+// Commit-storm suites for the staged commit pipeline. Deterministic anomaly
+// shapes pin, per isolation level, exactly how the engine resolves each
+// conflict — per-step outcomes, the commit/abort census, and the anomaly
 // classes out of the offline checker — and a free-running storm of disjoint
-// and overlapping write sets gates both commit paths against each level's
-// allowed-anomaly contract. Runs under -race via the chaos CI job.
+// and overlapping write sets gates the commit path against each level's
+// allowed-anomaly contract. Runs under -race in `make check`.
 package storage_test
 
 import (
@@ -27,16 +26,13 @@ var stormLevels = []storage.IsolationLevel{
 	storage.Serializable2PL,
 }
 
-// stormDB opens a history-recording engine; serial selects the pre-pipeline
-// single-critical-section commit path, the ablation baseline the pipeline is
-// measured against.
-func stormDB(t *testing.T, level storage.IsolationLevel, serial bool) *storage.Database {
+// stormDB opens a history-recording engine.
+func stormDB(t *testing.T, level storage.IsolationLevel) *storage.Database {
 	t.Helper()
 	db := storage.Open(storage.Options{
 		DefaultIsolation: level,
 		RecordHistory:    true,
 		LockTimeout:      150 * time.Millisecond,
-		SerialCommit:     serial,
 	})
 	if err := db.CreateTable(&storage.Schema{
 		Name: "kv",
@@ -78,8 +74,7 @@ func stormUpdate(tx *storage.Tx, id storage.RowID, value string) error {
 	return tx.Update("kv", id, map[string]storage.Value{"value": storage.Str(value)})
 }
 
-// errClass folds an error into the vocabulary the parity assertions compare:
-// the two commit paths must fail the same steps for the same reasons.
+// errClass folds an error into the vocabulary the shape expectations use.
 func errClass(err error) string {
 	switch {
 	case err == nil:
@@ -101,6 +96,17 @@ func errClass(err error) string {
 type stormShape struct {
 	name string
 	run  func(t *testing.T, db *storage.Database) string
+	// want is the pinned result at each isolation level: what executing the
+	// shape's commits strictly one at a time produces, which the pipeline
+	// must reproduce.
+	want map[storage.IsolationLevel]stormResult
+}
+
+// stormResult is everything a shape run is compared on.
+type stormResult struct {
+	outcome string // per-step error classes
+	commits string // commit/abort census from the checker
+	classes string // anomaly classes from the checker
 }
 
 var stormShapes = []stormShape{
@@ -125,6 +131,12 @@ var stormShapes = []stormShape{
 		}
 		return fmt.Sprintf("r1=%s r2=%s u2=%s c2=%s u1=%s c1=%s",
 			errClass(r1), errClass(r2), errClass(u2), errClass(c2), errClass(u1), errClass(c1))
+	}, map[storage.IsolationLevel]stormResult{
+		storage.ReadCommitted:     {"r1=ok r2=ok u2=ok c2=ok u1=ok c1=ok", "committed=3 aborted=0", "[G-single]"},
+		storage.RepeatableRead:    {"r1=ok r2=ok u2=ok c2=ok u1=ok c1=ok", "committed=3 aborted=0", "[G-single]"},
+		storage.SnapshotIsolation: {"r1=ok r2=ok u2=ok c2=ok u1=ok c1=serialization", "committed=2 aborted=1", "[]"},
+		storage.Serializable:      {"r1=ok r2=ok u2=ok c2=ok u1=ok c1=serialization", "committed=2 aborted=1", "[]"},
+		storage.Serializable2PL:   {"r1=ok r2=ok u2=locktimeout c2=ok u1=ok c1=ok", "committed=2 aborted=1", "[]"},
 	}},
 	{"write-skew", func(t *testing.T, db *storage.Database) string {
 		x := stormInsert(t, db, "x", "on")
@@ -148,6 +160,12 @@ var stormShapes = []stormShape{
 		}
 		return fmt.Sprintf("r1=%s r2=%s u1=%s c1=%s u2=%s c2=%s",
 			errClass(r1), errClass(r2), errClass(u1), errClass(c1), errClass(u2), errClass(c2))
+	}, map[storage.IsolationLevel]stormResult{
+		storage.ReadCommitted:     {"r1=ok r2=ok u1=ok c1=ok u2=ok c2=ok", "committed=4 aborted=0", "[G2-item]"},
+		storage.RepeatableRead:    {"r1=ok r2=ok u1=ok c1=ok u2=ok c2=ok", "committed=4 aborted=0", "[G2-item]"},
+		storage.SnapshotIsolation: {"r1=ok r2=ok u1=ok c1=ok u2=ok c2=ok", "committed=4 aborted=0", "[G2-item]"},
+		storage.Serializable:      {"r1=ok r2=ok u1=ok c1=ok u2=ok c2=serialization", "committed=3 aborted=1", "[]"},
+		storage.Serializable2PL:   {"r1=ok r2=ok u1=locktimeout c1=ok u2=ok c2=ok", "committed=3 aborted=1", "[]"},
 	}},
 	{"phantom-insert", func(t *testing.T, db *storage.Database) string {
 		// t1 predicate-reads an empty key range, t2 populates it and commits
@@ -176,44 +194,38 @@ var stormShapes = []stormShape{
 		}
 		return fmt.Sprintf("r1=%s u1=%s u2=%s c2=%s c1=%s",
 			errClass(r1), errClass(u1), errClass(u2), errClass(c2), errClass(c1))
+	}, map[storage.IsolationLevel]stormResult{
+		storage.ReadCommitted:     {"r1=ok u1=ok u2=ok c2=ok c1=ok", "committed=2 aborted=0", "[]"},
+		storage.RepeatableRead:    {"r1=ok u1=ok u2=ok c2=ok c1=ok", "committed=2 aborted=0", "[]"},
+		storage.SnapshotIsolation: {"r1=ok u1=ok u2=ok c2=ok c1=ok", "committed=2 aborted=0", "[]"},
+		storage.Serializable:      {"r1=ok u1=ok u2=ok c2=ok c1=serialization", "committed=1 aborted=1", "[]"},
+		storage.Serializable2PL:   {"r1=ok u1=ok u2=locktimeout c2=ok c1=ok", "committed=1 aborted=1", "[]"},
 	}},
 }
 
-// TestChaosCommitStormShapeParity runs each deterministic conflict shape at
-// every isolation level against both commit paths and requires byte-identical
-// results: the same step outcomes, the same commit/abort census, and the same
-// anomaly classes from the offline checker. This pins the pipeline to the
-// pre-pipeline engine's observable isolation behavior.
-func TestChaosCommitStormShapeParity(t *testing.T) {
+// TestChaosCommitStormShapes runs each deterministic conflict shape at every
+// isolation level and requires exactly the pinned result: the same step
+// outcomes, the same commit/abort census, and the same anomaly classes from
+// the offline checker.
+func TestChaosCommitStormShapes(t *testing.T) {
 	for _, level := range stormLevels {
 		for _, shape := range stormShapes {
 			t.Run(fmt.Sprintf("%s/%s", level, shape.name), func(t *testing.T) {
-				type result struct {
-					outcome string
-					classes string
-					commits string
+				db := stormDB(t, level)
+				defer db.Close()
+				outcome := shape.run(t, db)
+				rep := histcheck.Check(db.History())
+				if !rep.Pass() {
+					t.Fatalf("history fails its own level:\n%s", rep)
 				}
-				runOne := func(serial bool) result {
-					db := stormDB(t, level, serial)
-					defer db.Close()
-					outcome := shape.run(t, db)
-					rep := histcheck.Check(db.History())
-					if !rep.Pass() {
-						t.Fatalf("serial=%v: history fails its own level:\n%s", serial, rep)
-					}
-					return result{
-						outcome: outcome,
-						classes: fmt.Sprintf("%v", rep.Classes()),
-						commits: fmt.Sprintf("committed=%d aborted=%d", rep.Committed, rep.Aborted),
-					}
+				got := stormResult{
+					outcome: outcome,
+					commits: fmt.Sprintf("committed=%d aborted=%d", rep.Committed, rep.Aborted),
+					classes: fmt.Sprintf("%v", rep.Classes()),
 				}
-				serial := runOne(true)
-				pipeline := runOne(false)
-				if serial != pipeline {
-					t.Fatalf("commit paths diverge:\nserial:   %+v\npipeline: %+v", serial, pipeline)
+				if want := shape.want[level]; got != want {
+					t.Fatalf("shape result changed:\ngot:  %+v\nwant: %+v", got, want)
 				}
-				t.Logf("%s @ %v: %s | %s | classes %s",
-					shape.name, level, pipeline.outcome, pipeline.commits, pipeline.classes)
 			})
 		}
 	}
@@ -221,9 +233,8 @@ func TestChaosCommitStormShapeParity(t *testing.T) {
 
 // TestChaosCommitStormAllLevels free-runs a seeded storm of committers with
 // disjoint write sets (each worker owns a private row) and overlapping ones
-// (all workers contend on a shared row set) at every isolation level, against
-// both commit paths, and gates the recorded history: it must pass the
-// checker, never show a structural anomaly, and never show a class the
+// (all workers contend on a shared row set) at every isolation level and
+// gates the recorded history: it must pass the checker, never show a structural anomaly, and never show a class the
 // level's Allowed set proscribes.
 func TestChaosCommitStormAllLevels(t *testing.T) {
 	const (
@@ -233,62 +244,60 @@ func TestChaosCommitStormAllLevels(t *testing.T) {
 		shared  = 3
 	)
 	for _, level := range stormLevels {
-		for _, serial := range []bool{true, false} {
-			t.Run(fmt.Sprintf("%s/serial=%v", level, serial), func(t *testing.T) {
-				db := stormDB(t, level, serial)
-				defer db.Close()
-				sharedIDs := make([]storage.RowID, shared)
-				for i := range sharedIDs {
-					sharedIDs[i] = stormInsert(t, db, fmt.Sprintf("s%d", i), "0")
-				}
-				ownIDs := make([]storage.RowID, workers)
-				for w := range ownIDs {
-					ownIDs[w] = stormInsert(t, db, fmt.Sprintf("w%d", w), "0")
-				}
+		t.Run(level.String(), func(t *testing.T) {
+			db := stormDB(t, level)
+			defer db.Close()
+			sharedIDs := make([]storage.RowID, shared)
+			for i := range sharedIDs {
+				sharedIDs[i] = stormInsert(t, db, fmt.Sprintf("s%d", i), "0")
+			}
+			ownIDs := make([]storage.RowID, workers)
+			for w := range ownIDs {
+				ownIDs[w] = stormInsert(t, db, fmt.Sprintf("w%d", w), "0")
+			}
 
-				var wg sync.WaitGroup
-				for w := 0; w < workers; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						rng := rand.New(rand.NewSource(seed + int64(w)*7919))
-						for op := 0; op < ops; op++ {
-							id := ownIDs[w] // disjoint: private row, conflict-free
-							if rng.Intn(2) == 0 {
-								id = sharedIDs[rng.Intn(shared)] // overlapping
-							}
-							tx := db.BeginDefault()
-							if err := stormRead(tx, id); err != nil {
-								tx.Rollback()
-								continue
-							}
-							if err := stormUpdate(tx, id, fmt.Sprintf("w%d-%d", w, op)); err != nil {
-								tx.Rollback()
-								continue
-							}
-							if err := tx.Commit(); err != nil &&
-								!errors.Is(err, storage.ErrSerialization) &&
-								!errors.Is(err, storage.ErrLockTimeout) {
-								t.Errorf("unexpected commit error: %v", err)
-							}
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(seed + int64(w)*7919))
+					for op := 0; op < ops; op++ {
+						id := ownIDs[w] // disjoint: private row, conflict-free
+						if rng.Intn(2) == 0 {
+							id = sharedIDs[rng.Intn(shared)] // overlapping
 						}
-					}(w)
-				}
-				wg.Wait()
-
-				rep := histcheck.Check(db.History())
-				t.Logf("storm at %v serial=%v: %d txs (%d committed, %d aborted), classes %v",
-					level, serial, rep.Transactions, rep.Committed, rep.Aborted, rep.Classes())
-				if !rep.Pass() {
-					t.Fatalf("engine emitted a history %v forbids:\n%s", level, rep)
-				}
-				allowed := histcheck.Allowed(level.String())
-				for _, a := range rep.Classes() {
-					if !allowed[a] {
-						t.Fatalf("%s appears at %v (serial=%v) but is proscribed:\n%s", a, level, serial, rep)
+						tx := db.BeginDefault()
+						if err := stormRead(tx, id); err != nil {
+							tx.Rollback()
+							continue
+						}
+						if err := stormUpdate(tx, id, fmt.Sprintf("w%d-%d", w, op)); err != nil {
+							tx.Rollback()
+							continue
+						}
+						if err := tx.Commit(); err != nil &&
+							!errors.Is(err, storage.ErrSerialization) &&
+							!errors.Is(err, storage.ErrLockTimeout) {
+							t.Errorf("unexpected commit error: %v", err)
+						}
 					}
+				}(w)
+			}
+			wg.Wait()
+
+			rep := histcheck.Check(db.History())
+			t.Logf("storm at %v: %d txs (%d committed, %d aborted), classes %v",
+				level, rep.Transactions, rep.Committed, rep.Aborted, rep.Classes())
+			if !rep.Pass() {
+				t.Fatalf("engine emitted a history %v forbids:\n%s", level, rep)
+			}
+			allowed := histcheck.Allowed(level.String())
+			for _, a := range rep.Classes() {
+				if !allowed[a] {
+					t.Fatalf("%s appears at %v but is proscribed:\n%s", a, level, rep)
 				}
-			})
-		}
+			}
+		})
 	}
 }

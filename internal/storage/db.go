@@ -128,13 +128,6 @@ func (db *Database) ResetHistory() {
 	}
 }
 
-// histAppend records one history event; no-op when recording is disabled.
-func (db *Database) histAppend(e histcheck.Event) {
-	if db.hist != nil {
-		db.hist.Append(e)
-	}
-}
-
 // yield hands control to the deterministic scheduler at a named progress
 // point; a single nil check when no scheduler is attached.
 func (db *Database) yield(point string) {
@@ -143,14 +136,18 @@ func (db *Database) yield(point string) {
 	}
 }
 
-// yieldFunc adapts the optional Yielder to the bare func the WAL carries
-// (nil when no scheduler is attached, so the WAL pays nothing).
-func (db *Database) yieldFunc() func(string) {
-	y := db.opts.Yielder
-	if y == nil {
-		return nil
+// point is the engine's one probe for the program points FaultHook and
+// Yielder share (lock, commit, wal.append, wal.fsync): the fault hook is
+// consulted first, and a fault that fails the operation suppresses the yield.
+// Two nil checks when neither is attached.
+func (db *Database) point(name string) error {
+	if hook := db.opts.FaultHook; hook != nil {
+		if err := hook(name); err != nil {
+			return err
+		}
 	}
-	return y.Yield
+	db.yield(name)
+	return nil
 }
 
 // Close stops the live anomaly watcher (draining its ring) and the
@@ -175,7 +172,7 @@ func (db *Database) walAppend(payload []byte) error {
 	if db.wal == nil {
 		return nil
 	}
-	return db.wal.append(payload, nil)
+	return db.wal.append(payload)
 }
 
 // Options returns the options the database was opened with.
@@ -471,20 +468,18 @@ func (db *Database) Begin(level IsolationLevel) *Tx {
 	db.activeMu.Lock()
 	db.active[id] = start
 	db.activeMu.Unlock()
-	db.histAppend(histcheck.Event{Tx: id, Kind: histcheck.KindBegin, Level: level.String()})
 	tx := &Tx{
 		db:      db,
 		id:      id,
 		level:   level,
 		startTS: start,
 		writes:  make(map[string]map[RowID]*txWrite),
+		// The live-checking sampling decision is per-transaction and made
+		// here, so a sampled transaction contributes its complete event
+		// sequence.
+		sampled: db.watch != nil && db.watch.SampleTx(id),
 	}
-	// The live-checking sampling decision is per-transaction and made here,
-	// so a sampled transaction contributes its complete event sequence.
-	if db.watch != nil && db.watch.SampleTx(id) {
-		tx.sampled = true
-		tx.liveEmit(histcheck.Event{Tx: id, Kind: histcheck.KindBegin, Level: level.String()})
-	}
+	tx.emit(histcheck.Event{Tx: id, Kind: histcheck.KindBegin, Level: level.String()})
 	return tx
 }
 

@@ -153,12 +153,6 @@ type Options struct {
 	// SyncInterval is the background fsync period under SyncInterval policy.
 	// Defaults to 50ms.
 	SyncInterval time.Duration
-	// SerialCommit, when true, disables the staged commit pipeline: every
-	// commit runs its whole validate-log-install sequence alone under the
-	// exclusive pipeline gate and pays its own fsync, reproducing the
-	// pre-pipeline engine. This is the ablation baseline for the commit
-	// throughput benchmarks and the vocabulary-equivalence tests.
-	SerialCommit bool
 	// LockQueueBound bounds how many transactions may queue waiting for any
 	// single lock resource. 0 (the default) keeps the queue unbounded, the
 	// pre-overload-control behavior. N > 0 admits at most N waiters per
@@ -197,7 +191,7 @@ type Options struct {
 	// goroutine progresses between any two points is the scheduler's decision
 	// rather than the runtime's. At every site shared with FaultHook the
 	// fault hook is consulted first — a fault that aborts an operation
-	// suppresses its yield (pinned by internal/faultinject's ordering test).
+	// suppresses its yield (Database.point is the one place both are called).
 	// Production paths carry one nil check per point and nothing else.
 	Yielder Yielder
 }
@@ -221,10 +215,11 @@ type Yielder interface {
 	ParkExternal(point string)
 }
 
-// Yield-point names passed to Options.Yielder.Yield, mirroring the FaultHook
-// op vocabulary at shared sites. Together they are the scheduler's yield
-// catalog: begin, snapshot/item read, lock acquire/release, commit entry,
-// commit-intent enqueue, install, and the WAL seams.
+// Yield-point names passed to Options.Yielder.Yield. Together they are the
+// scheduler's yield catalog: begin, snapshot/item read, lock acquire/release,
+// commit entry, commit-intent enqueue, install, and the WAL seams. At the
+// sites shared with FaultHook (lock, commit, wal.append, wal.fsync) the same
+// constant is the op the fault hook receives.
 const (
 	YieldBegin       = "begin"
 	YieldRead        = "read"

@@ -83,24 +83,25 @@ var (
 		"feraldb_storage_vacuum_rows_reclaimed_total", "Fully dead rows reclaimed by vacuum")
 )
 
-// recordAbort classifies a commit-time failure into the labeled abort
-// counter. Classification is by error sentinel so injected faults count as
-// the failure they masquerade as.
-func recordAbort(err error) {
+// abortCounter classifies a commit failure at or before validation into its
+// labeled abort counter (a WAL-stage failure counts under reason="wal"
+// whatever the error; see Tx.abortCommit). Classification is by error
+// sentinel so injected faults count as the failure they masquerade as.
+func abortCounter(err error) *obs.Counter {
 	switch {
 	case errors.Is(err, ErrOverloaded):
-		mAbortsOverload.Inc()
+		return mAbortsOverload
 	case errors.Is(err, ErrSerialization):
-		mAbortsSerialization.Inc()
+		return mAbortsSerialization
 	case errors.Is(err, ErrUniqueViolation):
-		mAbortsUnique.Inc()
+		return mAbortsUnique
 	case errors.Is(err, ErrForeignKeyViolation):
-		mAbortsFK.Inc()
+		return mAbortsFK
 	case errors.Is(err, ErrLockTimeout):
-		mAbortsDeadlock.Inc()
+		return mAbortsDeadlock
 	case errors.Is(err, ErrStmtDeadline):
-		mAbortsDeadline.Inc()
+		return mAbortsDeadline
 	default:
-		mAbortsOther.Inc()
+		return mAbortsOther
 	}
 }

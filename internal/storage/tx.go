@@ -23,15 +23,12 @@ const (
 )
 
 // txWrite is one buffered row write. vals is the full new row image for
-// inserts and updates; baseTS is the begin timestamp of the committed
-// version the write was based on (0 when the row did not exist), used for
-// first-committer-wins validation.
+// inserts and updates.
 type txWrite struct {
-	op     writeOp
-	vals   []Value
-	old    []Value // prior committed image (update/delete); nil for insert
-	baseTS uint64
-	seq    int // execution order, to keep installs deterministic
+	op   writeOp
+	vals []Value
+	old  []Value // prior committed image (update/delete); nil for insert
+	seq  int     // execution order, to keep installs deterministic
 }
 
 // Tx is a transaction handle. A Tx must be used from one goroutine at a
@@ -133,12 +130,8 @@ func (tx *Tx) notePredRead(key string) {
 }
 
 // noteProbe records one committed-state validation lookup, keyed exactly like
-// a summary predicate key. Skipped in serial-commit mode, where the exclusive
-// gate makes validation atomic without conflict tracking.
+// a summary predicate key.
 func (tx *Tx) noteProbe(lowerTable, lowerCol, key string) {
-	if tx.db.opts.SerialCommit {
-		return
-	}
 	if tx.probes == nil {
 		tx.probes = make(map[string]struct{})
 	}
@@ -154,47 +147,47 @@ func (tx *Tx) SetStmtDeadline(t time.Time) { tx.stmtDeadline = t }
 // waits and the commit path accumulate spans into.
 func (tx *Tx) SetTrace(tr *obs.StmtTrace) { tx.trace = tr }
 
-// liveEmit offers one history event to the live anomaly watcher when this
-// transaction was sampled. The trace ID is stamped here — only on the live
-// path, never into the Recorder, so recorded histories stay byte-stable for
-// fixed schedules. Offer never blocks; a full ring sheds the event.
-func (tx *Tx) liveEmit(e histcheck.Event) {
-	if !tx.sampled {
-		return
+// emit is the transaction's one event sink: the offline recorder when the
+// database records history and, when this transaction was sampled, the live
+// anomaly watcher. The trace ID is stamped only on the live copy, never into
+// the Recorder, so recorded histories stay byte-stable for fixed schedules.
+// Offer never blocks; a full ring sheds the event.
+func (tx *Tx) emit(e histcheck.Event) {
+	if h := tx.db.hist; h != nil {
+		h.Append(e)
 	}
-	if tx.trace != nil {
-		e.Trace = tx.trace.ID
+	if tx.sampled {
+		if tx.trace != nil {
+			e.Trace = tx.trace.ID
+		}
+		tx.db.watch.Offer(e)
 	}
-	tx.db.watch.Offer(e)
 }
+
+// recording reports whether emit has a sink, for the sites whose events cost
+// something to build.
+func (tx *Tx) recording() bool { return tx.db.hist != nil || tx.sampled }
 
 // histRead records an item read in the operation history. observed is the
 // begin timestamp of the version the read returned (0 = absent/invisible);
 // own marks reads served from the transaction's own write buffer.
 func (tx *Tx) histRead(lower string, id RowID, observed uint64, own bool) {
-	e := histcheck.Event{
+	tx.emit(histcheck.Event{
 		Tx: tx.id, Kind: histcheck.KindRead,
 		Table: lower, Row: uint64(id), Observed: observed, Own: own,
+	})
+}
+
+// recordCommitEvents emits one write event per installed row, then the commit
+// event. Called immediately after install, before the clock publish and still
+// inside the commit's install turn, so a history snapshot can never observe an
+// installed version before the event that explains it — and so per-row
+// install events reach the live watcher in commit-sequence order, which is
+// what lets it maintain the version order incrementally.
+func (tx *Tx) recordCommitEvents(commitTS uint64) {
+	if !tx.recording() {
+		return
 	}
-	tx.db.histAppend(e)
-	tx.liveEmit(e)
-}
-
-// histAbort records the end of an unsuccessfully finished transaction.
-func (tx *Tx) histAbort(reason string) {
-	e := histcheck.Event{Tx: tx.id, Kind: histcheck.KindAbort, Reason: reason}
-	tx.db.histAppend(e)
-	tx.liveEmit(e)
-}
-
-// recordInstalls emits one write event per installed row, into the offline
-// recorder and/or the live watcher. Called immediately after install, inside
-// the commit's install turn (or under the exclusive gate on the serial path),
-// so a history snapshot can never observe an installed version before the
-// event that explains it — and, on the live path, so per-row install events
-// reach the watcher in commit-sequence order, which is what lets it maintain
-// the version order incrementally.
-func (tx *Tx) recordInstalls(commitTS uint64) {
 	type rec struct {
 		lower string
 		id    RowID
@@ -218,39 +211,21 @@ func (tx *Tx) recordInstalls(commitTS uint64) {
 		case opDelete:
 			op = "delete"
 		}
-		e := histcheck.Event{
+		tx.emit(histcheck.Event{
 			Tx: tx.id, Kind: histcheck.KindWrite,
 			Table: r.lower, Row: uint64(r.id), Op: op, Version: commitTS,
-		}
-		tx.db.histAppend(e)
-		tx.liveEmit(e)
+		})
 	}
-}
-
-// recordCommitEvents emits the install and commit events for a successful
-// writing commit to whichever sinks are attached. Caller must invoke it at
-// the same point the old inline recording happened: after install, before
-// the clock publish, still inside the commit's install turn.
-func (tx *Tx) recordCommitEvents(commitTS uint64) {
-	if tx.db.hist == nil && !tx.sampled {
-		return
-	}
-	tx.recordInstalls(commitTS)
-	e := histcheck.Event{Tx: tx.id, Kind: histcheck.KindCommit}
-	tx.db.histAppend(e)
-	tx.liveEmit(e)
+	tx.emit(histcheck.Event{Tx: tx.id, Kind: histcheck.KindCommit})
 }
 
 // lock acquires a lock for this transaction, remembering that cleanup is
-// needed at finish. The engine fault hook fires first, so chaos tests can
-// nominate this transaction as a deadlock victim deterministically.
+// needed at finish. The lock point comes first, so chaos tests can nominate
+// this transaction as a deadlock victim deterministically.
 func (tx *Tx) lock(key string, mode LockMode) error {
-	if hook := tx.db.opts.FaultHook; hook != nil {
-		if err := hook("lock"); err != nil {
-			return err
-		}
+	if err := tx.db.point(YieldLock); err != nil {
+		return err
 	}
-	tx.db.yield(YieldLock)
 	tx.tookLocks = true
 	return tx.db.locks.acquire(tx.id, key, mode, tx.stmtDeadline, tx.trace)
 }
@@ -401,16 +376,8 @@ func (tx *Tx) Update(tableName string, id RowID, changes map[string]Value) error
 			return err
 		}
 	}
-	var baseTS uint64
-	t.mu.RLock()
-	if c := t.chain(id); c != nil {
-		if v := c.latest(); v != nil {
-			baseTS = v.beginTS
-		}
-	}
-	t.mu.RUnlock()
 	tx.seq++
-	tx.tableWrites(lower)[id] = &txWrite{op: opUpdate, vals: newImage, old: old, baseTS: baseTS, seq: tx.seq}
+	tx.tableWrites(lower)[id] = &txWrite{op: opUpdate, vals: newImage, old: old, seq: tx.seq}
 	return nil
 }
 
@@ -454,16 +421,8 @@ func (tx *Tx) Delete(tableName string, id RowID) error {
 			return err
 		}
 	}
-	var baseTS uint64
-	t.mu.RLock()
-	if c := t.chain(id); c != nil {
-		if v := c.latest(); v != nil {
-			baseTS = v.beginTS
-		}
-	}
-	t.mu.RUnlock()
 	tx.seq++
-	tx.tableWrites(lower)[id] = &txWrite{op: opDelete, old: old, baseTS: baseTS, seq: tx.seq}
+	tx.tableWrites(lower)[id] = &txWrite{op: opDelete, old: old, seq: tx.seq}
 	return nil
 }
 
@@ -546,13 +505,11 @@ func (tx *Tx) Scan(tableName string, opts ScanOptions, fn func(RowID, []Value) b
 		predKey = "p\x00" + lower + "\x00" + strings.ToLower(s.Columns[filterPos].Name) + "\x00" + filterKey
 	}
 	tx.notePredRead(predKey)
-	if tx.db.hist != nil || tx.sampled {
-		e := histcheck.Event{
+	if tx.recording() {
+		tx.emit(histcheck.Event{
 			Tx: tx.id, Kind: histcheck.KindPredRead, Table: lower,
 			Pred: strings.ReplaceAll(predKey, "\x00", "/"),
-		}
-		tx.db.histAppend(e)
-		tx.liveEmit(e)
+		})
 	}
 	if tx.level.locking() {
 		if tx.db.opts.PredicateLocks == TableGranularity || filterPos < 0 {
@@ -710,10 +667,17 @@ func (tx *Tx) Rollback() {
 	if tx.done {
 		return
 	}
+	tx.abort(mAbortsRollback, "rollback")
+}
+
+// abort is the one place a transaction ends unsuccessfully: it counts the
+// abort under its reason, records the abort event, and releases the
+// transaction's locks.
+func (tx *Tx) abort(counter *obs.Counter, reason string) {
 	tx.done = true
 	atomic.AddUint64(&tx.db.statAborts, 1)
-	mAbortsRollback.Inc()
-	tx.histAbort("rollback")
+	counter.Inc()
+	tx.emit(histcheck.Event{Tx: tx.id, Kind: histcheck.KindAbort, Reason: reason})
 	tx.db.finish(tx)
 }
 
@@ -722,28 +686,23 @@ func (tx *Tx) Rollback() {
 // returned; ErrSerialization and ErrUniqueViolation/-ForeignKeyViolation are
 // the interesting cases for the layers above.
 //
-// The default path is the staged commit pipeline (see commitpipeline.go):
+// Writing commits run the staged commit pipeline (see commitpipeline.go):
 // validation under per-table latches, a group-commit WAL append, and an
-// install strictly ordered by commit sequence number. Options.SerialCommit
-// selects the pre-pipeline behavior — one global critical section per commit
-// and one fsync per transaction — as the ablation baseline.
+// install strictly ordered by commit sequence number.
 func (tx *Tx) Commit() error {
 	if err := tx.checkLive(); err != nil {
 		return err
 	}
 	start := time.Now()
 	db := tx.db
-	if hook := db.opts.FaultHook; hook != nil {
-		// The commit fault point: a forced serialization abort here takes the
-		// same path a first-committer-wins conflict would.
-		if err := hook("commit"); err != nil {
-			return tx.abortCommit(err)
-		}
+	// The pre-validation commit point. A forced serialization abort here takes
+	// the same path a first-committer-wins conflict would; the yield is the
+	// scheduler's main handle for directed exploration (holding a writer here
+	// keeps its installs invisible to concurrent readers — the
+	// almost-cycle-closing move).
+	if err := db.point(YieldCommit); err != nil {
+		return tx.abortCommit(err, false)
 	}
-	// The pre-validation commit yield: the scheduler's main handle for
-	// directed exploration (holding a writer here keeps its installs
-	// invisible to concurrent readers — the almost-cycle-closing move).
-	db.yield(YieldCommit)
 	hasWrites := false
 	for _, m := range tx.writes {
 		if len(m) > 0 {
@@ -756,32 +715,29 @@ func (tx *Tx) Commit() error {
 		atomic.AddUint64(&db.statCommits, 1)
 		mCommits.Inc()
 		tx.trace.Add(obs.SpanCommit, time.Since(start))
-		e := histcheck.Event{Tx: tx.id, Kind: histcheck.KindCommit}
-		db.histAppend(e)
-		tx.liveEmit(e)
+		tx.emit(histcheck.Event{Tx: tx.id, Kind: histcheck.KindCommit})
 		db.finish(tx)
 		return nil
-	}
-	if db.opts.SerialCommit {
-		return tx.commitSerial(start)
 	}
 	return tx.commitPipelined(start)
 }
 
-// abortCommit applies the standard failed-commit bookkeeping and returns err.
-func (tx *Tx) abortCommit(err error) error {
-	db := tx.db
-	tx.done = true
-	atomic.AddUint64(&db.statAborts, 1)
-	recordAbort(err)
+// abortCommit fails a commit and returns the error Commit reports. walStage
+// marks a log failure after validation succeeded: it counts under its own
+// abort reason, is reported wrapped, and — not being a data conflict — never
+// arms the live checker's escalation.
+func (tx *Tx) abortCommit(err error, walStage bool) error {
+	if walStage {
+		tx.abort(mAbortsWAL, err.Error())
+		return fmt.Errorf("commit aborted: %w", err)
+	}
 	// Conflict-class aborts arm the live checker's escalation: the next
 	// transactions sample at 100%, because contention is exactly where
 	// anomalies live.
-	if db.watch != nil && isConflictAbort(err) {
-		db.watch.NoteConflict()
+	if w := tx.db.watch; w != nil && isConflictAbort(err) {
+		w.NoteConflict()
 	}
-	tx.histAbort(err.Error())
-	db.finish(tx)
+	tx.abort(abortCounter(err), err.Error())
 	return err
 }
 
@@ -792,57 +748,6 @@ func isConflictAbort(err error) bool {
 		errors.Is(err, ErrUniqueViolation) ||
 		errors.Is(err, ErrForeignKeyViolation) ||
 		errors.Is(err, ErrLockTimeout)
-}
-
-// commitSerial is the pre-pipeline commit path: the whole
-// validate-log-install sequence runs under the exclusive pipeline gate, so
-// commits are fully serialized and each pays its own fsync.
-func (tx *Tx) commitSerial(start time.Time) error {
-	db := tx.db
-	p := db.pipe
-	p.gateLock()
-	vstart := time.Now()
-	err := tx.validate(true)
-	tx.trace.Add(obs.SpanCommitValidate, time.Since(vstart))
-	if err != nil {
-		p.gate.Unlock()
-		return tx.abortCommit(err)
-	}
-	commitTS := atomic.LoadUint64(&db.clock) + 1
-	// Write-ahead: the commit record must be durable (per the sync policy)
-	// before any of its versions become visible. A log failure aborts the
-	// commit with nothing installed — recovery can never observe a
-	// half-applied transaction, and an unlogged one was never acknowledged.
-	if db.wal != nil {
-		if werr := db.wal.append(encodeCommit(tx.writes, commitTS), tx.trace); werr != nil {
-			p.gate.Unlock()
-			tx.done = true
-			atomic.AddUint64(&db.statAborts, 1)
-			mAbortsWAL.Inc()
-			tx.histAbort(werr.Error())
-			db.finish(tx)
-			return fmt.Errorf("commit aborted: %w", werr)
-		}
-	}
-	summary := tx.buildSummary(commitTS)
-	// Yielding here (under the exclusive gate) is safe: every other gate
-	// acquisition is park-wrapped when a scheduler is attached, so peers
-	// retry on their own turns instead of blocking the runtime.
-	db.yield(YieldInstall)
-	tx.install(commitTS)
-	tx.recordCommitEvents(commitTS)
-	atomic.StoreUint64(&db.clock, commitTS)
-	p.gate.Unlock()
-
-	db.recordCommit(summary)
-	tx.done = true
-	atomic.AddUint64(&db.statCommits, 1)
-	db.finish(tx)
-	d := time.Since(start)
-	mCommits.Inc()
-	mCommitSeconds.Observe(d)
-	tx.trace.Add(obs.SpanCommit, d)
-	return nil
 }
 
 // commitPipelined runs the staged commit pipeline.
@@ -885,16 +790,16 @@ func (tx *Tx) commitPipelined(start time.Time) error {
 		tx.probes = nil
 		db.yield(YieldEnqueue)
 		latches := p.latch(names)
-		err := tx.validate(false)
+		err := tx.validate()
 		var waits []chan struct{}
 		if err == nil {
-			intent, waits, err = p.register(tx, tx.buildSummary(0))
+			intent, waits, err = p.register(tx, tx.buildSummary())
 		}
 		p.unlatch(latches)
 		if err != nil {
 			tx.trace.Add(obs.SpanCommitValidate, time.Since(vstart))
 			p.gate.RUnlock()
-			return tx.abortCommit(err)
+			return tx.abortCommit(err, false)
 		}
 		if intent != nil {
 			break
@@ -917,12 +822,7 @@ func (tx *Tx) commitPipelined(start time.Time) error {
 		if werr := p.submit(encodeCommit(tx.writes, csn), tx.trace); werr != nil {
 			p.abortIntent(intent)
 			p.gate.RUnlock()
-			tx.done = true
-			atomic.AddUint64(&db.statAborts, 1)
-			mAbortsWAL.Inc()
-			tx.histAbort(werr.Error())
-			db.finish(tx)
-			return fmt.Errorf("commit aborted: %w", werr)
+			return tx.abortCommit(werr, true)
 		}
 	}
 
@@ -1007,14 +907,13 @@ func (tx *Tx) writeTableNames() []string {
 	return names
 }
 
-// validate runs commit-time validation: write-write conflicts, in-database
-// unique and foreign key constraints (expanding cascades into the write set),
-// and — only when certInline is set (the serial path) — serializable read
-// certification. The pipeline instead certifies during intent registration,
-// where the registry lock closes the race against concurrently publishing
-// commits. Caller holds either the table latches of the write set's FK
-// component or the exclusive gate.
-func (tx *Tx) validate(certInline bool) error {
+// validate runs commit-time validation: write-write conflicts and in-database
+// unique and foreign key constraints (expanding cascades into the write set).
+// Serializable read certification is not here but in intent registration
+// (commitPipeline.register), where the registry lock closes the race against
+// concurrently publishing commits. Caller holds the table latches of the
+// write set's FK component.
+func (tx *Tx) validate() error {
 	db := tx.db
 
 	// First-committer-wins: abort if any written row has a committed version
@@ -1043,12 +942,6 @@ func (tx *Tx) validate(certInline bool) error {
 				}
 			}
 			t.mu.RUnlock()
-		}
-	}
-
-	if certInline && tx.level.certifiesReads() {
-		if err := tx.certify(); err != nil {
-			return err
 		}
 	}
 
@@ -1090,9 +983,9 @@ func (tx *Tx) certify() error {
 // delete of a row in a table referenced by foreign keys, child rows are
 // deleted (CASCADE), nulled (SET NULL), or cause an abort (NO ACTION). Runs
 // to a fixpoint so cascades chain across tables. Operates on the latest
-// committed state — under the component latches (or exclusive gate) this is
-// the authoritative state, which is exactly why in-database cascades never
-// orphan rows while feral (application-level) cascades do.
+// committed state — under the component latches this is the authoritative
+// state, which is exactly why in-database cascades never orphan rows while
+// feral (application-level) cascades do.
 func (tx *Tx) expandCascades() error {
 	db := tx.db
 	work := make([]struct {
@@ -1160,16 +1053,8 @@ func (tx *Tx) expandCascades() error {
 				}
 				switch e.fk.OnDelete {
 				case Cascade:
-					var baseTS uint64
-					child.mu.RLock()
-					if c := child.chain(cid); c != nil {
-						if v := c.latest(); v != nil {
-							baseTS = v.beginTS
-						}
-					}
-					child.mu.RUnlock()
 					tx.seq++
-					childWrites[cid] = &txWrite{op: opDelete, old: vals, baseTS: baseTS, seq: tx.seq}
+					childWrites[cid] = &txWrite{op: opDelete, old: vals, seq: tx.seq}
 					work = append(work, struct {
 						table string
 						id    RowID
@@ -1183,16 +1068,8 @@ func (tx *Tx) expandCascades() error {
 					newVals := make([]Value, len(vals))
 					copy(newVals, vals)
 					newVals[fkPos] = Null()
-					var baseTS uint64
-					child.mu.RLock()
-					if c := child.chain(cid); c != nil {
-						if v := c.latest(); v != nil {
-							baseTS = v.beginTS
-						}
-					}
-					child.mu.RUnlock()
 					tx.seq++
-					childWrites[cid] = &txWrite{op: opUpdate, vals: newVals, old: vals, baseTS: baseTS, seq: tx.seq}
+					childWrites[cid] = &txWrite{op: opUpdate, vals: newVals, old: vals, seq: tx.seq}
 				default: // NoAction
 					anomalywatch.ObserveInvariant(anomalywatch.TierStorage, anomalywatch.InvForeignKey, true)
 					return fmt.Errorf("%w: %s row referenced by %s.%s",
@@ -1369,13 +1246,10 @@ func (tx *Tx) parentExists(parent *table, parentLower string, pkPos int, ref Val
 
 // buildSummary computes the certification footprint of the transaction's
 // write set: its row keys plus the full column-value predicate fan-out of
-// every old and new image. The pipeline builds the summary at intent
-// registration (commitTS is stamped there); the serial path builds it at
-// install time.
-func (tx *Tx) buildSummary(commitTS uint64) *txSummary {
+// every old and new image. Intent registration stamps its commitTS.
+func (tx *Tx) buildSummary() *txSummary {
 	db := tx.db
 	summary := &txSummary{
-		commitTS: commitTS,
 		rowKeys:  make(map[string]struct{}),
 		predKeys: make(map[string]struct{}),
 	}
@@ -1412,9 +1286,9 @@ func (tx *Tx) buildSummary(commitTS uint64) *txSummary {
 }
 
 // install writes all buffered changes as committed versions with the given
-// timestamp. Caller holds the write tables' latches (or the exclusive gate);
-// the clock is published by the caller after install completes so readers
-// never observe a partially installed commit.
+// timestamp. Caller holds the write tables' latches; the clock is published
+// by the caller after install completes so readers never observe a partially
+// installed commit.
 func (tx *Tx) install(commitTS uint64) {
 	db := tx.db
 	for lower, rows := range tx.writes {

@@ -103,20 +103,19 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 }
 
 // wal owns the append side of the log. Appends take wal.mu (innermost lock:
-// callers hold commitMu or catalogMu above it, never the reverse), write the
-// frame with WriteAt at a self-tracked offset, and fsync per policy. A failed
-// fsync or short write rolls the file back to the pre-append offset so an
-// aborted commit can never be replayed; if even the rollback fails the log is
+// callers hold catalogMu above it, never the reverse), write the frame with
+// WriteAt at a self-tracked offset, and fsync per policy. A failed fsync or
+// short write rolls the file back to the pre-append offset so an aborted
+// commit can never be replayed; if even the rollback fails the log is
 // poisoned and every later append fails rather than diverging from memory.
 type wal struct {
 	mu     sync.Mutex
 	f      *os.File
 	size   int64
 	policy SyncPolicy
-	hook   func(op string) error // Options.FaultHook, consulted at wal.* points
-	yield  func(point string)    // scheduler yield, fired after the hook passes
-	dirty  bool                  // bytes written since the last fsync
-	broken error                 // sticky poison after an unrecoverable failure
+	point  func(name string) error // Database.point, passed at the wal.* points
+	dirty  bool                    // bytes written since the last fsync
+	broken error                   // sticky poison after an unrecoverable failure
 
 	stop chan struct{} // closes the interval syncer
 	done chan struct{}
@@ -124,12 +123,12 @@ type wal struct {
 
 // openWAL opens (creating if absent) the log file and positions the writer at
 // size, which recovery has already truncated to the last valid record.
-func openWAL(path string, size int64, policy SyncPolicy, interval time.Duration, hook func(string) error, yield func(string)) (*wal, error) {
+func openWAL(path string, size int64, policy SyncPolicy, interval time.Duration, point func(string) error) (*wal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	w := &wal{f: f, size: size, policy: policy, hook: hook, yield: yield}
+	w := &wal{f: f, size: size, policy: policy, point: point}
 	if policy == SyncInterval {
 		w.stop = make(chan struct{})
 		w.done = make(chan struct{})
@@ -138,25 +137,35 @@ func openWAL(path string, size int64, policy SyncPolicy, interval time.Duration,
 	return w, nil
 }
 
-// append frames payload and writes it durably per the sync policy. On any
-// failure the log is rolled back to its pre-append length, so the caller can
-// abort the operation knowing recovery will never observe it. tr, when
-// non-nil, receives the statement's wal_append (and nested wal_fsync) spans.
-func (w *wal) append(payload []byte, tr *obs.StmtTrace) error {
+// append writes one DDL record durably per the sync policy. On any failure
+// the log keeps its pre-append length, so the caller can abort the catalog
+// mutation knowing recovery will never observe it.
+func (w *wal) append(payload []byte) error {
 	start := time.Now()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.broken != nil {
 		return w.broken
 	}
-	if w.hook != nil {
-		if err := w.hook("wal.append"); err != nil {
-			return err
-		}
+	if err := w.point(YieldWALAppend); err != nil {
+		return err
 	}
-	if w.yield != nil {
-		w.yield(YieldWALAppend)
+	if _, err := w.writeFrame(payload, 1); err != nil {
+		return err
 	}
+	mWALAppends.Inc()
+	mWALAppendSeconds.Observe(time.Since(start))
+	return nil
+}
+
+// writeFrame writes payload as one checksummed frame at the log tail and,
+// under SyncAlways, fsyncs it, passing the wal.fsync point once per record
+// the frame carries first — so chaos suites keep per-transaction coverage
+// while a batch is synced once. Any write, fault or fsync failure rolls the
+// file back to the pre-frame offset: nothing in the frame was acknowledged,
+// nothing will be replayed. Returns the time spent in the fsync itself (zero
+// when the policy defers it). Caller holds w.mu.
+func (w *wal) writeFrame(payload []byte, records int) (time.Duration, error) {
 	frame := make([]byte, walHeaderSize+len(payload))
 	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.BigEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
@@ -164,73 +173,66 @@ func (w *wal) append(payload []byte, tr *obs.StmtTrace) error {
 	off := w.size
 	if _, err := w.f.WriteAt(frame, off); err != nil {
 		w.rollbackTo(off)
-		return fmt.Errorf("storage: wal append: %w", err)
+		return 0, fmt.Errorf("storage: wal append: %w", err)
 	}
 	w.size = off + int64(len(frame))
 	w.dirty = true
-	if w.policy == SyncAlways {
-		if err := w.fsyncLocked(tr); err != nil {
+	if w.policy != SyncAlways {
+		return 0, nil
+	}
+	for i := 0; i < records; i++ {
+		if err := w.point(YieldWALFsync); err != nil {
 			w.rollbackTo(off)
-			return err
+			return 0, err
 		}
 	}
-	d := time.Since(start)
-	mWALAppends.Inc()
-	mWALAppendSeconds.Observe(d)
-	tr.Add(obs.SpanWALAppend, d)
-	return nil
+	fd, err := w.syncFileLocked()
+	if err != nil {
+		w.rollbackTo(off)
+	}
+	return fd, err
 }
 
-// fsyncLocked flushes written records to stable storage. Caller holds w.mu.
-func (w *wal) fsyncLocked(tr *obs.StmtTrace) error {
+// fsyncLocked flushes written records to stable storage on behalf of the
+// interval syncer and close. Caller holds w.mu.
+func (w *wal) fsyncLocked() error {
 	if !w.dirty {
 		return nil
 	}
-	if w.hook != nil {
-		if err := w.hook("wal.fsync"); err != nil {
-			return err
-		}
+	if err := w.point(YieldWALFsync); err != nil {
+		return err
 	}
-	if w.yield != nil {
-		w.yield(YieldWALFsync)
-	}
-	return w.syncFileLocked(tr)
+	_, err := w.syncFileLocked()
+	return err
 }
 
-// syncFileLocked is the hook-free fsync: the group-commit path fires the
-// wal.fsync fault point once per batched transaction before calling this, so
-// chaos suites keep their per-transaction coverage while the file itself is
-// synced once per batch.
-func (w *wal) syncFileLocked(tr *obs.StmtTrace) error {
-	if !w.dirty {
-		return nil
-	}
+// syncFileLocked is the fsync itself, after the wal.fsync point has passed;
+// it returns how long the fsync took.
+func (w *wal) syncFileLocked() (time.Duration, error) {
 	start := time.Now()
 	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("storage: wal fsync: %w", err)
+		return 0, fmt.Errorf("storage: wal fsync: %w", err)
 	}
 	d := time.Since(start)
 	mWALFsyncs.Inc()
 	mWALFsyncSeconds.Observe(d)
-	tr.Add(obs.SpanWALFsync, d)
 	w.dirty = false
-	return nil
+	return d, nil
 }
 
 // appendGroup writes a batch of commit records as one frame — a plain
-// recCommit frame for a batch of one (byte-identical to the serial path), a
-// recGroupCommit frame otherwise — and fsyncs once per the policy.
+// recCommit frame for a batch of one, so logs of single committers carry no
+// group framing, a recGroupCommit frame otherwise — and fsyncs once per the
+// policy.
 //
-// Fault-point semantics stay per-transaction: the wal.append hook fires for
-// every submission (a failure drops just that submission from the frame with
-// its error delivered immediately), and under SyncAlways the wal.fsync hook
-// fires once per surviving submission before the single real fsync. Any frame
-// write or fsync failure rolls the file back to the pre-frame offset and the
-// error is returned for every survivor: none of the batch was acknowledged,
-// none will be replayed.
+// Fault-point semantics stay per-transaction: the wal.append point is passed
+// for every submission (a failure drops just that submission from the frame
+// with its error delivered immediately), and writeFrame passes wal.fsync once
+// per surviving submission before the single real fsync. A frame failure is
+// returned for every survivor.
 //
 // The returned slice holds the submissions whose outcome is the returned
-// error; submissions rejected by the append hook have already received their
+// error; submissions rejected at the append point have already received their
 // individual errors.
 func (w *wal) appendGroup(batch []*walSubmission) ([]*walSubmission, error) {
 	start := time.Now()
@@ -241,24 +243,17 @@ func (w *wal) appendGroup(batch []*walSubmission) ([]*walSubmission, error) {
 	}
 	survivors := make([]*walSubmission, 0, len(batch))
 	for _, s := range batch {
-		if w.hook != nil {
-			if err := w.hook("wal.append"); err != nil {
-				s.res <- err
-				continue
-			}
-		}
-		if w.yield != nil {
-			w.yield(YieldWALAppend)
+		if err := w.point(YieldWALAppend); err != nil {
+			s.res <- err
+			continue
 		}
 		survivors = append(survivors, s)
 	}
 	if len(survivors) == 0 {
 		return nil, nil
 	}
-	var payload []byte
-	if len(survivors) == 1 {
-		payload = survivors[0].payload
-	} else {
+	payload := survivors[0].payload
+	if len(survivors) > 1 {
 		payload = []byte{recGroupCommit}
 		payload = binary.AppendUvarint(payload, uint64(len(survivors)))
 		for _, s := range survivors {
@@ -266,40 +261,15 @@ func (w *wal) appendGroup(batch []*walSubmission) ([]*walSubmission, error) {
 			payload = append(payload, s.payload...)
 		}
 	}
-	frame := make([]byte, walHeaderSize+len(payload))
-	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
-	copy(frame[walHeaderSize:], payload)
-	off := w.size
-	if _, err := w.f.WriteAt(frame, off); err != nil {
-		w.rollbackTo(off)
-		return survivors, fmt.Errorf("storage: wal append: %w", err)
-	}
-	w.size = off + int64(len(frame))
-	w.dirty = true
-	if w.policy == SyncAlways {
-		if w.hook != nil {
-			for range survivors {
-				if err := w.hook("wal.fsync"); err != nil {
-					w.rollbackTo(off)
-					return survivors, err
-				}
-			}
-		}
-		fstart := time.Now()
-		if err := w.syncFileLocked(nil); err != nil {
-			w.rollbackTo(off)
-			return survivors, err
-		}
-		fd := time.Since(fstart)
-		for _, s := range survivors {
-			s.tr.Add(obs.SpanWALFsync, fd)
-		}
+	fd, err := w.writeFrame(payload, len(survivors))
+	if err != nil {
+		return survivors, err
 	}
 	d := time.Since(start)
 	mWALAppends.Add(uint64(len(survivors)))
 	mWALAppendSeconds.Observe(d)
 	for _, s := range survivors {
+		s.tr.Add(obs.SpanWALFsync, fd)
 		s.tr.Add(obs.SpanWALAppend, d)
 	}
 	return survivors, nil
@@ -343,7 +313,7 @@ func (w *wal) syncLoop(interval time.Duration) {
 		select {
 		case <-t.C:
 			w.mu.Lock()
-			_ = w.fsyncLocked(nil)
+			_ = w.fsyncLocked()
 			w.mu.Unlock()
 		case <-w.stop:
 			return
@@ -359,7 +329,7 @@ func (w *wal) close() error {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	err := w.fsyncLocked(nil)
+	err := w.fsyncLocked()
 	if cerr := w.f.Close(); err == nil {
 		err = cerr
 	}

@@ -3,11 +3,15 @@ package storage
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
+
+	"feralcc/internal/anomalywatch"
+	"feralcc/internal/histcheck"
 )
 
 func durableDB(t *testing.T, dir string, opts Options) *Database {
@@ -188,24 +192,44 @@ func TestWALFsyncFailureRollsBack(t *testing.T) {
 }
 
 // TestWALAppendFailureAborts: an append fault leaves nothing in the log and
-// nothing installed.
+// nothing installed, and the failed commit is booked as a WAL-stage abort —
+// counted under reason="wal" even when the error carries a conflict sentinel,
+// reported wrapped, recorded with the bare cause as its abort reason, and
+// never arming the live checker's conflict escalation.
 func TestWALAppendFailureAborts(t *testing.T) {
 	dir := t.TempDir()
 	fail := false
-	db := durableDB(t, dir, Options{FaultHook: func(op string) error {
-		if op == "wal.append" && fail {
-			return errors.New("injected append failure")
-		}
-		return nil
-	}})
+	injected := fmt.Errorf("injected append failure: %w", ErrSerialization)
+	db := durableDB(t, dir, Options{
+		RecordHistory: true,
+		LiveCheck:     &anomalywatch.Config{SampleRate: 0},
+		FaultHook: func(op string) error {
+			if op == "wal.append" && fail {
+				return injected
+			}
+			return nil
+		},
+	})
 	mustCreate(t, db, kvSchema("kv"))
 	fail = true
+	walAborts, conflictAborts := mAbortsWAL.Value(), mAbortsSerialization.Value()
 	tx := db.BeginDefault()
 	if _, _, err := tx.Insert("kv", map[string]Value{"key": Str("x"), "value": Str("1")}); err != nil {
 		t.Fatalf("insert: %v", err)
 	}
-	if err := tx.Commit(); err == nil {
-		t.Fatal("commit survived append failure")
+	err := tx.Commit()
+	if !errors.Is(err, injected) || err.Error() != "commit aborted: "+injected.Error() {
+		t.Fatalf("commit err = %v, want the injected failure wrapped as a commit abort", err)
+	}
+	if got := mAbortsWAL.Value() - walAborts; got != 1 {
+		t.Errorf("wal aborts counted %d, want 1", got)
+	}
+	if got := mAbortsSerialization.Value() - conflictAborts; got != 0 {
+		t.Errorf("serialization aborts counted %d for a WAL-stage failure", got)
+	}
+	hist := db.History()
+	if last := hist[len(hist)-1]; last.Kind != histcheck.KindAbort || last.Reason != injected.Error() {
+		t.Errorf("last event = %+v, want an abort with reason %q", last, injected)
 	}
 	if err := db.CreateTable(kvSchema("other")); err == nil {
 		t.Fatal("DDL survived append failure")
@@ -213,6 +237,9 @@ func TestWALAppendFailureAborts(t *testing.T) {
 	fail = false
 	if n := countRows(t, db, "kv", nil); n != 0 {
 		t.Fatalf("aborted commit visible: %d rows", n)
+	}
+	if esc := db.Watcher().Stats().Escalations; esc != 0 {
+		t.Errorf("WAL-stage failure escalated live sampling for %d transactions", esc)
 	}
 	if _, err := db.Table("other"); err == nil {
 		t.Fatal("aborted DDL visible")

@@ -310,19 +310,18 @@ func BenchmarkAblationPredicateGranularity(b *testing.B) {
 // --- Ablation 4: index presence on the validation probe ------------------------
 
 func BenchmarkAblationIndex(b *testing.B) {
-	for _, indexed := range []bool{false, true} {
-		name := "full-scan-probe"
-		if indexed {
-			name = "indexed-probe"
-		}
-		b.Run(name, func(b *testing.B) {
+	// The probe finds one row among `rows`. A full-scan probe's time is
+	// linear in the table and its allocations are not (TestFullScanProbeAllocs
+	// in internal/db pins that); an indexed probe depends on neither.
+	probe := func(rows int, indexed bool) func(*testing.B) {
+		return func(b *testing.B) {
 			d := db.Open(storage.Options{})
 			if err := d.ExecScript("CREATE TABLE kv (id BIGINT PRIMARY KEY, key TEXT)"); err != nil {
 				b.Fatal(err)
 			}
 			conn := d.Connect()
 			defer conn.Close()
-			for i := 0; i < 2000; i++ {
+			for i := 0; i < rows; i++ {
 				if _, err := conn.Exec("INSERT INTO kv (key) VALUES (?)",
 					storage.Str(fmt.Sprintf("k%d", i))); err != nil {
 					b.Fatal(err)
@@ -333,15 +332,20 @@ func BenchmarkAblationIndex(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			key := storage.Str(fmt.Sprintf("k%d", rows/2))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := conn.Exec("SELECT 1 FROM kv WHERE key = ? LIMIT 1",
-					storage.Str("k1000")); err != nil {
+				if _, err := conn.Exec("SELECT 1 FROM kv WHERE key = ? LIMIT 1", key); err != nil {
 					b.Fatal(err)
 				}
 			}
-		})
+		}
 	}
+	b.Run("full-scan-probe", func(b *testing.B) {
+		b.Run("rows=2000", probe(2000, false))
+		b.Run("rows=20000", probe(20000, false))
+	})
+	b.Run("indexed-probe", probe(2000, true))
 }
 
 // --- Ablation 5: embedded vs wire-protocol connection ---------------------------
@@ -506,22 +510,44 @@ func BenchmarkSQLParse(b *testing.B) {
 	}
 }
 
+// BenchmarkORMValidatedCreate measures one validated create — the feral
+// uniqueness probe (a full scan: the table has no index on key), then the
+// insert — against a table of ormCreatePreload to ormCreatePreload+
+// ormCreateWindow rows: the stack is rebuilt, with the timer stopped, every
+// ormCreateWindow creates, so ns/op does not depend on b.N.
 func BenchmarkORMValidatedCreate(b *testing.B) {
+	const ormCreatePreload, ormCreateWindow = 2000, 500
 	registry, err := appserver.UniquenessModels()
 	if err != nil {
 		b.Fatal(err)
 	}
-	d := db.Open(storage.Options{})
-	if err := appserver.MigrateOn(d, registry); err != nil {
-		b.Fatal(err)
+	var pool *appserver.Pool
+	rebuild := func() {
+		if pool != nil {
+			pool.Close()
+		}
+		d := db.Open(storage.Options{})
+		if err := appserver.MigrateOn(d, registry); err != nil {
+			b.Fatal(err)
+		}
+		conn := d.Connect()
+		defer conn.Close()
+		for i := 0; i < ormCreatePreload; i++ {
+			if _, err := conn.Exec("INSERT INTO validated_key_values (key, value) VALUES (?, 'v')",
+				storage.Str(fmt.Sprintf("preload%d", i))); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if pool, err = appserver.NewPool(1, registry, func() db.Conn { return d.Connect() }); err != nil {
+			b.Fatal(err)
+		}
 	}
-	pool, err := appserver.NewPool(1, registry, func() db.Conn { return d.Connect() })
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer pool.Close()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if i%ormCreateWindow == 0 {
+			b.StopTimer()
+			rebuild()
+			b.StartTimer()
+		}
 		key := fmt.Sprintf("k%d", i)
 		err := pool.Do(func(w *appserver.Worker) error {
 			_, err := w.Session.Create("ValidatedKeyValue", map[string]storage.Value{
@@ -533,6 +559,8 @@ func BenchmarkORMValidatedCreate(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	pool.Close()
 }
 
 func BenchmarkZipfianNext(b *testing.B) {

@@ -7,6 +7,7 @@ package conntest
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -106,6 +107,23 @@ func Run(t *testing.T, factory Factory) {
 		}
 		if len(res.Columns) != 3 || len(res.Rows) != 1 || len(res.Rows[0]) != 3 {
 			t.Fatalf("stale plan executed after DDL: columns=%v rows=%v", res.Columns, res.Rows)
+		}
+	})
+
+	t.Run("NegativeLimitRejected", func(t *testing.T) {
+		conn := factory(t)
+		mustExec(t, conn, "CREATE TABLE kv (id BIGINT PRIMARY KEY, key TEXT)")
+		mustExec(t, conn, "INSERT INTO kv (key) VALUES ('a')")
+		for _, sql := range []string{"SELECT key FROM kv LIMIT ?", "SELECT key FROM kv ORDER BY key LIMIT 1 OFFSET ?"} {
+			_, err := conn.Exec(sql, storage.Int(-1))
+			if err == nil || !strings.Contains(err.Error(), "must not be negative") {
+				t.Fatalf("%s bound to -1: err = %v, want a must-not-be-negative error", sql, err)
+			}
+		}
+		// The connection (and, over the wire, the server behind it) survives.
+		res, err := conn.Exec("SELECT key FROM kv LIMIT ?", storage.Int(1))
+		if err != nil || len(res.Rows) != 1 {
+			t.Fatalf("select after rejected LIMIT: %+v %v", res, err)
 		}
 	})
 

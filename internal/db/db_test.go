@@ -136,3 +136,41 @@ func TestSentinelErrorsPassThrough(t *testing.T) {
 		t.Fatalf("sentinel lost: %v", err)
 	}
 }
+
+// TestFullScanProbeAllocs pins what the feral uniqueness probe costs the
+// allocator when the key column has no index: a small constant, the same for
+// a table ten times the size. The scan filters committed rows in place and
+// copies only the one that matches; a per-row copy, id list or environment
+// would show up here as thousands.
+func TestFullScanProbeAllocs(t *testing.T) {
+	probeAllocs := func(rows int) float64 {
+		d := Open(storage.Options{})
+		conn := d.Connect()
+		defer conn.Close()
+		if _, err := conn.Exec("CREATE TABLE kv (id BIGINT PRIMARY KEY, key TEXT)"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Exec("BEGIN"); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < rows; i++ {
+			if _, err := conn.Exec("INSERT INTO kv (key) VALUES (?)", storage.Int(int64(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := conn.Exec("COMMIT"); err != nil {
+			t.Fatal(err)
+		}
+		key := storage.Str("1000")
+		return testing.AllocsPerRun(20, func() {
+			res, err := conn.Exec("SELECT id FROM kv WHERE key = ? LIMIT 2", key)
+			if err != nil || len(res.Rows) != 1 {
+				t.Fatalf("probe: %+v %v", res, err)
+			}
+		})
+	}
+	small, large := probeAllocs(2000), probeAllocs(20000)
+	if small != large || small > 40 {
+		t.Fatalf("full-scan probe allocates %.0f times over 2,000 rows and %.0f over 20,000; want equal and at most 40", small, large)
+	}
+}

@@ -42,10 +42,16 @@ type env struct {
 	// aggs maps rendered aggregate expressions to precomputed values when
 	// evaluating grouped projections/HAVING.
 	aggs map[string]storage.Value
+	// cols is the plan's column resolution (Prepared.cols); set only on
+	// environments whose one binding is that plan's table.
+	cols map[*sqlfront.ColumnRef]int
 }
 
 // lookup resolves a column reference.
 func (e *env) lookup(ref *sqlfront.ColumnRef) (storage.Value, error) {
+	if pos, ok := e.cols[ref]; ok {
+		return e.bindings[0].vals[pos], nil
+	}
 	want := strings.ToLower(ref.Table)
 	found := false
 	var out storage.Value

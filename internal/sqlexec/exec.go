@@ -276,8 +276,8 @@ type matchedRow struct {
 
 // scanWhere scans table rows matching where, using an index-backed equality
 // pushdown when one of the top-level AND conjuncts is `col = constant`.
-func scanWhere(tx *storage.Tx, tableName string, schema *storage.Schema,
-	where sqlfront.Expr, args []storage.Value, forUpdate bool) ([]matchedRow, error) {
+func scanWhere(tx *storage.Tx, p *Prepared, tableName string, schema *storage.Schema,
+	where sqlfront.Expr, args []storage.Value) ([]matchedRow, error) {
 
 	filter, err := pushdownFilter(schema, "", where, args)
 	if err != nil {
@@ -285,13 +285,11 @@ func scanWhere(tx *storage.Tx, tableName string, schema *storage.Schema,
 	}
 	var out []matchedRow
 	var evalErr error
-	scanErr := tx.Scan(tableName, storage.ScanOptions{Filter: filter, ForUpdate: forUpdate},
+	e := &env{bindings: []binding{{name: strings.ToLower(tableName), schema: schema}}, args: args, cols: p.cols}
+	scanErr := tx.Scan(tableName, storage.ScanOptions{Filter: filter},
 		func(id storage.RowID, vals []storage.Value) bool {
 			if where != nil {
-				e := &env{
-					bindings: []binding{{name: strings.ToLower(tableName), schema: schema, rowID: id, vals: vals}},
-					args:     args,
-				}
+				e.bindings[0].rowID, e.bindings[0].vals = id, vals
 				v, err := e.eval(where)
 				if err != nil {
 					evalErr = err
@@ -383,7 +381,7 @@ func execUpdate(tx *storage.Tx, p *Prepared, t *sqlfront.UpdateStmt, args []stor
 	if err != nil {
 		return nil, err
 	}
-	rows, err := scanWhere(tx, t.Table, sc, t.Where, args, false)
+	rows, err := scanWhere(tx, p, t.Table, sc, t.Where, args)
 	if err != nil {
 		return nil, err
 	}
@@ -393,6 +391,7 @@ func execUpdate(tx *storage.Tx, p *Prepared, t *sqlfront.UpdateStmt, args []stor
 		e := &env{
 			bindings: []binding{{name: strings.ToLower(t.Table), schema: sc, rowID: row.id, vals: row.vals}},
 			args:     args,
+			cols:     p.cols,
 		}
 		for _, set := range t.Set {
 			v, err := e.eval(set.Value)
@@ -414,7 +413,7 @@ func execDelete(tx *storage.Tx, p *Prepared, t *sqlfront.DeleteStmt, args []stor
 	if err != nil {
 		return nil, err
 	}
-	rows, err := scanWhere(tx, t.Table, sc, t.Where, args, false)
+	rows, err := scanWhere(tx, p, t.Table, sc, t.Where, args)
 	if err != nil {
 		return nil, err
 	}
@@ -502,27 +501,75 @@ func execSelect(tx *storage.Tx, p *Prepared, t *sqlfront.SelectStmt, args []stor
 	if err != nil {
 		return nil, err
 	}
-	baseName := strings.ToLower(t.From.Name)
-	if t.From.Alias != "" {
-		baseName = strings.ToLower(t.From.Alias)
-	}
-
-	// 1. Base scan with WHERE pushdown (FOR UPDATE locks base rows).
-	alias := t.From.Alias
-	filter, err := pushdownFilter(baseSchema, alias, t.Where, args)
+	baseName := bindingName(t.From)
+	offset, limit, err := selectWindow(t, args)
 	if err != nil {
 		return nil, err
 	}
+	filter, err := pushdownFilter(baseSchema, t.From.Alias, t.Where, args)
+	if err != nil {
+		return nil, err
+	}
+	scanOpts := storage.ScanOptions{Filter: filter, ForUpdate: t.ForUpdate}
+	res := &Result{Columns: projectionColumns(t, baseSchema)}
+
+	hasAgg := containsAggregate(t.Having)
+	for _, it := range t.Items {
+		if containsAggregate(it.Expr) {
+			hasAgg = true
+		}
+	}
+
+	// A single-table query that neither groups nor orders streams: WHERE,
+	// OFFSET, projection and LIMIT run inside the scan callback against one
+	// reused environment, and the scan stops as soon as LIMIT is satisfied.
+	if len(t.Joins) == 0 && len(t.GroupBy) == 0 && len(t.OrderBy) == 0 && !hasAgg && t.Having == nil {
+		row := &env{bindings: []binding{{name: baseName, schema: baseSchema}}, args: args, cols: p.cols}
+		var evalErr error
+		scanErr := tx.Scan(t.From.Name, scanOpts, func(id storage.RowID, vals []storage.Value) bool {
+			if limit == 0 {
+				return false
+			}
+			row.bindings[0].rowID, row.bindings[0].vals = id, vals
+			if t.Where != nil {
+				v, err := row.eval(t.Where)
+				if err != nil {
+					evalErr = err
+					return false
+				}
+				if !truthy(v) {
+					return true
+				}
+			}
+			if offset > 0 {
+				offset--
+				return true
+			}
+			out, err := projectRow(t, row)
+			if err != nil {
+				evalErr = err
+				return false
+			}
+			res.Rows = append(res.Rows, out)
+			return limit < 0 || len(res.Rows) < limit
+		})
+		if scanErr != nil {
+			return nil, scanErr
+		}
+		return res, evalErr
+	}
+
+	// 1. Base scan with WHERE pushdown (FOR UPDATE locks base rows).
 	var rows []*env
 	var evalErr error
-	scanErr := tx.Scan(t.From.Name, storage.ScanOptions{Filter: filter, ForUpdate: t.ForUpdate},
-		func(id storage.RowID, vals []storage.Value) bool {
-			rows = append(rows, &env{
-				bindings: []binding{{name: baseName, schema: baseSchema, rowID: id, vals: vals}},
-				args:     args,
-			})
-			return true
+	scanErr := tx.Scan(t.From.Name, scanOpts, func(id storage.RowID, vals []storage.Value) bool {
+		rows = append(rows, &env{
+			bindings: []binding{{name: baseName, schema: baseSchema, rowID: id, vals: vals}},
+			args:     args,
+			cols:     p.cols,
 		})
+		return true
+	})
 	if scanErr != nil {
 		return nil, scanErr
 	}
@@ -535,10 +582,7 @@ func execSelect(tx *storage.Tx, p *Prepared, t *sqlfront.SelectStmt, args []stor
 		if err != nil {
 			return nil, err
 		}
-		joinName := strings.ToLower(join.Table.Name)
-		if join.Table.Alias != "" {
-			joinName = strings.ToLower(join.Table.Alias)
-		}
+		joinName := bindingName(join.Table)
 		probeCol, probeExpr := joinProbe(joinSchema, joinName, join.On)
 		var joined []*env
 		for _, left := range rows {
@@ -600,13 +644,7 @@ func execSelect(tx *storage.Tx, p *Prepared, t *sqlfront.SelectStmt, args []stor
 		rows = kept
 	}
 
-	// 4. Grouping & aggregation.
-	hasAgg := containsAggregate(t.Having)
-	for _, it := range t.Items {
-		if containsAggregate(it.Expr) {
-			hasAgg = true
-		}
-	}
+	// 4. Grouping & aggregation (aggregate applies HAVING itself).
 	if len(t.GroupBy) > 0 || hasAgg {
 		rows, err = aggregate(t, rows, args)
 		if err != nil {
@@ -614,13 +652,7 @@ func execSelect(tx *storage.Tx, p *Prepared, t *sqlfront.SelectStmt, args []stor
 		}
 	}
 
-	// 5. HAVING (already folded into aggregate when grouping; guard for
-	// non-grouped HAVING which SQL treats as a single-group filter).
-	// (aggregate() applies HAVING itself.)
-
-	// 6. Projection.
-	res := &Result{}
-	res.Columns = projectionColumns(t, baseSchema)
+	// 5. Projection.
 	type sortableRow struct {
 		out  []storage.Value
 		keys []storage.Value
@@ -642,7 +674,7 @@ func execSelect(tx *storage.Tx, p *Prepared, t *sqlfront.SelectStmt, args []stor
 		sortable = append(sortable, sortableRow{out: out, keys: keys})
 	}
 
-	// 7. ORDER BY.
+	// 6. ORDER BY.
 	if len(t.OrderBy) > 0 {
 		sort.SliceStable(sortable, func(i, j int) bool {
 			for k, o := range t.OrderBy {
@@ -659,33 +691,38 @@ func execSelect(tx *storage.Tx, p *Prepared, t *sqlfront.SelectStmt, args []stor
 		})
 	}
 
-	// 8. OFFSET / LIMIT.
-	start, end := 0, len(sortable)
-	if t.Offset != nil {
-		v, err := (&env{args: args}).eval(t.Offset)
-		if err != nil {
-			return nil, err
-		}
-		if v.Kind == storage.KindInt && v.I > 0 {
-			start = int(v.I)
-		}
+	// 7. OFFSET / LIMIT.
+	sortable = sortable[min(offset, len(sortable)):]
+	if limit >= 0 && limit < len(sortable) {
+		sortable = sortable[:limit]
 	}
-	if t.Limit != nil {
-		v, err := (&env{args: args}).eval(t.Limit)
-		if err != nil {
-			return nil, err
-		}
-		if v.Kind == storage.KindInt && start+int(v.I) < end {
-			end = start + int(v.I)
-		}
-	}
-	if start > len(sortable) {
-		start = len(sortable)
-	}
-	for _, sr := range sortable[start:end] {
+	for _, sr := range sortable {
 		res.Rows = append(res.Rows, sr.out)
 	}
 	return res, nil
+}
+
+// selectWindow evaluates a SELECT's OFFSET and LIMIT clauses. limit is -1
+// when the statement has none; a clause that is not an integer is ignored.
+func selectWindow(t *sqlfront.SelectStmt, args []storage.Value) (offset, limit int, err error) {
+	clause := func(name string, x sqlfront.Expr, absent int) (int, error) {
+		if x == nil {
+			return absent, nil
+		}
+		v, err := (&env{args: args}).eval(x)
+		if err != nil || v.Kind != storage.KindInt {
+			return absent, err
+		}
+		if v.I < 0 {
+			return 0, fmt.Errorf("sqlexec: %s must not be negative", name)
+		}
+		return int(v.I), nil
+	}
+	if offset, err = clause("OFFSET", t.Offset, 0); err != nil {
+		return 0, 0, err
+	}
+	limit, err = clause("LIMIT", t.Limit, -1)
+	return offset, limit, err
 }
 
 // aggregate groups rows and evaluates aggregates, returning one synthetic

@@ -3,9 +3,11 @@ package sqlexec
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"feralcc/internal/histcheck"
 	"feralcc/internal/storage"
 )
 
@@ -514,5 +516,123 @@ func TestJoinProbeReversedAndConjunct(t *testing.T) {
 	res := mustExec(t, s, `SELECT a.x FROM a JOIN b ON a.id = b.a_id AND b.flag = TRUE ORDER BY a.x`)
 	if len(res.Rows) != 2 || res.Rows[0][0].I != 10 || res.Rows[1][0].I != 20 {
 		t.Fatalf("rows: %+v", res.Rows)
+	}
+}
+
+// TestStreamingSelectMatchesOrderedPath runs single-table queries through the
+// streaming path and, with ORDER BY id appended, through the materialising
+// one: same rows either way, whether column references resolve by position
+// (prepared plan) or by name (one-shot Exec).
+func TestStreamingSelectMatchesOrderedPath(t *testing.T) {
+	s := newSession(t)
+	mustExec(t, s, "CREATE TABLE n (id BIGINT PRIMARY KEY, x BIGINT, tag TEXT)")
+	for i := 1; i <= 12; i++ {
+		mustExec(t, s, "INSERT INTO n (x, tag) VALUES (?, ?)", storage.Int(int64(i%5)), storage.Str(fmt.Sprint("t", i%3)))
+	}
+	cases := []struct {
+		sel, rest string
+		args      []storage.Value
+		want      int
+	}{
+		{"SELECT * FROM n", "", nil, 12},
+		{"SELECT id, x + 1 FROM n WHERE x > 1", "", nil, 7},
+		{"SELECT m.id FROM n m WHERE m.tag = ? AND m.x <> 0", "", []storage.Value{storage.Str("t1")}, 3},
+		{"SELECT id FROM n WHERE tag = 't0'", "LIMIT 2", nil, 2},
+		{"SELECT id FROM n WHERE x = 2", "LIMIT 5 OFFSET 1", nil, 2},
+		{"SELECT id FROM n", "LIMIT ? OFFSET ?", []storage.Value{storage.Int(3), storage.Int(10)}, 2},
+		{"SELECT id FROM n", "LIMIT 0", nil, 0},
+		{"SELECT id FROM n WHERE tag IS NULL", "LIMIT 1", nil, 0},
+	}
+	for _, c := range cases {
+		stream, ordered := c.sel+" "+c.rest, c.sel+" ORDER BY id "+c.rest
+		want := mustExec(t, s, ordered, c.args...)
+		if len(want.Rows) != c.want {
+			t.Fatalf("%s: %d rows, want %d", ordered, len(want.Rows), c.want)
+		}
+		p, err := s.Prepare(stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prepared, err := s.ExecutePrepared(p, c.args...)
+		if err != nil {
+			t.Fatalf("%s: %v", stream, err)
+		}
+		for name, got := range map[string]*Result{"by name": mustExec(t, s, stream, c.args...), "by position": prepared} {
+			if fmt.Sprint(got.Columns, got.Rows) != fmt.Sprint(want.Columns, want.Rows) {
+				t.Errorf("%s (%s):\n got %v %v\nwant %v %v", stream, name, got.Columns, got.Rows, want.Columns, want.Rows)
+			}
+		}
+	}
+	for _, bad := range []string{"SELECT nope FROM n", "SELECT id FROM n m WHERE n.x = 1"} {
+		p, err := s.Prepare(bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.ExecutePrepared(p); !errors.Is(err, ErrUnknownColumn) {
+			t.Errorf("%s: err = %v, want ErrUnknownColumn", bad, err)
+		}
+	}
+}
+
+// TestStreamingLimitStopsTheScan: once LIMIT is satisfied the scan ends, so a
+// probe reads (and under 2PL would lock) only the rows it returns.
+func TestStreamingLimitStopsTheScan(t *testing.T) {
+	store := storage.Open(storage.Options{RecordHistory: true})
+	s := NewSession(store)
+	mustExec(t, s, "CREATE TABLE n (id BIGINT PRIMARY KEY, x BIGINT)")
+	for i := 0; i < 10; i++ {
+		mustExec(t, s, "INSERT INTO n (x) VALUES (7)")
+	}
+	for _, c := range []struct {
+		sql   string
+		reads int
+	}{
+		{"SELECT id FROM n WHERE x = 7 LIMIT 2", 2},
+		{"SELECT id FROM n LIMIT 3 OFFSET 4", 7},
+		{"SELECT id FROM n WHERE x = 7", 10},
+	} {
+		store.ResetHistory()
+		mustExec(t, s, c.sql)
+		reads := 0
+		for _, e := range store.History() {
+			if e.Kind == histcheck.KindRead {
+				reads++
+			}
+		}
+		if reads != c.reads {
+			t.Errorf("%s: %d row reads, want %d", c.sql, reads, c.reads)
+		}
+	}
+}
+
+// TestNegativeLimitOffsetRejected: a negative LIMIT or OFFSET is an error (it
+// used to panic slicing the result), on both SELECT paths, and an autocommit
+// statement that fails this way leaves no transaction behind.
+func TestNegativeLimitOffsetRejected(t *testing.T) {
+	store := storage.Open(storage.Options{})
+	s := NewSession(store)
+	mustExec(t, s, "CREATE TABLE n (id BIGINT PRIMARY KEY, x BIGINT)")
+	mustExec(t, s, "INSERT INTO n (x) VALUES (1)")
+	for _, sql := range []string{
+		"SELECT x FROM n LIMIT ?",
+		"SELECT x FROM n LIMIT 1 OFFSET ?",
+		"SELECT x FROM n ORDER BY x LIMIT ?",
+		"SELECT COUNT(*) FROM n OFFSET ?",
+	} {
+		_, err := s.Exec(sql, storage.Int(-1))
+		if err == nil || !strings.Contains(err.Error(), "must not be negative") {
+			t.Errorf("%s with -1: err = %v", sql, err)
+		}
+		if s.InTx() {
+			t.Fatalf("%s: failed autocommit statement left a transaction open", sql)
+		}
+	}
+	mustExec(t, s, "INSERT INTO n (x) VALUES (2)")
+	if v := store.Vacuum(); v.Horizon != store.Clock() {
+		t.Fatalf("a rejected statement leaked its transaction: vacuum horizon %d, clock %d", v.Horizon, store.Clock())
+	}
+	mustExec(t, s, "BEGIN")
+	if _, err := s.Exec("SELECT x FROM n LIMIT ?", storage.Int(-1)); err == nil || s.InTx() {
+		t.Fatalf("inside a transaction: err = %v, still in tx = %v (want error and abort)", err, s.InTx())
 	}
 }

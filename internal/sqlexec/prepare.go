@@ -29,6 +29,12 @@ type Prepared struct {
 	// their resolved schemas. Tables that did not exist at prepare time are
 	// absent and fall back to per-execution catalog lookup.
 	schemas map[string]*storage.Schema
+	// cols maps the column references of a single-table statement (SELECT
+	// without joins, UPDATE, DELETE) to positions in that table's schema, so
+	// evaluating a row indexes it instead of matching names. A reference that
+	// does not resolve is absent and takes env.lookup's by-name path, which
+	// reports it; so do all references of joins and of unprepared statements.
+	cols map[*sqlfront.ColumnRef]int
 }
 
 // SQL returns the statement text the plan was prepared from.
@@ -62,6 +68,7 @@ func (s *Session) Prepare(sql string) (*Prepared, error) {
 				p.schemas[strings.ToLower(name)] = sc
 			}
 		}
+		p.cols = resolveColumns(stmt, p.schemas)
 	}
 	// Stage the parse+resolve time; the next execPlan on this session folds
 	// it into that statement's parse span.
@@ -132,6 +139,47 @@ func (p *Prepared) schemaFor(tx *storage.Tx, name string) (*storage.Schema, erro
 		return sc, nil
 	}
 	return tx.Database().Table(name)
+}
+
+// resolveColumns builds Prepared.cols.
+func resolveColumns(stmt sqlfront.Statement, schemas map[string]*storage.Schema) map[*sqlfront.ColumnRef]int {
+	var from sqlfront.TableRef
+	switch t := stmt.(type) {
+	case *sqlfront.SelectStmt:
+		if len(t.Joins) > 0 {
+			return nil
+		}
+		from = t.From
+	case *sqlfront.UpdateStmt:
+		from.Name = t.Table
+	case *sqlfront.DeleteStmt:
+		from.Name = t.Table
+	default:
+		return nil
+	}
+	sc := schemas[strings.ToLower(from.Name)]
+	if sc == nil {
+		return nil
+	}
+	name := bindingName(from)
+	cols := make(map[*sqlfront.ColumnRef]int)
+	sqlfront.WalkExprs(stmt, func(e sqlfront.Expr) {
+		if ref, ok := e.(*sqlfront.ColumnRef); ok && (ref.Table == "" || strings.ToLower(ref.Table) == name) {
+			if pos := sc.ColumnIndex(ref.Column); pos >= 0 {
+				cols[ref] = pos
+			}
+		}
+	})
+	return cols
+}
+
+// bindingName is the lower-cased name a table reference's columns are
+// qualified by: its alias when it has one.
+func bindingName(ref sqlfront.TableRef) string {
+	if ref.Alias != "" {
+		return strings.ToLower(ref.Alias)
+	}
+	return strings.ToLower(ref.Name)
 }
 
 // tableRefs lists the table names a statement reads or writes.

@@ -227,7 +227,7 @@ func (*ShowTablesStmt) stmt()      {}
 // statement (placeholders are numbered in lexical order during parsing).
 func CountPlaceholders(s Statement) int {
 	max := -1
-	walkStatement(s, func(e Expr) {
+	WalkExprs(s, func(e Expr) {
 		if p, ok := e.(*Placeholder); ok && p.Index > max {
 			max = p.Index
 		}
@@ -235,8 +235,8 @@ func CountPlaceholders(s Statement) int {
 	return max + 1
 }
 
-// walkStatement visits every expression in a statement.
-func walkStatement(s Statement, fn func(Expr)) {
+// WalkExprs visits every expression in a statement, parents before children.
+func WalkExprs(s Statement, fn func(Expr)) {
 	var walk func(Expr)
 	walk = func(e Expr) {
 		if e == nil {

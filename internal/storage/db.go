@@ -289,7 +289,7 @@ func (db *Database) AddIndex(tableName, column string, unique bool) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if existing := t.indexOn(column); existing != nil {
+	if existing := t.indexes[pos]; existing != nil {
 		if unique {
 			// Logged before the mutation; note the quirk below that a failed
 			// duplicate precheck still leaves the index installed, which is
@@ -315,11 +315,14 @@ func (db *Database) AddIndex(tableName, column string, unique bool) error {
 		Name: tableName + "_" + column + "_idx"}
 	ix := newIndex(spec)
 	for id, chain := range t.rows {
+		if chain == nil {
+			continue
+		}
 		for _, v := range chain.versions {
-			ix.add(v.vals[pos].Key(), id)
+			ix.add(v.vals[pos].Key(), RowID(id))
 		}
 	}
-	t.indexes[strings.ToLower(column)] = ix
+	t.indexes[pos] = ix
 	t.schema.Indexes = append(t.schema.Indexes, spec)
 	db.bumpSchemaEpoch()
 	if unique {
@@ -329,24 +332,20 @@ func (db *Database) AddIndex(tableName, column string, unique bool) error {
 }
 
 // checkExistingUniqueLocked verifies live rows have no duplicate values in
-// column pos. Caller holds the exclusive pipeline gate and t.mu.
+// column pos. Caller holds the exclusive pipeline gate and t.mu (either mode).
 func (db *Database) checkExistingUniqueLocked(t *table, pos int) error {
-	seen := make(map[string]RowID)
-	for id, chain := range t.rows {
-		v := chain.latest()
-		if v == nil || v.endTS != 0 {
+	seen := make(map[string]struct{})
+	for _, chain := range t.rows {
+		v := chain.live()
+		if v == nil || v.vals[pos].IsNull() {
 			continue
 		}
-		val := v.vals[pos]
-		if val.IsNull() {
-			continue
+		key := v.vals[pos].Key()
+		if _, dup := seen[key]; dup {
+			return fmt.Errorf("%w: %s.%s has existing duplicate value %s",
+				ErrUniqueViolation, t.schema.Name, t.schema.Columns[pos].Name, v.vals[pos].Format())
 		}
-		key := val.Key()
-		if other, dup := seen[key]; dup && other != id {
-			return fmt.Errorf("%w: column %s has existing duplicate value %s",
-				ErrUniqueViolation, t.schema.Columns[pos].Name, val.Format())
-		}
-		seen[key] = id
+		seen[key] = struct{}{}
 	}
 	return nil
 }
@@ -385,15 +384,15 @@ func (db *Database) AddForeignKey(tableName, column, parentTable string, onDelet
 	parentKeys := make(map[string]struct{})
 	parent.mu.RLock()
 	for _, chain := range parent.rows {
-		if v := chain.latest(); v != nil && v.endTS == 0 {
+		if v := chain.live(); v != nil {
 			parentKeys[v.vals[pkPos].Key()] = struct{}{}
 		}
 	}
 	parent.mu.RUnlock()
 	child.mu.RLock()
 	for _, chain := range child.rows {
-		v := chain.latest()
-		if v == nil || v.endTS != 0 || v.vals[pos].IsNull() {
+		v := chain.live()
+		if v == nil || v.vals[pos].IsNull() {
 			continue
 		}
 		if _, ok := parentKeys[v.vals[pos].Key()]; !ok {

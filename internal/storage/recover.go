@@ -261,28 +261,13 @@ func (db *Database) CheckIntegrity() error {
 	defer db.catalogMu.RUnlock()
 	for _, t := range db.tables {
 		t.mu.RLock()
-		for col, ix := range t.indexes {
-			if !ix.spec.Unique {
+		for pos, ix := range t.indexes {
+			if ix == nil || !ix.spec.Unique {
 				continue
 			}
-			pos := t.schema.ColumnIndex(col)
-			if pos < 0 {
-				continue
-			}
-			seen := make(map[string]RowID)
-			for id, chain := range t.rows {
-				v := chain.latest()
-				if v == nil || v.endTS != 0 || v.vals[pos].IsNull() {
-					continue
-				}
-				key := v.vals[pos].Key()
-				if other, dup := seen[key]; dup && other != id {
-					t.mu.RUnlock()
-					return fmt.Errorf("%w: %s.%s duplicate value %s",
-						ErrUniqueViolation, t.schema.Name, t.schema.Columns[pos].Name,
-						v.vals[pos].Format())
-				}
-				seen[key] = id
+			if err := db.checkExistingUniqueLocked(t, pos); err != nil {
+				t.mu.RUnlock()
+				return err
 			}
 		}
 		t.mu.RUnlock()
@@ -299,7 +284,7 @@ func (db *Database) CheckIntegrity() error {
 		parentKeys := make(map[string]struct{})
 		parent.mu.RLock()
 		for _, chain := range parent.rows {
-			if v := chain.latest(); v != nil && v.endTS == 0 {
+			if v := chain.live(); v != nil {
 				parentKeys[v.vals[pkPos].Key()] = struct{}{}
 			}
 		}
@@ -315,8 +300,8 @@ func (db *Database) CheckIntegrity() error {
 			}
 			child.mu.RLock()
 			for _, chain := range child.rows {
-				v := chain.latest()
-				if v == nil || v.endTS != 0 || v.vals[pos].IsNull() {
+				v := chain.live()
+				if v == nil || v.vals[pos].IsNull() {
 					continue
 				}
 				if _, ok := parentKeys[v.vals[pos].Key()]; !ok {

@@ -67,23 +67,23 @@ func (db *Database) Checkpoint() (CheckpointStats, error) {
 		payload = appendSchema(payload, t.schema)
 		payload = binary.AppendUvarint(payload, t.nextRow)
 		payload = binary.AppendUvarint(payload, t.nextID)
-		ids := make([]RowID, 0, len(t.rows))
-		for id, chain := range t.rows {
-			if v := chain.latest(); v != nil && v.endTS == 0 {
-				ids = append(ids, id)
+		live := 0
+		for _, chain := range t.rows {
+			if chain.live() != nil {
+				live++
 			}
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		payload = binary.AppendUvarint(payload, uint64(len(ids)))
-		for _, id := range ids {
-			v := t.rows[id].latest()
-			payload = binary.AppendUvarint(payload, uint64(id))
-			payload = binary.AppendUvarint(payload, v.beginTS)
-			payload = appendWALRow(payload, v.vals)
+		payload = binary.AppendUvarint(payload, uint64(live))
+		for id, chain := range t.rows {
+			if v := chain.live(); v != nil {
+				payload = binary.AppendUvarint(payload, uint64(id))
+				payload = binary.AppendUvarint(payload, v.beginTS)
+				payload = appendWALRow(payload, v.vals)
+			}
 		}
 		t.mu.RUnlock()
 		stats.Tables++
-		stats.Rows += len(ids)
+		stats.Rows += live
 	}
 
 	framed := make([]byte, walHeaderSize+len(payload))
@@ -195,6 +195,10 @@ func (db *Database) loadSnapshot(raw []byte) (clock uint64, rows int, err error)
 			vals := d.row()
 			if d.err != nil {
 				break
+			}
+			if uint64(id) > nextRow {
+				// The heap is indexed by row id: a corrupt id must not size it.
+				return 0, 0, fmt.Errorf("storage: snapshot: row id %d beyond allocator %d", id, nextRow)
 			}
 			t.installInsert(id, vals, beginTS)
 			rows++

@@ -1,7 +1,7 @@
 package storage
 
 import (
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -30,13 +30,17 @@ func (v *version) visibleAt(ts uint64) bool {
 	return v.beginTS <= ts && (v.endTS == 0 || v.endTS > ts)
 }
 
-// versionChain is the full history of one row slot, oldest first.
+// versionChain is the full history of one row slot, oldest first. Its methods
+// accept a nil chain (an empty heap slot) and report no version.
 type versionChain struct {
 	versions []*version
 }
 
 // visible returns the version visible at ts, or nil.
 func (c *versionChain) visible(ts uint64) *version {
+	if c == nil {
+		return nil
+	}
 	for i := len(c.versions) - 1; i >= 0; i-- {
 		if c.versions[i].visibleAt(ts) {
 			return c.versions[i]
@@ -47,10 +51,18 @@ func (c *versionChain) visible(ts uint64) *version {
 
 // latest returns the most recent committed version (live or deleted), or nil.
 func (c *versionChain) latest() *version {
-	if len(c.versions) == 0 {
+	if c == nil || len(c.versions) == 0 {
 		return nil
 	}
 	return c.versions[len(c.versions)-1]
+}
+
+// live returns the most recent committed version if it is not deleted, or nil.
+func (c *versionChain) live() *version {
+	if v := c.latest(); v != nil && v.endTS == 0 {
+		return v
+	}
+	return nil
 }
 
 // index is a secondary index bucket map: value key -> set of row ids whose
@@ -76,27 +88,52 @@ func (ix *index) add(key string, id RowID) {
 }
 
 // table is the physical storage for one schema.
+//
+// rows is the heap: a dense slot array indexed by RowID (allocRow counts from
+// 1, so slot 0 is never used). A slot is nil while its row is uninstalled —
+// allocated by a transaction that has not committed yet or never will — and
+// again once vacuum has reclaimed it. The heap is therefore always in scan
+// order, and a point lookup is an array index.
 type table struct {
 	schema *Schema
 
+	// Strings every statement needs, built once: the lower-cased table name,
+	// the key naming the whole table as a lock resource and as a predicate,
+	// and per column position the prefix of its value-predicate keys.
+	lower      string
+	tableKey   string
+	predPrefix []string
+
 	mu      sync.RWMutex
-	rows    map[RowID]*versionChain
-	indexes map[string]*index // lower-cased column name -> index
+	rows    []*versionChain
+	indexes []*index // by column position; nil where the column has no index
 
 	nextRow uint64 // atomic: row slot allocator
 	nextID  uint64 // atomic: primary-key sequence
 }
 
 func newTable(schema *Schema) *table {
+	lower := strings.ToLower(schema.Name)
 	t := &table{
-		schema:  schema,
-		rows:    make(map[RowID]*versionChain),
-		indexes: make(map[string]*index),
+		schema:     schema,
+		lower:      lower,
+		tableKey:   tableLockKey(lower),
+		predPrefix: make([]string, len(schema.Columns)),
+		indexes:    make([]*index, len(schema.Columns)),
+	}
+	for i := range schema.Columns {
+		t.predPrefix[i] = predLockKey(lower, strings.ToLower(schema.Columns[i].Name), "")
 	}
 	for _, spec := range schema.Indexes {
-		t.indexes[strings.ToLower(spec.Column)] = newIndex(spec)
+		t.indexes[schema.ColumnIndex(spec.Column)] = newIndex(spec)
 	}
 	return t
+}
+
+// predKey names the predicate "column pos = the value encoded by valueKey",
+// both as a lock resource and as a certification footprint entry.
+func (t *table) predKey(pos int, valueKey string) string {
+	return t.predPrefix[pos] + valueKey
 }
 
 // allocRow reserves a fresh row slot id.
@@ -140,16 +177,16 @@ func (t *table) bumpRow(v RowID) {
 	}
 }
 
-// indexOn returns the index over the named column, or nil.
-func (t *table) indexOn(col string) *index {
-	return t.indexes[strings.ToLower(col)]
-}
-
 // installInsert adds a committed version for a new row and registers all its
 // index keys. Caller holds the commit lock; takes the table write lock.
 func (t *table) installInsert(id RowID, vals []Value, commitTS uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	// Installs run in commit order, not allocation order, so the heap may have
+	// to grow past slots that are still (or forever) empty.
+	if grow := int(id) + 1 - len(t.rows); grow > 0 {
+		t.rows = append(t.rows, make([]*versionChain, grow)...)
+	}
 	t.rows[id] = &versionChain{versions: []*version{{beginTS: commitTS, vals: vals}}}
 	t.indexVersion(id, vals)
 }
@@ -158,11 +195,11 @@ func (t *table) installInsert(id RowID, vals []Value, commitTS uint64) {
 func (t *table) installUpdate(id RowID, vals []Value, commitTS uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	c := t.rows[id]
+	c := t.chain(id)
 	if c == nil {
 		return
 	}
-	if cur := c.latest(); cur != nil && cur.endTS == 0 {
+	if cur := c.live(); cur != nil {
 		cur.endTS = commitTS
 	}
 	c.versions = append(c.versions, &version{beginTS: commitTS, vals: vals})
@@ -173,136 +210,161 @@ func (t *table) installUpdate(id RowID, vals []Value, commitTS uint64) {
 func (t *table) installDelete(id RowID, commitTS uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	c := t.rows[id]
-	if c == nil {
-		return
-	}
-	if cur := c.latest(); cur != nil && cur.endTS == 0 {
+	if cur := t.chain(id).live(); cur != nil {
 		cur.endTS = commitTS
 	}
 }
 
 // indexVersion registers vals under every declared index. Caller holds mu.
 func (t *table) indexVersion(id RowID, vals []Value) {
-	for col, ix := range t.indexes {
-		pos := t.schema.ColumnIndex(col)
-		if pos < 0 || pos >= len(vals) {
-			continue
+	for pos, ix := range t.indexes {
+		if ix != nil && pos < len(vals) {
+			ix.add(vals[pos].Key(), id)
 		}
-		ix.add(vals[pos].Key(), id)
 	}
 }
 
-// chain returns the version chain for id (nil if the slot was never
-// installed). Callers must hold mu for reads of the returned chain.
+// chain returns the version chain in heap slot id, nil when the slot is empty
+// or beyond the heap. Callers must hold mu.
 func (t *table) chain(id RowID) *versionChain {
-	return t.rows[id]
-}
-
-// candidateRows returns the row ids to examine for an equality predicate on
-// col = key, using the index when one exists; the boolean reports whether an
-// index was used (false means the caller got every row id).
-func (t *table) candidateRows(col string, key string) ([]RowID, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if ix := t.indexOn(col); ix != nil {
-		b := ix.buckets[key]
-		out := make([]RowID, 0, len(b))
-		for id := range b {
-			out = append(out, id)
-		}
-		// Sorted so scans visit rows in a map-iteration-independent order —
-		// required for byte-stable histories under the deterministic scheduler.
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		return out, true
+	if id < RowID(len(t.rows)) {
+		return t.rows[id]
 	}
-	return t.allRowsLocked(), false
+	return nil
 }
 
-// allRows returns every row slot id.
-func (t *table) allRows() []RowID {
+// indexCandidates returns, in ascending order, the row ids the index on
+// column pos files under key — a superset of the rows that carry it now. The
+// boolean is false when the column has no index.
+func (t *table) indexCandidates(pos int, key string) ([]RowID, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.allRowsLocked()
-}
-
-func (t *table) allRowsLocked() []RowID {
-	out := make([]RowID, 0, len(t.rows))
-	for id := range t.rows {
+	ix := t.indexes[pos]
+	if ix == nil {
+		return nil, false
+	}
+	b := ix.buckets[key]
+	out := make([]RowID, 0, len(b))
+	for id := range b {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	// Sorted so scans visit rows in a map-iteration-independent order —
+	// required for byte-stable histories under the deterministic scheduler.
+	slices.Sort(out)
+	return out, true
 }
 
-// readVisible returns a copy of the version of id visible at ts, or nil.
-func (t *table) readVisible(id RowID, ts uint64) []Value {
+// liveMatches returns, in ascending order, the ids of the rows whose latest
+// committed version is live and carries val in column pos: the committed-state
+// probe of commit validation (unique keys, FK parents, cascade children). It
+// narrows through the column's index when there is one and walks the heap
+// otherwise.
+func (t *table) liveMatches(pos int, val Value) []RowID {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	c := t.rows[id]
-	if c == nil {
-		return nil
+	var out []RowID
+	match := func(id RowID) {
+		if v := t.chain(id).live(); v != nil && Equal(v.vals[pos], val) {
+			out = append(out, id)
+		}
 	}
-	v := c.visible(ts)
-	if v == nil {
-		return nil
+	if ix := t.indexes[pos]; ix != nil {
+		for id := range ix.buckets[val.Key()] {
+			match(id)
+		}
+		slices.Sort(out)
+	} else {
+		for id := range t.rows {
+			match(RowID(id))
+		}
 	}
-	out := make([]Value, len(v.vals))
-	copy(out, v.vals)
 	return out
 }
 
-// readVisibleVersion is readVisible plus the begin timestamp of the version
-// returned (0 when nothing is visible) — the "observed version" history
-// recording needs to build rw/wr edges.
+// scanChunk bounds how many slots or candidates one scan step examines under
+// a single RLock: enough to amortise the lock over a few microseconds of
+// work, few enough that installers never wait for a whole table.
+const scanChunk = 256
+
+// scanHit is one row a scan step selected. vals aliases the committed
+// version's image (or the scanning transaction's own buffered one); it is
+// read-only and stays valid after the table lock is released, because a
+// committed image is never modified — vacuum only unlinks versions.
+type scanHit struct {
+	id       RowID
+	vals     []Value
+	observed uint64 // beginTS of the committed version read; 0 for own writes
+	own      bool
+}
+
+// scanStep examines the next chunk of a scan's source — cands when listed,
+// else the heap from slot next — under one RLock and appends the rows that
+// qualify to hits, in source order. A row qualifies when the image the
+// transaction should see (its own buffered write unless that is a delete,
+// else the version visible at ts) passes the equality filter (filterPos < 0:
+// none), tested in place so that rows that fail cost no copy. It returns the
+// extended hits, the position to resume at, and whether the source is spent.
+func (t *table) scanStep(cands []RowID, listed bool, next int, ts uint64,
+	writes map[RowID]*txWrite, filterPos int, filter Value, hits []scanHit) ([]scanHit, int, bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	limit := len(t.rows)
+	if listed {
+		limit = len(cands)
+	}
+	for end := min(next+scanChunk, limit); next < end; next++ {
+		h := scanHit{id: RowID(next)}
+		if listed {
+			h.id = cands[next]
+		}
+		if w, ok := writes[h.id]; ok {
+			if w.op == opDelete {
+				continue
+			}
+			h.vals, h.own = w.vals, true
+		} else if v := t.chain(h.id).visible(ts); v != nil {
+			h.vals, h.observed = v.vals, v.beginTS
+		} else {
+			continue
+		}
+		if filterPos < 0 || sqlEqual(&h.vals[filterPos], &filter) {
+			hits = append(hits, h)
+		}
+	}
+	return hits, next, next >= limit
+}
+
+// sqlEqual is the SQL `a = b` of a pushed-down filter: never true for NULL.
+// It runs once per slot of a full scan, hence the pointers and the shortcut
+// for the common text-to-text case (Values are 72 bytes; Compare copies two).
+func sqlEqual(a, b *Value) bool {
+	if a.Kind == KindString && b.Kind == KindString {
+		return a.S == b.S
+	}
+	return !a.IsNull() && !b.IsNull() && Equal(*a, *b)
+}
+
+// readVisibleVersion returns a copy of the version of id visible at ts and
+// its begin timestamp (nil and 0 when nothing is visible) — the "observed
+// version" history recording needs to build rw/wr edges.
 func (t *table) readVisibleVersion(id RowID, ts uint64) ([]Value, uint64) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	c := t.rows[id]
-	if c == nil {
-		return nil, 0
-	}
-	v := c.visible(ts)
+	v := t.chain(id).visible(ts)
 	if v == nil {
 		return nil, 0
 	}
-	out := make([]Value, len(v.vals))
-	copy(out, v.vals)
-	return out, v.beginTS
+	return slices.Clone(v.vals), v.beginTS
 }
 
-// latestCommitted returns a copy of the newest committed version of id and
-// whether that version is live (not deleted).
-func (t *table) latestCommitted(id RowID) ([]Value, bool) {
+// latestCommitted returns a copy of the newest committed version of id, its
+// begin timestamp, and whether that version is live (not deleted).
+func (t *table) latestCommitted(id RowID) ([]Value, uint64, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	c := t.rows[id]
-	if c == nil {
-		return nil, false
-	}
-	v := c.latest()
-	if v == nil {
-		return nil, false
-	}
-	out := make([]Value, len(v.vals))
-	copy(out, v.vals)
-	return out, v.endTS == 0
-}
-
-// latestCommittedVersion is latestCommitted plus the version's begin
-// timestamp, for history recording on locked re-reads (SELECT ... FOR UPDATE).
-func (t *table) latestCommittedVersion(id RowID) ([]Value, uint64, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	c := t.rows[id]
-	if c == nil {
-		return nil, 0, false
-	}
-	v := c.latest()
+	v := t.chain(id).latest()
 	if v == nil {
 		return nil, 0, false
 	}
-	out := make([]Value, len(v.vals))
-	copy(out, v.vals)
-	return out, v.beginTS, v.endTS == 0
+	return slices.Clone(v.vals), v.beginTS, v.endTS == 0
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -129,13 +130,13 @@ func (tx *Tx) notePredRead(key string) {
 	tx.readPreds[key] = struct{}{}
 }
 
-// noteProbe records one committed-state validation lookup, keyed exactly like
-// a summary predicate key.
-func (tx *Tx) noteProbe(lowerTable, lowerCol, key string) {
+// noteProbe records one committed-state validation lookup under its summary
+// predicate key (table.predKey).
+func (tx *Tx) noteProbe(predKey string) {
 	if tx.probes == nil {
 		tx.probes = make(map[string]struct{})
 	}
-	tx.probes["p\x00"+lowerTable+"\x00"+lowerCol+"\x00"+key] = struct{}{}
+	tx.probes[predKey] = struct{}{}
 }
 
 // SetStmtDeadline bounds the next statement(s) run in this transaction: lock
@@ -293,14 +294,13 @@ func (tx *Tx) Insert(tableName string, cols map[string]Value) (RowID, int64, err
 		return 0, 0, err
 	}
 	id := t.allocRow()
-	lower := strings.ToLower(t.schema.Name)
 	if tx.level.locking() {
-		if err := tx.lockForWrite(t, lower, id, nil, vals); err != nil {
+		if err := tx.lockForWrite(t, id, nil, vals); err != nil {
 			return 0, 0, err
 		}
 	}
 	tx.seq++
-	tx.tableWrites(lower)[id] = &txWrite{op: opInsert, vals: vals, seq: tx.seq}
+	tx.tableWrites(t.lower)[id] = &txWrite{op: opInsert, vals: vals, seq: tx.seq}
 	var pk int64
 	if pkCol := t.schema.PrimaryKey(); pkCol != "" {
 		pk = vals[t.schema.ColumnIndex(pkCol)].I
@@ -340,7 +340,7 @@ func (tx *Tx) Update(tableName string, id RowID, changes map[string]Value) error
 		return nil
 	}
 
-	lower := strings.ToLower(s.Name)
+	lower := t.lower
 	if w, ok := tx.tableWrites(lower)[id]; ok {
 		switch w.op {
 		case opDelete:
@@ -350,7 +350,7 @@ func (tx *Tx) Update(tableName string, id RowID, changes map[string]Value) error
 				return err
 			}
 			if tx.level.locking() {
-				if err := tx.lockForWrite(t, lower, id, w.vals, newImage); err != nil {
+				if err := tx.lockForWrite(t, id, w.vals, newImage); err != nil {
 					return err
 				}
 			}
@@ -364,7 +364,7 @@ func (tx *Tx) Update(tableName string, id RowID, changes map[string]Value) error
 	if err := tx.lock(rowLockKey(lower, id), LockX); err != nil {
 		return err
 	}
-	old, live := t.latestCommitted(id)
+	old, _, live := t.latestCommitted(id)
 	if old == nil || !live {
 		return fmt.Errorf("%w: %s row %d", ErrNoSuchRow, s.Name, id)
 	}
@@ -372,7 +372,7 @@ func (tx *Tx) Update(tableName string, id RowID, changes map[string]Value) error
 		return err
 	}
 	if tx.level.locking() {
-		if err := tx.lockForWrite(t, lower, id, old, newImage); err != nil {
+		if err := tx.lockForWrite(t, id, old, newImage); err != nil {
 			return err
 		}
 	}
@@ -390,7 +390,7 @@ func (tx *Tx) Delete(tableName string, id RowID) error {
 	if err != nil {
 		return err
 	}
-	lower := strings.ToLower(t.schema.Name)
+	lower := t.lower
 	if w, ok := tx.tableWrites(lower)[id]; ok {
 		switch w.op {
 		case opInsert:
@@ -400,7 +400,7 @@ func (tx *Tx) Delete(tableName string, id RowID) error {
 			return fmt.Errorf("%w: %s row %d (deleted in this transaction)", ErrNoSuchRow, t.schema.Name, id)
 		default:
 			if tx.level.locking() {
-				if err := tx.lockForWrite(t, lower, id, w.old, nil); err != nil {
+				if err := tx.lockForWrite(t, id, w.old, nil); err != nil {
 					return err
 				}
 			}
@@ -412,12 +412,12 @@ func (tx *Tx) Delete(tableName string, id RowID) error {
 	if err := tx.lock(rowLockKey(lower, id), LockX); err != nil {
 		return err
 	}
-	old, live := t.latestCommitted(id)
+	old, _, live := t.latestCommitted(id)
 	if old == nil || !live {
 		return fmt.Errorf("%w: %s row %d", ErrNoSuchRow, t.schema.Name, id)
 	}
 	if tx.level.locking() {
-		if err := tx.lockForWrite(t, lower, id, old, nil); err != nil {
+		if err := tx.lockForWrite(t, id, old, nil); err != nil {
 			return err
 		}
 	}
@@ -430,25 +430,24 @@ func (tx *Tx) Delete(tableName string, id RowID) error {
 // an intent-exclusive table lock plus exclusive predicate locks covering
 // every (column, value) pair of the old and new images (value granularity),
 // or an exclusive table lock (table granularity).
-func (tx *Tx) lockForWrite(t *table, lower string, id RowID, old, new []Value) error {
+func (tx *Tx) lockForWrite(t *table, id RowID, old, new []Value) error {
 	if tx.db.opts.PredicateLocks == TableGranularity {
-		return tx.lock(tableLockKey(lower), LockX)
+		return tx.lock(t.tableKey, LockX)
 	}
-	if err := tx.lock(tableLockKey(lower), LockIX); err != nil {
+	if err := tx.lock(t.tableKey, LockIX); err != nil {
 		return err
 	}
-	if err := tx.lock(rowLockKey(lower, id), LockX); err != nil {
+	if err := tx.lock(rowLockKey(t.lower, id), LockX); err != nil {
 		return err
 	}
 	for i := range t.schema.Columns {
-		col := strings.ToLower(t.schema.Columns[i].Name)
 		if old != nil {
-			if err := tx.lock(predLockKey(lower, col, old[i].Key()), LockX); err != nil {
+			if err := tx.lock(t.predKey(i, old[i].Key()), LockX); err != nil {
 				return err
 			}
 		}
 		if new != nil {
-			if err := tx.lock(predLockKey(lower, col, new[i].Key()), LockX); err != nil {
+			if err := tx.lock(t.predKey(i, new[i].Key()), LockX); err != nil {
 				return err
 			}
 		}
@@ -475,8 +474,12 @@ type ScanOptions struct {
 }
 
 // Scan streams the rows visible to the transaction, merged with the
-// transaction's own writes. fn returns false to stop early. The slice passed
-// to fn is owned by the callee.
+// transaction's own writes, in ascending RowID order. fn returns false to
+// stop early. The slice passed to fn is owned by the callee.
+//
+// The table lock is held only inside scanStep, one chunk at a time; row
+// locks, read-set notes, history events, scheduler yields and fn all run
+// between steps with no table lock held.
 func (tx *Tx) Scan(tableName string, opts ScanOptions, fn func(RowID, []Value) bool) error {
 	if err := tx.checkLive(); err != nil {
 		return err
@@ -486,24 +489,22 @@ func (tx *Tx) Scan(tableName string, opts ScanOptions, fn func(RowID, []Value) b
 	if err != nil {
 		return err
 	}
-	s := t.schema
-	lower := strings.ToLower(s.Name)
+	lower := t.lower
 
 	filterPos := -1
+	var filter Value
 	var filterKey string
+	predKey := t.tableKey
 	if opts.Filter != nil {
-		filterPos = s.ColumnIndex(opts.Filter.Column)
+		filterPos = t.schema.ColumnIndex(opts.Filter.Column)
 		if filterPos < 0 {
-			return fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, s.Name, opts.Filter.Column)
+			return fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, t.schema.Name, opts.Filter.Column)
 		}
-		filterKey = opts.Filter.Value.Key()
+		filter, filterKey = opts.Filter.Value, opts.Filter.Value.Key()
+		predKey = t.predKey(filterPos, filterKey)
 	}
 
 	// Predicate footprint: record for certification, and lock under 2PL.
-	predKey := "t\x00" + lower
-	if filterPos >= 0 {
-		predKey = "p\x00" + lower + "\x00" + strings.ToLower(s.Columns[filterPos].Name) + "\x00" + filterKey
-	}
 	tx.notePredRead(predKey)
 	if tx.recording() {
 		tx.emit(histcheck.Event{
@@ -513,113 +514,94 @@ func (tx *Tx) Scan(tableName string, opts ScanOptions, fn func(RowID, []Value) b
 	}
 	if tx.level.locking() {
 		if tx.db.opts.PredicateLocks == TableGranularity || filterPos < 0 {
-			if err := tx.lock(tableLockKey(lower), LockS); err != nil {
+			if err := tx.lock(t.tableKey, LockS); err != nil {
 				return err
 			}
 		} else {
-			if err := tx.lock(tableLockKey(lower), LockIS); err != nil {
+			if err := tx.lock(t.tableKey, LockIS); err != nil {
 				return err
 			}
-			col := strings.ToLower(s.Columns[filterPos].Name)
-			if err := tx.lock(predLockKey(lower, col, filterKey), LockS); err != nil {
+			if err := tx.lock(predKey, LockS); err != nil {
 				return err
 			}
 		}
 	}
 
-	var candidates []RowID
-	if filterPos >= 0 {
-		candidates, _ = t.candidateRows(s.Columns[filterPos].Name, filterKey)
-	} else {
-		candidates = t.allRows()
-	}
-
-	ts := tx.readTS()
+	// The scan's source: the filter column's index bucket when it has one,
+	// else the heap itself. Own writes the source does not cover — inserts an
+	// index cannot know about, slots past the end of the heap — are merged in
+	// by id, so rows come out ascending either way.
 	writes := tx.writes[lower]
-	matches := func(vals []Value) bool {
-		if filterPos < 0 {
-			return true
+	var cands []RowID
+	listed := false
+	if filterPos >= 0 {
+		if cands, listed = t.indexCandidates(filterPos, filterKey); listed && len(writes) > 0 {
+			cands = append(cands, ownRowIDs(writes, 0)...)
+			slices.Sort(cands)
+			cands = slices.Compact(cands)
 		}
-		v := vals[filterPos]
-		if v.IsNull() || opts.Filter.Value.IsNull() {
-			return false // SQL semantics: NULL = x is not true
-		}
-		return Equal(v, opts.Filter.Value)
 	}
+	ts := tx.readTS()
 
-	emit := func(id RowID, vals []Value, observed uint64, own bool) (bool, error) {
+	emit := func(h scanHit) (bool, error) {
+		vals, observed := h.vals, h.observed
 		if opts.ForUpdate {
-			if err := tx.lock(rowLockKey(lower, id), LockX); err != nil {
+			if err := tx.lock(rowLockKey(lower, h.id), LockX); err != nil {
 				return false, err
 			}
 			// Re-read the latest committed image now that the row is locked:
 			// a concurrent writer may have committed while we waited. Rows
 			// written by this transaction keep their buffered image.
-			if _, ours := writes[id]; !ours {
-				latest, ver, live := t.latestCommittedVersion(id)
-				if latest == nil || !live || !matches(latest) {
+			if !h.own {
+				latest, ver, live := t.latestCommitted(h.id)
+				if latest == nil || !live || (filterPos >= 0 && !sqlEqual(&latest[filterPos], &filter)) {
 					return true, nil
 				}
 				vals, observed = latest, ver
 			}
 		}
-		tx.noteRowRead(lower, id)
+		tx.noteRowRead(lower, h.id)
 		if tx.level.locking() && !opts.ForUpdate {
-			if err := tx.lock(rowLockKey(lower, id), LockS); err != nil {
+			if err := tx.lock(rowLockKey(lower, h.id), LockS); err != nil {
 				return false, err
 			}
 		}
-		tx.histRead(lower, id, observed, own)
-		cp := make([]Value, len(vals))
-		copy(cp, vals)
-		return fn(id, cp), nil
+		tx.histRead(lower, h.id, observed, h.own)
+		return fn(h.id, slices.Clone(vals)), nil
 	}
 
-	seen := make(map[RowID]struct{}, len(candidates))
-	for _, id := range candidates {
-		seen[id] = struct{}{}
-		var vals []Value
-		var observed uint64
-		own := false
-		if w, ok := writes[id]; ok {
-			if w.op == opDelete {
-				continue
-			}
-			vals, own = w.vals, true
-		} else {
-			vals, observed = t.readVisibleVersion(id, ts)
-			if vals == nil {
-				continue
-			}
-		}
-		if !matches(vals) {
-			continue
-		}
-		cont, err := emit(id, vals, observed, own)
-		if err != nil {
-			return err
-		}
-		if !cont {
-			return nil
-		}
+	var buf [8]scanHit
+	next := 1 // heap slot 0 is never used
+	if listed {
+		next = 0
 	}
-	// Own inserts/updates the index-based candidate set cannot know about.
-	for id, w := range writes {
-		if _, dup := seen[id]; dup {
-			continue
+	for done := false; !done; {
+		var hits []scanHit
+		hits, next, done = t.scanStep(cands, listed, next, ts, writes, filterPos, filter, buf[:0])
+		for _, h := range hits {
+			if cont, err := emit(h); err != nil || !cont {
+				return err
+			}
 		}
-		if w.op == opDelete || w.vals == nil || !matches(w.vals) {
-			continue
-		}
-		cont, err := emit(id, w.vals, 0, true)
-		if err != nil {
-			return err
-		}
-		if !cont {
-			return nil
+		if done && !listed && len(writes) > 0 {
+			// The heap walk met every own write in a slot below its end; the
+			// rest (next is that end) follow as a listed source.
+			cands, listed, next, done = ownRowIDs(writes, RowID(next)), true, 0, false
 		}
 	}
 	return nil
+}
+
+// ownRowIDs returns, ascending, the ids of the buffered writes at or above from.
+func ownRowIDs(writes map[RowID]*txWrite, from RowID) []RowID {
+	ids := make([]RowID, 0, len(writes))
+	for id := range writes {
+		if id >= from {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // Get returns the row with the given RowID as visible to the transaction,
@@ -633,16 +615,14 @@ func (tx *Tx) Get(tableName string, id RowID) ([]Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	lower := strings.ToLower(t.schema.Name)
+	lower := t.lower
 	if w, ok := tx.writes[lower][id]; ok {
 		if w.op == opDelete {
 			return nil, nil
 		}
-		out := make([]Value, len(w.vals))
-		copy(out, w.vals)
 		tx.noteRowRead(lower, id)
 		tx.histRead(lower, id, 0, true)
-		return out, nil
+		return slices.Clone(w.vals), nil
 	}
 	// Point reads lock under 2PL exactly as scans do (Scan takes LockS per
 	// visited row): without this, a Get-then-Update read-modify-write slips
@@ -1022,7 +1002,7 @@ func (tx *Tx) expandCascades() error {
 		var pkVal Value
 		if w := tx.writes[item.table][item.id]; w != nil && w.old != nil {
 			pkVal = w.old[parent.schema.ColumnIndex(pkCol)]
-		} else if vals, _ := parent.latestCommitted(item.id); vals != nil {
+		} else if vals, _, _ := parent.latestCommitted(item.id); vals != nil {
 			pkVal = vals[parent.schema.ColumnIndex(pkCol)]
 		} else {
 			continue
@@ -1036,21 +1016,16 @@ func (tx *Tx) expandCascades() error {
 			if fkPos < 0 {
 				return fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, e.childTable, e.fk.Column)
 			}
-			tx.noteProbe(e.childTable, strings.ToLower(child.schema.Columns[fkPos].Name), pkVal.Key())
-			candidates, _ := child.candidateRows(e.fk.Column, pkVal.Key())
+			tx.noteProbe(child.predKey(fkPos, pkVal.Key()))
 			childWrites := tx.tableWrites(e.childTable)
-			for _, cid := range candidates {
-				if w, ok := childWrites[cid]; ok {
+			for _, cid := range child.liveMatches(fkPos, pkVal) {
+				if _, ok := childWrites[cid]; ok {
 					// Rows this transaction already deleted need no action;
 					// rows it inserted/updated to reference the dying parent
 					// are handled by the FK existence check afterward.
-					_ = w
 					continue
 				}
-				vals, live := child.latestCommitted(cid)
-				if vals == nil || !live || !Equal(vals[fkPos], pkVal) {
-					continue
-				}
+				vals, _, _ := child.latestCommitted(cid)
 				switch e.fk.OnDelete {
 				case Cascade:
 					tx.seq++
@@ -1134,23 +1109,11 @@ func (tx *Tx) checkUniqueConstraints() error {
 				}
 				newKeys[key] = id
 
-				tx.noteProbe(lower, strings.ToLower(s.Columns[pos].Name), key)
-				candidates, _ := t.candidateRows(spec.Column, key)
-				for _, cid := range candidates {
-					if cid == id {
-						continue
-					}
-					if cw, ok := rows[cid]; ok {
-						if cw.op == opDelete {
-							continue // being deleted by us
-						}
-						continue // already counted via newKeys
-					}
-					vals, live := t.latestCommitted(cid)
-					if vals == nil || !live {
-						continue
-					}
-					if Equal(vals[pos], v) {
+				tx.noteProbe(t.predKey(pos, key))
+				for _, cid := range t.liveMatches(pos, v) {
+					// Rows in our own write set are being deleted by us or
+					// were already counted via newKeys.
+					if _, ours := rows[cid]; !ours {
 						return fmt.Errorf("%w: %s.%s = %s already exists",
 							ErrUniqueViolation, s.Name, spec.Column, v.Format())
 					}
@@ -1197,7 +1160,6 @@ func (tx *Tx) checkFKConstraints() error {
 			}
 			pkCol := parent.schema.PrimaryKey()
 			pkPos := parent.schema.ColumnIndex(pkCol)
-			parentLower := strings.ToLower(parent.schema.Name)
 			for _, w := range rows {
 				if w.op == opDelete || w.vals == nil {
 					continue
@@ -1206,8 +1168,8 @@ func (tx *Tx) checkFKConstraints() error {
 				if ref.IsNull() {
 					continue
 				}
-				tx.noteProbe(parentLower, strings.ToLower(parent.schema.Columns[pkPos].Name), ref.Key())
-				if tx.parentExists(parent, parentLower, pkPos, ref) {
+				tx.noteProbe(parent.predKey(pkPos, ref.Key()))
+				if tx.parentExists(parent, pkPos, ref) {
 					continue
 				}
 				return fmt.Errorf("%w: %s.%s = %s has no parent in %s",
@@ -1220,22 +1182,14 @@ func (tx *Tx) checkFKConstraints() error {
 
 // parentExists reports whether a live parent row with primary key ref
 // exists, accounting for this transaction's own inserts and deletes.
-func (tx *Tx) parentExists(parent *table, parentLower string, pkPos int, ref Value) bool {
-	parentWrites := tx.writes[parentLower]
-	candidates, _ := parent.candidateRows(parent.schema.Columns[pkPos].Name, ref.Key())
-	for _, pid := range candidates {
-		if w, ok := parentWrites[pid]; ok {
-			if w.op != opDelete && w.vals != nil && Equal(w.vals[pkPos], ref) {
-				return true
-			}
-			continue
-		}
-		vals, live := parent.latestCommitted(pid)
-		if vals != nil && live && Equal(vals[pkPos], ref) {
+func (tx *Tx) parentExists(parent *table, pkPos int, ref Value) bool {
+	parentWrites := tx.writes[parent.lower]
+	for _, pid := range parent.liveMatches(pkPos, ref) {
+		if _, ours := parentWrites[pid]; !ours {
 			return true
 		}
 	}
-	// Own inserts may not be index-visible; scan the write buffer too.
+	// Parents this transaction wrote count by their buffered image.
 	for _, w := range parentWrites {
 		if w.op != opDelete && w.vals != nil && Equal(w.vals[pkPos], ref) {
 			return true
@@ -1258,13 +1212,12 @@ func (tx *Tx) buildSummary() *txSummary {
 		if err != nil {
 			continue // table dropped mid-transaction; nothing to install
 		}
-		summary.predKeys["t\x00"+lower] = struct{}{}
+		summary.predKeys[t.tableKey] = struct{}{}
 		for id, w := range rows {
 			summary.rowKeys[lower+"\x00"+formatRowID(id)] = struct{}{}
 			addPreds := func(vals []Value) {
-				for i := range t.schema.Columns {
-					col := strings.ToLower(t.schema.Columns[i].Name)
-					summary.predKeys["p\x00"+lower+"\x00"+col+"\x00"+vals[i].Key()] = struct{}{}
+				for i := range vals {
+					summary.predKeys[t.predKey(i, vals[i].Key())] = struct{}{}
 				}
 			}
 			switch w.op {

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"strings"
 	"sync/atomic"
 )
 
@@ -45,6 +44,9 @@ func (db *Database) Vacuum() VacuumStats {
 	for _, t := range tables {
 		t.mu.Lock()
 		for id, chain := range t.rows {
+			if chain == nil {
+				continue
+			}
 			kept := chain.versions[:0]
 			for _, v := range chain.versions {
 				dead := v.endTS != 0 && v.endTS <= horizon
@@ -56,21 +58,23 @@ func (db *Database) Vacuum() VacuumStats {
 			}
 			chain.versions = append([]*version(nil), kept...)
 			if len(chain.versions) == 0 {
-				delete(t.rows, id)
+				t.rows[id] = nil
 				stats.RowsReclaimed++
 			}
 		}
 		// Rebuild indexes from the surviving versions.
-		for col, ix := range t.indexes {
-			pos := t.schema.ColumnIndex(col)
-			if pos < 0 {
+		for pos, ix := range t.indexes {
+			if ix == nil {
 				continue
 			}
 			fresh := newIndex(ix.spec)
 			entries := 0
 			for id, chain := range t.rows {
+				if chain == nil {
+					continue
+				}
 				for _, v := range chain.versions {
-					fresh.add(v.vals[pos].Key(), id)
+					fresh.add(v.vals[pos].Key(), RowID(id))
 				}
 			}
 			for _, bucket := range fresh.buckets {
@@ -81,7 +85,7 @@ func (db *Database) Vacuum() VacuumStats {
 				old += len(bucket)
 			}
 			stats.IndexEntriesPruned += old - entries
-			t.indexes[strings.ToLower(col)] = fresh
+			t.indexes[pos] = fresh
 		}
 		t.mu.Unlock()
 	}
@@ -112,7 +116,9 @@ func (db *Database) VersionCount() int {
 	for _, t := range db.tables {
 		t.mu.RLock()
 		for _, chain := range t.rows {
-			total += len(chain.versions)
+			if chain != nil {
+				total += len(chain.versions)
+			}
 		}
 		t.mu.RUnlock()
 	}

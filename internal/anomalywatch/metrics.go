@@ -26,7 +26,7 @@ var (
 	mCheckerLag = obs.NewHistogram(obs.Default(),
 		"feraldb_anomaly_watch_checker_lag_seconds", "Delay between event enqueue on the commit path and checker processing")
 	mRetargets = obs.NewCounter(obs.Default(),
-		"feraldb_anomaly_watch_rw_retargets_total", "rw edges re-pointed after an out-of-order install revealed a closer successor (nonzero means transient edges may have produced findings the final graph lacks)")
+		"feraldb_anomaly_watch_rw_retargets_total", "Edges withdrawn because an install arrived below a version already installed: ww splits and rw re-points (nonzero means transient edges may have produced findings the final graph lacks)")
 	mAlmostCycles = obs.NewGauge(obs.Default(),
 		"feraldb_anomaly_watch_almost_cycles", "Near-miss wr dependencies (one rw edge short of a cycle) in the current window")
 

@@ -1,17 +1,15 @@
 // Package anomalywatch is the live half of the isolation story: a streaming,
 // sampled, windowed Adya checker an operator can leave on in production.
 //
-// The offline checker (internal/histcheck) proves anomalies after the fact on
-// complete recorded histories. This package consumes the same histcheck.Event
-// stream incrementally: the storage engine samples transactions (seeded
-// probabilistic rate plus always-sample-on-conflict escalation) and offers
-// their events into a bounded lock-free ring; a single checker goroutine
-// drains the ring, maintains a sliding-window direct serialization graph with
-// FIFO eviction of closed transactions, and classifies every cycle it finds
-// through the same G0/G1c/G-single/G2-item code path the offline checker uses
-// (histcheck.CycleFindings), plus the direct G1a/G1b phenomena. The commit
-// path never blocks on the checker: a full ring sheds the event and counts
-// the shed.
+// internal/histcheck owns the direct serialization graph and its classifier;
+// Check feeds that graph a complete recorded history. This package feeds the
+// same histcheck.Graph incrementally: the storage engine samples transactions
+// (seeded probabilistic rate plus always-sample-on-conflict escalation) and
+// offers their events into a bounded lock-free ring; a single checker
+// goroutine drains the ring into the graph, asks it for new findings after
+// every commit and abort, and evicts closed transactions first-in-first-out
+// beyond the window bound. The commit path never blocks on the checker: a
+// full ring sheds the event and counts the shed.
 //
 // What a windowed checker can and cannot prove: a cycle wholly contained in
 // the window (all participants still resident when its last edge forms) is
@@ -27,7 +25,6 @@
 package anomalywatch
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -36,8 +33,7 @@ import (
 	"feralcc/internal/histcheck"
 )
 
-// Config configures a Watcher. The zero value of every field gets a sane
-// default from withDefaults; a zero SampleRate means no transaction is
+// Config configures a Watcher. A zero SampleRate means no transaction is
 // sampled by rate (conflict escalation still arms).
 type Config struct {
 	// SampleRate is the seeded probability a transaction's events enter the
@@ -48,41 +44,25 @@ type Config struct {
 	// WindowTxns bounds how many closed (committed or aborted) transactions
 	// the sliding window retains. Default 4096.
 	WindowTxns int
-	// RingSize bounds the producer ring (rounded up to a power of two).
-	// Default 16384 entries.
-	RingSize int
-	// EscalationBudget is how many subsequent transactions are sampled at
-	// 100% after a conflict abort. Default 64.
-	EscalationBudget int
-	// MaxWitnesses bounds the retained witness ring served on /anomalies.
-	// Default 32.
-	MaxWitnesses int
-	// MaxTxEvents caps the per-transaction event buffer kept for witness
-	// projection. Default 256.
-	MaxTxEvents int
 	// OnFinding, when non-nil, is called from the checker goroutine for every
 	// newly detected anomaly.
 	OnFinding func(Witness)
 }
 
-func (c Config) withDefaults() Config {
-	if c.WindowTxns <= 0 {
-		c.WindowTxns = 4096
-	}
-	if c.RingSize <= 0 {
-		c.RingSize = 16384
-	}
-	if c.EscalationBudget <= 0 {
-		c.EscalationBudget = 64
-	}
-	if c.MaxWitnesses <= 0 {
-		c.MaxWitnesses = 32
-	}
-	if c.MaxTxEvents <= 0 {
-		c.MaxTxEvents = 256
-	}
-	return c
+// limits are the watcher's fixed bounds. No deployment varies them; in-package
+// tests shrink them to reach the edges.
+type limits struct {
+	ring       int // producer ring entries (rounded up to a power of two)
+	escalation int // transactions sampled at 100% after a conflict abort
+	witnesses  int // witnesses retained for /anomalies
 }
+
+var defaultLimits = limits{ring: 16384, escalation: 64, witnesses: 32}
+
+// maxTxEvents caps the per-transaction event buffer kept for witness
+// projection. It bounds evidence only: every read and write still reaches
+// the graph.
+const maxTxEvents = 256
 
 // Witness is one detected anomaly with enough context to replay it: the
 // participants, their isolation levels and trace IDs, the human-readable
@@ -100,7 +80,7 @@ type Witness struct {
 	// Cycle is the printable evidence, e.g. "T5 --rw[...]--> T9 --ww[...]--> T5".
 	Cycle string
 	// Truncated marks that a participant's event buffer overflowed
-	// MaxTxEvents, so Events is incomplete.
+	// maxTxEvents, so Events is incomplete.
 	Truncated bool
 	// Events is the participants' event projection in checker order.
 	Events []histcheck.Event
@@ -115,96 +95,25 @@ type Stats struct {
 	WindowTxns  int    // transactions currently resident in the window
 	Evictions   uint64
 	Truncated   uint64 // evictions that discarded live dependency state
-	// Retargets counts rw edges re-pointed after an out-of-order install
-	// revealed a closer successor. Engine feeds install in commit order, so
-	// this stays zero; nonzero means intermediate detection ran over edges the
-	// final graph does not contain, and exact-parity consumers should stand
-	// down.
+	// Retargets is histcheck.Graph.Retargets: zero on engine feeds; nonzero
+	// means a finding may rest on an edge the final graph does not contain,
+	// and exact-parity consumers should stand down.
 	Retargets uint64
 	Anomalies map[histcheck.Anomaly]uint64
 	Forbidden uint64
-	Almost    int // near-miss count at the last refresh
 }
 
-// txState is the window's view of one sampled transaction.
-type txState struct {
-	id        uint64
-	level     string
-	committed bool
-	aborted   bool
+// txBuf is the witness evidence kept for one resident transaction.
+type txBuf struct {
+	events    []histcheck.Event
+	truncated bool
 	closed    bool
-
-	reads  []readRec
-	writes []writeRec
-	// deferred are reads by other, already-committed transactions that
-	// observed one of this transaction's versions while its outcome was still
-	// unknown; they resolve to wr edges or G1a findings when it closes.
-	deferred   []deferredRead
-	finalWrite map[string]uint64
-
-	events          []histcheck.Event
-	eventsTruncated bool
-	// pendingRows names rows where this transaction has a registered read
-	// awaiting a successor install (a future rw edge).
-	pendingRows map[string]struct{}
-	// deferredOut counts this transaction's reads currently deferred on
-	// still-open writers; like pendingRows, outstanding ones at eviction mean
-	// a dependency was lost.
-	deferredOut int
-}
-
-type readRec struct {
-	rk       string
-	observed uint64
-}
-
-type writeRec struct {
-	rk      string
-	version uint64
-	seq     uint64
-}
-
-type deferredRead struct {
-	reader   uint64
-	rk       string
-	observed uint64
-}
-
-// rowState is the window's view of one row: committed installs in version
-// order, the writer of every version seen (any outcome, for G1a), and every
-// committed read tracked for rw-edge maintenance.
-type rowState struct {
-	installs []installRec
-	writerOf map[uint64]uint64
-	tracked  []trackedRead
-}
-
-type installRec struct {
-	version uint64
-	tx      uint64
-	seq     uint64
-}
-
-// trackedRead is one committed read's rw-side state. The offline checker
-// computes the anti-dependency against the whole history's version order; the
-// live checker mirrors that by retargeting the rw edge whenever an install
-// arrives that is a closer successor to the observed version than the current
-// target. succVer == 0 means no successor has been installed yet.
-type trackedRead struct {
-	tx       uint64
-	observed uint64
-	succVer  uint64
-	succTx   uint64
-}
-
-type edgeKey struct {
-	from, to uint64
-	kind     string
 }
 
 // Watcher is the live checker: lock-free producers, one consumer goroutine.
 type Watcher struct {
 	cfg       Config
+	lim       limits
 	threshold uint64 // sampling threshold over the splitmix64 hash space
 
 	escalate atomic.Int64 // remaining conflict-escalation budget
@@ -226,19 +135,10 @@ type Watcher struct {
 
 	// Consumer-private state: only the checker goroutine touches these.
 	seq         uint64
-	txs         map[uint64]*txState
-	rows        map[string]*rowState
-	adj         map[uint64][]histcheck.DSGEdge
-	radj        map[uint64]map[uint64]struct{}
-	edgeCount   map[edgeKey]int
+	graph       *histcheck.Graph
+	bufs        map[uint64]*txBuf
 	closed      []uint64 // FIFO of closed transaction ids awaiting eviction
-	findKeys    map[string]struct{}
-	graphDirty  bool
 	sinceAlmost int
-	// bufEvents counts events currently buffered across all window
-	// transactions — the cost of one almost-cycle scan — so the refresh
-	// cadence can stay a fixed fraction of the scan it pays for.
-	bufEvents int
 
 	// mu guards the cross-goroutine snapshot the consumer publishes.
 	mu          sync.Mutex
@@ -248,24 +148,24 @@ type Watcher struct {
 	windowSize  int
 	evictions   uint64
 	truncations uint64
-	almost      int
 }
 
 // New starts a watcher and its checker goroutine.
-func New(cfg Config) *Watcher {
-	cfg = cfg.withDefaults()
+func New(cfg Config) *Watcher { return newWatcher(cfg, defaultLimits) }
+
+func newWatcher(cfg Config, lim limits) *Watcher {
+	if cfg.WindowTxns <= 0 {
+		cfg.WindowTxns = 4096
+	}
 	w := &Watcher{
 		cfg:       cfg,
-		ring:      newRing(cfg.RingSize),
+		lim:       lim,
+		ring:      newRing(lim.ring),
 		notify:    make(chan struct{}, 1),
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
-		txs:       make(map[uint64]*txState),
-		rows:      make(map[string]*rowState),
-		adj:       make(map[uint64][]histcheck.DSGEdge),
-		radj:      make(map[uint64]map[uint64]struct{}),
-		edgeCount: make(map[edgeKey]int),
-		findKeys:  make(map[string]struct{}),
+		graph:     histcheck.NewGraph(),
+		bufs:      make(map[uint64]*txBuf),
 		anomalies: make(map[histcheck.Anomaly]uint64),
 	}
 	switch {
@@ -319,7 +219,7 @@ func (w *Watcher) SampleTx(id uint64) bool {
 	return false
 }
 
-// NoteConflict arms the escalation budget: the next EscalationBudget
+// NoteConflict arms the escalation budget: the next limits.escalation
 // transactions are sampled unconditionally. Conflict aborts mark exactly the
 // contention cycles most likely to produce anomalies, so the sampler chases
 // them even at low base rates.
@@ -327,7 +227,7 @@ func (w *Watcher) NoteConflict() {
 	if w == nil {
 		return
 	}
-	budget := int64(w.cfg.EscalationBudget)
+	budget := int64(w.lim.escalation)
 	for {
 		v := w.escalate.Load()
 		if v >= budget {
@@ -388,20 +288,24 @@ func (w *Watcher) Stop() {
 }
 
 // The almost-cycle gauge is the one derived value whose recomputation walks
-// every event buffered in the window, so it runs on a self-amortizing
-// cadence rather than per drain: only once almostRefreshEvery events have
-// arrived (almostRefreshForce under sustained load, without waiting for the
-// ring to empty) AND the new events amount to at least 1/almostRefreshCost
-// of the scan they trigger. The scan's cost is thus always amortized over a
+// every read held in the window, so it runs on a self-amortizing cadence
+// rather than per drain: only once almostRefreshEvery events have arrived
+// (almostRefreshForce under sustained load, without waiting for the ring to
+// empty) AND the new events amount to at least 1/almostRefreshCost of the
+// reads the scan visits. The scan's cost is thus always amortized over a
 // proportional number of events, keeping overhead a constant fraction no
-// matter how large the window grows; the price is a gauge that can lag by
-// up to a quarter of the window's buffered events. Sync points (Drain, Stop)
-// always recompute, so observers that quiesce first read exact values.
+// matter how large the window grows; the price is a gauge that can lag by up
+// to a quarter of the window's reads. Sync points (Drain, Stop) always
+// recompute, so observers that quiesce first read exact values.
 const (
 	almostRefreshEvery = 256
 	almostRefreshForce = 4096
 	almostRefreshCost  = 4
 )
+
+func (w *Watcher) almostDue(every int) bool {
+	return w.sinceAlmost >= every && w.sinceAlmost*almostRefreshCost >= w.graph.Reads()
+}
 
 func (w *Watcher) loop() {
 	defer close(w.done)
@@ -411,13 +315,11 @@ func (w *Watcher) loop() {
 		if !ok {
 			if dirty {
 				// A drained ring republishes the cheap window gauge every
-				// time, but the almost-cycle scan walks every buffered event
-				// in the window — rerunning it per drain turns a lightly
-				// loaded checker quadratic. Amortize it on an event cadence;
-				// the sync path below still forces an exact refresh, so
-				// Drain() observers never see a stale gauge.
+				// time; the almost-cycle scan waits for its cadence, or a
+				// lightly loaded checker turns quadratic. The sync path below
+				// still forces an exact refresh for Drain() observers.
 				w.publishWindow()
-				if w.sinceAlmost >= almostRefreshEvery && w.sinceAlmost*almostRefreshCost >= w.bufEvents {
+				if w.almostDue(almostRefreshEvery) {
 					w.refreshDerived()
 				}
 				dirty = false
@@ -448,115 +350,15 @@ func (w *Watcher) loop() {
 		w.handle(e)
 		dirty = true
 		w.sinceAlmost++
-		if w.sinceAlmost >= almostRefreshForce && w.sinceAlmost*almostRefreshCost >= w.bufEvents {
+		if w.almostDue(almostRefreshForce) {
 			w.refreshDerived()
 		}
 		w.processed.Add(1)
 	}
 }
 
-// ---- consumer-side graph maintenance ----
-
-func (w *Watcher) tx(id uint64) *txState {
-	t := w.txs[id]
-	if t == nil {
-		t = &txState{id: id, finalWrite: make(map[string]uint64)}
-		w.txs[id] = t
-	}
-	return t
-}
-
-func (w *Watcher) row(rk string) *rowState {
-	r := w.rows[rk]
-	if r == nil {
-		r = &rowState{writerOf: make(map[uint64]uint64)}
-		w.rows[rk] = r
-	}
-	return r
-}
-
-func rowKeyOf(e *histcheck.Event) string {
-	return e.Table + "\x00" + fmt.Sprint(e.Row)
-}
-
-func prettyRowKey(rk string) string {
-	for i := 0; i < len(rk); i++ {
-		if rk[i] == 0 {
-			return rk[:i] + " r" + rk[i+1:]
-		}
-	}
-	return rk
-}
-
-// addEdge inserts a deduplicated, reference-counted DSG edge. Multiple rows
-// can justify the same (from, to, kind) edge; the adjacency holds one entry
-// until every justification is evicted.
-func (w *Watcher) addEdge(from, to uint64, kind, label string) {
-	if from == to {
-		return
-	}
-	k := edgeKey{from: from, to: to, kind: kind}
-	w.edgeCount[k]++
-	if w.edgeCount[k] > 1 {
-		return
-	}
-	w.adj[from] = append(w.adj[from], histcheck.DSGEdge{From: from, To: to, Kind: kind, Label: label})
-	if w.radj[to] == nil {
-		w.radj[to] = make(map[uint64]struct{})
-	}
-	w.radj[to][from] = struct{}{}
-	w.graphDirty = true
-}
-
-// removeEdge drops one reference to a (from, to, kind) edge, deleting the
-// adjacency entry when the last justification is gone. Used when an
-// out-of-order install splits a previously adjacent ww pair.
-func (w *Watcher) removeEdge(from, to uint64, kind string) {
-	if from == to {
-		return
-	}
-	k := edgeKey{from: from, to: to, kind: kind}
-	n, ok := w.edgeCount[k]
-	if !ok {
-		return
-	}
-	if n > 1 {
-		w.edgeCount[k] = n - 1
-		return
-	}
-	delete(w.edgeCount, k)
-	edges := w.adj[from]
-	kept := edges[:0]
-	for _, e := range edges {
-		if e.To == to && e.Kind == kind {
-			continue
-		}
-		kept = append(kept, e)
-	}
-	if len(kept) == 0 {
-		delete(w.adj, from)
-	} else {
-		w.adj[from] = kept
-	}
-	// Drop the reverse reference only if no other edge kind still links the
-	// pair.
-	stillLinked := false
-	for _, e := range w.adj[from] {
-		if e.To == to {
-			stillLinked = true
-			break
-		}
-	}
-	if !stillLinked {
-		if back := w.radj[to]; back != nil {
-			delete(back, from)
-			if len(back) == 0 {
-				delete(w.radj, to)
-			}
-		}
-	}
-}
-
+// handle runs one event through the graph. Every event reaches the graph;
+// the witness buffer alone is capped.
 func (w *Watcher) handle(en entry) {
 	if en.at != 0 {
 		if lag := time.Now().UnixNano() - en.at; lag > 0 {
@@ -566,285 +368,38 @@ func (w *Watcher) handle(en entry) {
 	e := en.ev
 	w.seq++
 	e.Seq = w.seq
-	t := w.tx(e.Tx)
-	if len(t.events) < w.cfg.MaxTxEvents {
-		t.events = append(t.events, e)
-		w.bufEvents++
+	b := w.bufs[e.Tx]
+	if b == nil {
+		b = &txBuf{}
+		w.bufs[e.Tx] = b
+	}
+	if len(b.events) < maxTxEvents {
+		b.events = append(b.events, e)
 	} else {
-		t.eventsTruncated = true
+		b.truncated = true
 	}
-	switch e.Kind {
-	case histcheck.KindBegin:
-		t.level = e.Level
-	case histcheck.KindRead:
-		if !e.Own && e.Observed != 0 && len(t.reads) < w.cfg.MaxTxEvents {
-			t.reads = append(t.reads, readRec{rk: rowKeyOf(&e), observed: e.Observed})
-		}
-	case histcheck.KindWrite:
-		if e.Version == 0 {
-			return // never installed; invisible, exactly as offline
-		}
-		rk := rowKeyOf(&e)
-		r := w.row(rk)
-		if _, dup := r.writerOf[e.Version]; !dup {
-			r.writerOf[e.Version] = e.Tx
-		}
-		t.finalWrite[rk] = e.Version
-		t.writes = append(t.writes, writeRec{rk: rk, version: e.Version, seq: e.Seq})
-	case histcheck.KindCommit:
-		t.committed = true
-		w.processCommit(t)
-		if w.graphDirty {
-			w.graphDirty = false
-			w.detect()
-		}
-		w.closeTx(t)
-	case histcheck.KindAbort:
-		t.aborted = true
-		w.processAbort(t)
-		w.closeTx(t)
-	}
-}
-
-// processCommit installs the transaction's versions into the window's row
-// order (ww edges, pending-rw resolution), resolves reads deferred on it, and
-// resolves its own reads into wr/rw edges or G1a/G1b findings.
-func (w *Watcher) processCommit(t *txState) {
-	// Installs first: a read-modify-write's own install must be registered
-	// before its read looks for a successor, mirroring the offline checker's
-	// whole-history version order.
-	for _, wr := range t.writes {
-		w.installVersion(t, wr)
-	}
-	for _, d := range t.deferred {
-		reader := w.txs[d.reader]
-		if reader == nil {
-			continue // reader evicted; its eviction counted the truncation
-		}
-		reader.deferredOut--
-		w.resolveWR(reader, t, d.rk, d.observed)
-	}
-	t.deferred = nil
-	for _, rr := range t.reads {
-		w.resolveRead(t, rr)
-	}
-}
-
-// processAbort resolves reads deferred on an aborted writer into G1a
-// findings. The aborted transaction's own reads add no edges (offline only
-// considers committed readers) and its writes were never installed.
-func (w *Watcher) processAbort(t *txState) {
-	for _, d := range t.deferred {
-		reader := w.txs[d.reader]
-		if reader == nil {
-			continue
-		}
-		reader.deferredOut--
-		w.reportG1a(reader, t, d.rk, d.observed)
-	}
-	t.deferred = nil
-}
-
-// installVersion inserts one committed install into its row's version order,
-// adds the ww edge from its predecessor, and resolves pending reads whose
-// successor now exists.
-func (w *Watcher) installVersion(t *txState, wr writeRec) {
-	r := w.row(wr.rk)
-	rec := installRec{version: wr.version, tx: t.id, seq: wr.seq}
-	idx := sort.Search(len(r.installs), func(i int) bool {
-		if r.installs[i].version != rec.version {
-			return r.installs[i].version > rec.version
-		}
-		return r.installs[i].seq > rec.seq
-	})
-	// The engine emits installs in CSN order, so idx == len almost always; the
-	// general insert keeps synthetic out-of-order histories correct.
-	if idx < len(r.installs) && idx > 0 {
-		a, b := r.installs[idx-1], r.installs[idx]
-		w.removeEdge(a.tx, b.tx, "ww")
-	}
-	r.installs = append(r.installs, installRec{})
-	copy(r.installs[idx+1:], r.installs[idx:])
-	r.installs[idx] = rec
-	pretty := prettyRowKey(wr.rk)
-	if idx > 0 {
-		a := r.installs[idx-1]
-		w.addEdge(a.tx, t.id, "ww", fmt.Sprintf("%s: v%d->v%d", pretty, a.version, rec.version))
-	}
-	if idx+1 < len(r.installs) {
-		b := r.installs[idx+1]
-		w.addEdge(t.id, b.tx, "ww", fmt.Sprintf("%s: v%d->v%d", pretty, rec.version, b.version))
-	}
-	// Retarget tracked reads for which this install is now the closest
-	// successor: pending reads gain their first rw edge, and reads whose rw
-	// edge pointed past this version move to it — matching the offline
-	// checker's first-install-greater-than-observed rule under out-of-order
-	// install arrival.
-	for i := range r.tracked {
-		tr := &r.tracked[i]
-		if tr.observed >= rec.version {
-			continue
-		}
-		if tr.succVer != 0 && tr.succVer <= rec.version {
-			continue
-		}
-		if tr.succVer != 0 {
-			w.removeEdge(tr.tx, tr.succTx, "rw")
-			mRetargets.Inc()
-			w.stRetargets.Add(1)
-		}
-		wasPending := tr.succVer == 0
-		tr.succVer, tr.succTx = rec.version, t.id
-		w.addEdge(tr.tx, t.id, "rw",
-			fmt.Sprintf("%s: read v%d, overwritten by v%d", pretty, tr.observed, rec.version))
-		if wasPending {
-			w.clearPendingRow(r, tr.tx, wr.rk)
-		}
-	}
-}
-
-// clearPendingRow drops the reader's pending-row mark once it has no tracked
-// read on the row still awaiting a successor.
-func (w *Watcher) clearPendingRow(r *rowState, reader uint64, rk string) {
-	for _, tr := range r.tracked {
-		if tr.tx == reader && tr.succVer == 0 {
-			return
-		}
-	}
-	if rt := w.txs[reader]; rt != nil {
-		delete(rt.pendingRows, rk)
-	}
-}
-
-// resolveRead turns one committed read into its wr-side consequence (wr edge,
-// G1a, G1b, or a deferral on a still-open writer) and its rw-side consequence
-// (an rw edge to the observed version's successor, or a pending registration
-// awaiting one).
-func (w *Watcher) resolveRead(t *txState, rr readRec) {
-	// The row may have no state yet (the observed version predates the window
-	// or its writer was unsampled); the read is still tracked so a later
-	// install produces the rw edge, exactly as offline.
-	r := w.row(rr.rk)
-	// No self-exclusion here: the engine marks reads of a transaction's own
-	// buffered writes with Own (filtered at intake), but a synthetic history
-	// can carry an unmarked read of the reader's own intermediate version, and
-	// offline classifies that as G1b with reader == writer. resolveWR mirrors
-	// it; addEdge drops the self wr edge either way.
-	if writerID, known := r.writerOf[rr.observed]; known {
-		switch writer := w.txs[writerID]; {
-		case writer == nil:
-			// Writer evicted between its install and this read: only possible
-			// for synthetic histories (the engine orders install before read),
-			// and the eviction already counted its truncation.
-		case writer.aborted:
-			w.reportG1a(t, writer, rr.rk, rr.observed)
-		case writer.committed:
-			w.resolveWR(t, writer, rr.rk, rr.observed)
-		default:
-			writer.deferred = append(writer.deferred, deferredRead{reader: t.id, rk: rr.rk, observed: rr.observed})
-			t.deferredOut++
-		}
-	}
-	idx := sort.Search(len(r.installs), func(i int) bool { return r.installs[i].version > rr.observed })
-	if idx < len(r.installs) {
-		succ := r.installs[idx]
-		r.tracked = append(r.tracked, trackedRead{tx: t.id, observed: rr.observed, succVer: succ.version, succTx: succ.tx})
-		w.addEdge(t.id, succ.tx, "rw",
-			fmt.Sprintf("%s: read v%d, overwritten by v%d", prettyRowKey(rr.rk), rr.observed, succ.version))
+	w.graph.Add(e)
+	if (e.Kind != histcheck.KindCommit && e.Kind != histcheck.KindAbort) || b.closed {
 		return
 	}
-	r.tracked = append(r.tracked, trackedRead{tx: t.id, observed: rr.observed})
-	if t.pendingRows == nil {
-		t.pendingRows = make(map[string]struct{})
-	}
-	t.pendingRows[rr.rk] = struct{}{}
-}
-
-// resolveWR adds the wr edge from a committed writer to a committed reader,
-// surfacing G1b when the observed version was not the writer's final write.
-func (w *Watcher) resolveWR(reader, writer *txState, rk string, observed uint64) {
-	if final := writer.finalWrite[rk]; final != observed {
-		key := fmt.Sprintf("G1b|%d|%d|%s|%d", reader.id, writer.id, rk, observed)
-		if _, dup := w.findKeys[key]; !dup {
-			w.noteFindKey(key)
-			w.report(histcheck.Finding{
-				Anomaly: histcheck.G1b,
-				Txs:     []uint64{reader.id, writer.id},
-				Levels:  []string{reader.level, writer.level},
-				Witness: fmt.Sprintf("T%d read %s v%d, an intermediate write of T%d (final v%d)",
-					reader.id, prettyRowKey(rk), observed, writer.id, final),
-			})
-		}
-	}
-	w.addEdge(writer.id, reader.id, "wr",
-		fmt.Sprintf("%s: T%d installed v%d, read by T%d", prettyRowKey(rk), writer.id, observed, reader.id))
-}
-
-func (w *Watcher) reportG1a(reader, writer *txState, rk string, observed uint64) {
-	key := fmt.Sprintf("G1a|%d|%d|%s|%d", reader.id, writer.id, rk, observed)
-	if _, dup := w.findKeys[key]; dup {
-		return
-	}
-	w.noteFindKey(key)
-	w.report(histcheck.Finding{
-		Anomaly: histcheck.G1a,
-		Txs:     []uint64{reader.id, writer.id},
-		Levels:  []string{reader.level, writer.level},
-		Witness: fmt.Sprintf("T%d read %s v%d installed by aborted T%d",
-			reader.id, prettyRowKey(rk), observed, writer.id),
-	})
-}
-
-// noteFindKey records a finding dedup key. Transaction ids never recur, so a
-// full clear at the bound can re-report at most the currently-resident
-// cycles once.
-func (w *Watcher) noteFindKey(key string) {
-	if len(w.findKeys) > 16384 {
-		w.findKeys = make(map[string]struct{})
-	}
-	w.findKeys[key] = struct{}{}
-}
-
-// detect runs the shared cycle classifier over the window's current edge set
-// and reports findings not seen before.
-func (w *Watcher) detect() {
-	if len(w.adj) == 0 {
-		return
-	}
-	edges := make([]histcheck.DSGEdge, 0, len(w.edgeCount))
-	for _, out := range w.adj {
-		edges = append(edges, out...)
-	}
-	levels := make(map[uint64]string, len(w.txs))
-	for id, t := range w.txs {
-		levels[id] = t.level
-	}
-	for _, f := range histcheck.CycleFindings(edges, levels) {
-		ids := append([]uint64(nil), f.Txs...)
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		key := string(f.Anomaly)
-		for _, id := range ids {
-			key += fmt.Sprintf("|%d", id)
-		}
-		if _, dup := w.findKeys[key]; dup {
-			continue
-		}
-		w.noteFindKey(key)
+	for _, f := range w.graph.Findings() {
 		w.report(f)
 	}
+	if d := w.graph.Retargets() - w.stRetargets.Load(); d != 0 {
+		mRetargets.Add(d)
+		w.stRetargets.Add(d)
+	}
+	b.closed = true
+	w.closed = append(w.closed, e.Tx)
+	for len(w.closed) > w.cfg.WindowTxns {
+		w.evict(w.closed[0])
+		w.closed = w.closed[1:]
+	}
+	w.publishWindow()
 }
 
-// report marks a finding forbidden per the participants' levels, updates the
-// counters, publishes the witness, and fires the callback.
+// report updates the counters, publishes the witness, and fires the callback.
 func (w *Watcher) report(f histcheck.Finding) {
-	if !f.Forbidden {
-		for _, lvl := range f.Levels {
-			if !histcheck.Allowed(lvl)[f.Anomaly] {
-				f.Forbidden = true
-				break
-			}
-		}
-	}
 	countFinding(f)
 	wit := w.buildWitness(f)
 	w.mu.Lock()
@@ -853,8 +408,8 @@ func (w *Watcher) report(f histcheck.Finding) {
 		w.forbidden++
 	}
 	w.witnesses = append(w.witnesses, wit)
-	if len(w.witnesses) > w.cfg.MaxWitnesses {
-		w.witnesses = append(w.witnesses[:0], w.witnesses[len(w.witnesses)-w.cfg.MaxWitnesses:]...)
+	if len(w.witnesses) > w.lim.witnesses {
+		w.witnesses = append(w.witnesses[:0], w.witnesses[len(w.witnesses)-w.lim.witnesses:]...)
 	}
 	w.mu.Unlock()
 	if w.cfg.OnFinding != nil {
@@ -879,16 +434,16 @@ func (w *Watcher) buildWitness(f histcheck.Finding) Witness {
 			continue
 		}
 		seen[id] = struct{}{}
-		t := w.txs[id]
-		if t == nil {
+		b := w.bufs[id]
+		if b == nil {
 			wit.Truncated = true
 			continue
 		}
-		if t.eventsTruncated {
+		if b.truncated {
 			wit.Truncated = true
 		}
-		wit.Events = append(wit.Events, t.events...)
-		for _, e := range t.events {
+		wit.Events = append(wit.Events, b.events...)
+		for _, e := range b.events {
 			if e.Trace != 0 {
 				traces[e.Trace] = struct{}{}
 			}
@@ -902,32 +457,12 @@ func (w *Watcher) buildWitness(f histcheck.Finding) Witness {
 	return wit
 }
 
-// closeTx moves a finished transaction into the eviction FIFO and evicts
-// beyond the window bound.
-func (w *Watcher) closeTx(t *txState) {
-	if t.closed {
-		return
-	}
-	t.closed = true
-	w.closed = append(w.closed, t.id)
-	for len(w.closed) > w.cfg.WindowTxns {
-		id := w.closed[0]
-		w.closed = w.closed[1:]
-		w.evict(id)
-	}
-	w.publishWindow()
-}
-
-// evict removes one closed transaction and every piece of graph state it
-// anchors. If it still carried dependency state — graph edges, or reads
-// awaiting a successor — a cycle through it can no longer be detected, and
-// window_truncated counts the loss.
+// evict drops one closed transaction from the window. If the graph still
+// held dependency state for it, a cycle through it can no longer be detected,
+// and window_truncated counts the loss.
 func (w *Watcher) evict(id uint64) {
-	t := w.txs[id]
-	if t == nil {
-		return
-	}
-	truncated := len(w.adj[id]) > 0 || len(w.radj[id]) > 0 || len(t.pendingRows) > 0 || t.deferredOut > 0
+	truncated := w.graph.Evict(id)
+	delete(w.bufs, id)
 	mEvictions.Inc()
 	if truncated {
 		mTruncated.Inc()
@@ -938,101 +473,23 @@ func (w *Watcher) evict(id uint64) {
 		w.truncations++
 	}
 	w.mu.Unlock()
-
-	for _, e := range w.adj[id] {
-		delete(w.edgeCount, edgeKey{from: id, to: e.To, kind: e.Kind})
-		if in := w.radj[e.To]; in != nil {
-			delete(in, id)
-			if len(in) == 0 {
-				delete(w.radj, e.To)
-			}
-		}
-	}
-	delete(w.adj, id)
-	for from := range w.radj[id] {
-		out := w.adj[from]
-		kept := out[:0]
-		for _, e := range out {
-			if e.To == id {
-				delete(w.edgeCount, edgeKey{from: from, to: id, kind: e.Kind})
-				continue
-			}
-			kept = append(kept, e)
-		}
-		if len(kept) == 0 {
-			delete(w.adj, from)
-		} else {
-			w.adj[from] = kept
-		}
-	}
-	delete(w.radj, id)
-
-	cleanRow := func(rk string) {
-		r := w.rows[rk]
-		if r == nil {
-			return
-		}
-		installs := r.installs[:0]
-		for _, in := range r.installs {
-			if in.tx != id {
-				installs = append(installs, in)
-			}
-		}
-		r.installs = installs
-		for v, tx := range r.writerOf {
-			if tx == id {
-				delete(r.writerOf, v)
-			}
-		}
-		tracked := r.tracked[:0]
-		for _, tr := range r.tracked {
-			if tr.tx != id {
-				tracked = append(tracked, tr)
-			}
-		}
-		r.tracked = tracked
-		if len(r.installs) == 0 && len(r.writerOf) == 0 && len(r.tracked) == 0 {
-			delete(w.rows, rk)
-		}
-	}
-	for _, wr := range t.writes {
-		cleanRow(wr.rk)
-	}
-	for _, rr := range t.reads {
-		cleanRow(rr.rk)
-	}
-	for rk := range t.pendingRows {
-		cleanRow(rk)
-	}
-	w.bufEvents -= len(t.events)
-	delete(w.txs, id)
 }
 
 func (w *Watcher) publishWindow() {
-	n := len(w.txs)
+	n := len(w.bufs)
 	mWindowTxns.Set(int64(n))
 	w.mu.Lock()
 	w.windowSize = n
 	w.mu.Unlock()
 }
 
-// refreshDerived recomputes the almost-cycle gauge from the window's buffered
-// events (the near-miss pressure signal feralhunt steers by, exported for
-// operators) and republishes the window gauge. Expensive — O(window events) —
-// so the loop runs it on the almostRefresh* cadence and at sync points, never
-// per event.
+// refreshDerived recomputes the almost-cycle gauge (the near-miss pressure
+// signal feralhunt steers by, exported for operators) and republishes the
+// window gauge. Expensive — it visits every read in the window — so the loop
+// runs it on the almostRefresh* cadence and at sync points, never per event.
 func (w *Watcher) refreshDerived() {
 	w.sinceAlmost = 0
-	var events []histcheck.Event
-	for _, t := range w.txs {
-		events = append(events, t.events...)
-	}
-	sort.Slice(events, func(i, j int) bool { return events[i].Seq < events[j].Seq })
-	n := len(histcheck.AlmostCycles(events))
-	mAlmostCycles.Set(int64(n))
-	w.mu.Lock()
-	w.almost = n
-	w.mu.Unlock()
+	mAlmostCycles.Set(int64(len(w.graph.AlmostCycles())))
 	w.publishWindow()
 }
 
@@ -1056,7 +513,6 @@ func (w *Watcher) Stats() Stats {
 	s.Evictions = w.evictions
 	s.Truncated = w.truncations
 	s.Forbidden = w.forbidden
-	s.Almost = w.almost
 	for a, n := range w.anomalies {
 		s.Anomalies[a] = n
 	}

@@ -341,7 +341,9 @@ func TestInsideWindowNoFalseNegative(t *testing.T) {
 // TestShedAndCount fills the ring with no consumer draining it and checks
 // that Offer never blocks, reports the drop, and counts it.
 func TestShedAndCount(t *testing.T) {
-	w := New(Config{SampleRate: 1, RingSize: 4})
+	lim := defaultLimits
+	lim.ring = 4
+	w := newWatcher(Config{SampleRate: 1}, lim)
 	w.Stop() // consumer gone; the ring can only fill
 
 	accepted, shed := 0, 0
@@ -398,7 +400,9 @@ func TestSamplingDeterministic(t *testing.T) {
 // NoteConflict, ids the base rate rejects are sampled until the budget runs
 // out.
 func TestConflictEscalation(t *testing.T) {
-	w := New(Config{SampleRate: 0, EscalationBudget: 3})
+	lim := defaultLimits
+	lim.escalation = 3
+	w := newWatcher(Config{SampleRate: 0}, lim)
 	defer w.Stop()
 
 	if w.SampleTx(1) {
@@ -514,10 +518,12 @@ func TestWitnessMetadata(t *testing.T) {
 	}
 }
 
-// TestWitnessRingBound checks MaxWitnesses caps retention while the counters
-// keep counting.
+// TestWitnessRingBound checks limits.witnesses caps retention while the
+// counters keep counting.
 func TestWitnessRingBound(t *testing.T) {
-	w := New(Config{SampleRate: 1, MaxWitnesses: 2, WindowTxns: 8})
+	lim := defaultLimits
+	lim.witnesses = 2
+	w := newWatcher(Config{SampleRate: 1, WindowTxns: 8}, lim)
 	defer w.Stop()
 
 	var events []histcheck.Event
@@ -565,121 +571,87 @@ func TestAbortedTxProducesNoEdges(t *testing.T) {
 	}
 }
 
-// TestRandomizedParity cross-checks live vs offline class sets over many
-// generated histories — a lightweight differential fuzz of the two checkers.
-func TestRandomizedParity(t *testing.T) {
-	rng := splitRng(0xfeedface)
-	for trial := 0; trial < 150; trial++ {
-		events := genHistory(rng, 6, 4)
-		offline := classSet(histcheck.Check(events).Classes())
+// feedChunked offers events with a Drain every few thousand, so histories
+// longer than the ring never shed.
+func feedChunked(t *testing.T, w *Watcher, events []histcheck.Event) {
+	t.Helper()
+	for len(events) > 4096 {
+		feed(t, w, events[:4096])
+		events = events[4096:]
+	}
+	feed(t, w, events)
+}
 
-		w := New(Config{SampleRate: 1})
-		feed(t, w, events)
-		st := w.Stats()
-		live := classSet(w.Classes())
-		w.Stop()
+// TestResidentCycleCountedOnce pins that finding dedup lasts as long as the
+// participants are resident: a G-single cycle stays in the window while more
+// than 16,384 unrelated G1a findings pass (the size at which the dedup map
+// used to be cleared wholesale), then one more edge forces a
+// reclassification. The cycle must still count once.
+func TestResidentCycleCountedOnce(t *testing.T) {
+	w := New(Config{SampleRate: 1, WindowTxns: 1 << 16})
+	defer w.Stop()
 
-		if st.Shed != 0 || st.Truncated != 0 {
-			continue
-		}
-		// The final live graph converges to the offline one, and detection runs
-		// at the last commit, so live must find every offline class.
-		for c := range offline {
-			if !live[c] {
-				t.Errorf("trial %d: offline found %s, live did not\nlive=%v offline=%v\nhistory:\n%s",
-					trial, c, live, offline, dumpHistory(events))
-			}
-		}
-		// The reverse holds only when no rw edge was retargeted: a retarget
-		// means intermediate detection saw a transient edge the final graph
-		// lacks. Generated histories install out of commit order, so some
-		// trials exercise this; engine feeds never do.
-		if st.Retargets != 0 {
-			continue
-		}
-		for c := range live {
-			if !offline[c] {
-				t.Errorf("trial %d: live found %s, offline did not\nlive=%v offline=%v\nhistory:\n%s",
-					trial, c, live, offline, dumpHistory(events))
-			}
-		}
+	events := append([]histcheck.Event(nil), anomalyHistories[4].events...) // G-single
+	events = append(events, begin(50, rc), write(50, 99, 5))
+	const readers = 16500
+	for id := uint64(1000); id < 1000+readers; id++ {
+		events = append(events, begin(id, rc), read(id, 99, 5), commit(id))
+	}
+	events = append(events, abort(50))
+	// A fresh ww edge between two bystanders dirties the graph.
+	events = append(events,
+		begin(60, rc), begin(61, rc),
+		write(60, 98, 1), commit(60),
+		write(61, 98, 2), commit(61))
+	feedChunked(t, w, hist(events...))
+
+	st := w.Stats()
+	if st.Evictions != 0 {
+		t.Fatalf("window too small for the test: %d evictions", st.Evictions)
+	}
+	if st.Anomalies[histcheck.G1a] != readers {
+		t.Errorf("counted %d G1a, want %d", st.Anomalies[histcheck.G1a], readers)
+	}
+	if st.Anomalies[histcheck.GSingle] != 1 {
+		t.Errorf("resident G-single cycle counted %d times, want 1", st.Anomalies[histcheck.GSingle])
 	}
 }
 
-// splitRng is a deterministic PRNG over splitmix64 so the fuzz trials are
-// reproducible without math/rand seeding.
-func splitRng(seed uint64) func(n uint64) uint64 {
-	state := seed
-	return func(n uint64) uint64 {
-		state++
-		return splitmix64(state) % n
+// TestReadsBeyondWitnessCapReachTheGraph pins that maxTxEvents bounds the
+// witness buffer only: the 300th read of a scan closes a G-single cycle, and
+// the live verdict must match the offline one.
+func TestReadsBeyondWitnessCapReachTheGraph(t *testing.T) {
+	const scan = 300
+	if scan <= maxTxEvents {
+		t.Fatal("scan must exceed the witness buffer")
 	}
-}
+	events := []histcheck.Event{begin(10, rc)}
+	for row := uint64(1); row <= scan; row++ {
+		events = append(events, write(10, row, 1))
+	}
+	events = append(events, commit(10), begin(1, rc), begin(2, rc))
+	for row := uint64(1); row <= scan; row++ {
+		events = append(events, read(1, row, 1))
+	}
+	events = append(events,
+		write(2, scan, 2), write(2, 1000, 1), commit(2),
+		write(1, 1000, 2), commit(1))
+	events = hist(events...)
 
-// genHistory emits a random but well-formed history: every write installs a
-// fresh version per row (monotonic, like commit timestamps), reads observe a
-// version previously written to the row, and every transaction closes.
-func genHistory(rng func(uint64) uint64, txns, rows int) []histcheck.Event {
-	type txGen struct {
-		id     uint64
-		closed bool
-	}
-	var (
-		events  []histcheck.Event
-		seq     uint64
-		nextVer = make([]uint64, rows)
-		seen    = make([][]uint64, rows) // versions ever written per row
-		open    []*txGen
-	)
-	add := func(e histcheck.Event) {
-		seq++
-		e.Seq = seq
-		events = append(events, e)
-	}
-	for i := 0; i < txns; i++ {
-		open = append(open, &txGen{id: uint64(i + 1)})
-		add(begin(uint64(i+1), rc))
-	}
-	steps := txns * 6
-	for s := 0; s < steps; s++ {
-		t := open[rng(uint64(len(open)))]
-		if t.closed {
-			continue
-		}
-		switch rng(4) {
-		case 0: // read a version some transaction wrote (may be uncommitted)
-			r := rng(uint64(len(seen)))
-			if len(seen[r]) == 0 {
-				continue
-			}
-			v := seen[r][rng(uint64(len(seen[r])))]
-			add(read(t.id, uint64(r+1), v))
-		case 1, 2: // write the next version of a row
-			r := rng(uint64(len(nextVer)))
-			nextVer[r]++
-			seen[r] = append(seen[r], nextVer[r])
-			add(write(t.id, uint64(r+1), nextVer[r]))
-		case 3: // close
-			if rng(5) == 0 {
-				add(abort(t.id))
-			} else {
-				add(commit(t.id))
-			}
-			t.closed = true
-		}
-	}
-	for _, t := range open {
-		if !t.closed {
-			add(commit(t.id))
-		}
-	}
-	return events
-}
+	w := New(Config{SampleRate: 1})
+	defer w.Stop()
+	feed(t, w, events)
 
-func dumpHistory(events []histcheck.Event) string {
-	var b bytes.Buffer
-	for _, e := range events {
-		fmt.Fprintf(&b, "  %+v\n", e)
+	if st := w.Stats(); st.Shed != 0 || st.Truncated != 0 {
+		t.Fatalf("window not clean: %+v", st)
 	}
-	return b.String()
+	live, offline := fmt.Sprint(w.Classes()), fmt.Sprint(histcheck.Check(events).Classes())
+	if live != offline || !classSet(w.Classes())[histcheck.GSingle] {
+		t.Errorf("live %s, offline %s; want both [G-single]", live, offline)
+	}
+	for _, wit := range w.Witnesses() {
+		if !wit.Truncated {
+			t.Errorf("witness for %v not marked truncated although T1's buffer overflowed", wit.Txs)
+		}
+	}
 }

@@ -26,91 +26,46 @@ func (a AlmostCycle) String() string {
 }
 
 // AlmostCycles scans a history for wr edges with no rw edge in the opposite
-// direction, deduplicated on (writer, reader) with the first (table, row)
-// witness kept, and returned in deterministic (writer, reader) order. The
-// writer must have committed (only installed versions define edges); the
-// reader need only have terminated — a reader that observed the writer's
-// install and then rolled back is the strongest steering signal of all, since
-// a feral validation that refused because it saw the install will proceed
-// once the writer's commit is held back. An empty result means the schedule
-// kept every read isolated from every concurrent writer — nothing to steer
-// toward, so the hunter falls back to random schedules.
-func AlmostCycles(events []Event) []AlmostCycle {
-	committed := map[uint64]bool{}
-	terminated := map[uint64]bool{}
-	for i := range events {
-		switch events[i].Kind {
-		case KindCommit:
-			committed[events[i].Tx] = true
-			terminated[events[i].Tx] = true
-		case KindAbort:
-			terminated[events[i].Tx] = true
-		}
-	}
+// direction; see Graph.AlmostCycles.
+func AlmostCycles(events []Event) []AlmostCycle { return graphOf(events).AlmostCycles() }
 
-	rowKey := func(e *Event) string { return e.Table + "\x00" + fmt.Sprint(e.Row) }
-
-	// Version writers and the committed install order per row, mirroring
-	// Check's reconstruction.
-	writerOf := map[string]map[uint64]uint64{}
-	type inst struct {
-		version uint64
-		tx      uint64
-		seq     uint64
-	}
-	installs := map[string][]inst{}
-	for i := range events {
-		e := &events[i]
-		if e.Kind != KindWrite || e.Version == 0 || !committed[e.Tx] {
-			continue
-		}
-		rk := rowKey(e)
-		if writerOf[rk] == nil {
-			writerOf[rk] = map[uint64]uint64{}
-		}
-		if _, dup := writerOf[rk][e.Version]; !dup {
-			writerOf[rk][e.Version] = e.Tx
-		}
-		installs[rk] = append(installs[rk], inst{version: e.Version, tx: e.Tx, seq: e.Seq})
-	}
-	for _, list := range installs {
-		sort.Slice(list, func(i, j int) bool {
-			if list[i].version != list[j].version {
-				return list[i].version < list[j].version
-			}
-			return list[i].seq < list[j].seq
-		})
-	}
-
+// AlmostCycles returns the wr edges with no rw edge in the opposite
+// direction, deduplicated on (writer, reader) with the reader's first
+// (table, row) witness kept, in (writer, reader) order. The writer must have
+// committed (only installed versions define edges); the reader need only have
+// terminated — a reader that observed the writer's install and then rolled
+// back is the strongest steering signal of all, since a feral validation that
+// refused because it saw the install will proceed once the writer's commit is
+// held back. An empty result means every read stayed isolated from every
+// concurrent writer — nothing to steer toward, so the hunter falls back to
+// random schedules.
+func (g *Graph) AlmostCycles() []AlmostCycle {
 	type pair struct{ from, to uint64 }
 	wr := map[pair]AlmostCycle{}
 	rw := map[pair]bool{}
-	var order []pair
-	for i := range events {
-		e := &events[i]
-		if e.Kind != KindRead || e.Own || e.Observed == 0 || !terminated[e.Tx] {
+	for id, t := range g.txs {
+		if !t.committed && !t.aborted {
 			continue
 		}
-		rk := rowKey(e)
-		if w, known := writerOf[rk][e.Observed]; known && w != e.Tx {
-			p := pair{from: w, to: e.Tx}
-			if _, dup := wr[p]; !dup {
-				wr[p] = AlmostCycle{Writer: w, Reader: e.Tx, Table: e.Table, Row: e.Row}
-				order = append(order, p)
+		for _, rd := range t.reads {
+			r := g.rows[rd.rk]
+			if r == nil {
+				continue
 			}
-		}
-		if list := installs[rk]; list != nil {
-			idx := sort.Search(len(list), func(i int) bool { return list[i].version > e.Observed })
-			if idx < len(list) && list[idx].tx != e.Tx {
-				rw[pair{from: e.Tx, to: list[idx].tx}] = true
+			if w, ok := r.installer(rd.observed); ok && w != id {
+				if _, dup := wr[pair{w, id}]; !dup {
+					wr[pair{w, id}] = AlmostCycle{Writer: w, Reader: id, Table: rd.rk.table, Row: rd.rk.row}
+				}
+			}
+			if i := r.successor(rd.observed); i < len(r.installs) && r.installs[i].tx != id {
+				rw[pair{id, r.installs[i].tx}] = true
 			}
 		}
 	}
-
 	var out []AlmostCycle
-	for _, p := range order {
-		if !rw[pair{from: p.to, to: p.from}] {
-			out = append(out, wr[p])
+	for p, a := range wr {
+		if !rw[pair{p.to, p.from}] {
+			out = append(out, a)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

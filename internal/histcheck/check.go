@@ -141,133 +141,17 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// edgeKind labels a direct-serialization-graph edge.
-type edgeKind uint8
-
-const (
-	edgeWW edgeKind = iota // Ti installed a version, Tj installed its successor
-	edgeWR                 // Ti installed a version Tj read
-	edgeRW                 // Ti read a version whose successor Tj installed
-)
-
-func (k edgeKind) String() string {
-	switch k {
-	case edgeWW:
-		return "ww"
-	case edgeWR:
-		return "wr"
-	default:
-		return "rw"
-	}
-}
-
-type edge struct {
-	from, to uint64
-	kind     edgeKind
-	label    string // e.g. "users r3: v2->v7"
-}
-
-// txInfo aggregates one transaction's events.
-type txInfo struct {
-	id        uint64
-	level     string
-	committed bool
-	aborted   bool
-}
-
-// install is one committed (or, in synthetic histories, dirty) version.
-type install struct {
-	version uint64
-	tx      uint64
-	op      string
-	seq     uint64
-}
-
-// maxWitnessesPerClass bounds how many findings of one anomaly class a
-// single strongly connected component contributes, so pathological histories
-// stay readable. Presence/absence per class is still exact.
-const maxWitnessesPerClass = 2
-
-// Check builds the direct serialization graph for a history and returns the
-// anomalies it contains. Transactions with no commit or abort event (still
+// Check builds the direct serialization graph of a whole history and returns
+// the anomalies it contains. Transactions with no commit or abort event (still
 // in flight when the history was captured) are ignored, as are their writes.
 func Check(events []Event) *Report {
-	txs := map[uint64]*txInfo{}
-	get := func(id uint64) *txInfo {
-		t := txs[id]
-		if t == nil {
-			t = &txInfo{id: id}
-			txs[id] = t
-		}
-		return t
+	g := graphOf(events)
+	rep := &Report{Edges: make(map[string]int, len(g.kinds))}
+	for k, n := range g.kinds {
+		rep.Edges[edgeKind(k).String()] = n
 	}
-
-	type rowVersions struct {
-		installs []install
-	}
-	rows := map[string]*rowVersions{}          // table\x00row -> committed installs
-	writerOf := map[string]map[uint64]uint64{} // rowKey -> version -> writer tx (any outcome)
-	// finalWrite tracks, per (tx, rowKey), the version of the tx's last
-	// write event to that row — the value every other transaction is allowed
-	// to read. Earlier versions are intermediate (G1b).
-	finalWrite := map[uint64]map[string]uint64{}
-
-	rowKey := func(e *Event) string { return e.Table + "\x00" + fmt.Sprint(e.Row) }
-
-	for i := range events {
-		e := &events[i]
-		t := get(e.Tx)
-		switch e.Kind {
-		case KindBegin:
-			t.level = e.Level
-		case KindCommit:
-			t.committed = true
-		case KindAbort:
-			t.aborted = true
-		case KindWrite:
-			if e.Version == 0 {
-				continue // never installed (aborted in-engine); invisible
-			}
-			rk := rowKey(e)
-			if writerOf[rk] == nil {
-				writerOf[rk] = map[uint64]uint64{}
-			}
-			if _, dup := writerOf[rk][e.Version]; !dup {
-				writerOf[rk][e.Version] = e.Tx
-			}
-			if finalWrite[e.Tx] == nil {
-				finalWrite[e.Tx] = map[string]uint64{}
-			}
-			finalWrite[e.Tx][rk] = e.Version // later events overwrite: last wins
-		}
-	}
-
-	// Committed installs define the version order per row.
-	for i := range events {
-		e := &events[i]
-		if e.Kind != KindWrite || e.Version == 0 || !get(e.Tx).committed {
-			continue
-		}
-		rk := rowKey(e)
-		rv := rows[rk]
-		if rv == nil {
-			rv = &rowVersions{}
-			rows[rk] = rv
-		}
-		rv.installs = append(rv.installs, install{version: e.Version, tx: e.Tx, op: e.Op, seq: e.Seq})
-	}
-	for _, rv := range rows {
-		sort.Slice(rv.installs, func(i, j int) bool {
-			if rv.installs[i].version != rv.installs[j].version {
-				return rv.installs[i].version < rv.installs[j].version
-			}
-			return rv.installs[i].seq < rv.installs[j].seq
-		})
-	}
-
-	rep := &Report{Edges: map[string]int{"ww": 0, "wr": 0, "rw": 0}}
-	levelSet := map[string]bool{}
-	for _, t := range txs {
+	levels := map[string]bool{}
+	for _, t := range g.txs {
 		rep.Transactions++
 		if t.committed {
 			rep.Committed++
@@ -275,376 +159,15 @@ func Check(events []Event) *Report {
 		if t.aborted {
 			rep.Aborted++
 		}
-		if t.level != "" {
-			levelSet[t.level] = true
+		if t.level != "" && !levels[t.level] {
+			levels[t.level] = true
+			rep.Levels = append(rep.Levels, t.level)
 		}
-	}
-	for l := range levelSet {
-		rep.Levels = append(rep.Levels, l)
 	}
 	sort.Strings(rep.Levels)
-
-	// Edge construction. Adjacency is deduplicated on (from, to, kind); the
-	// first label wins, which keeps witnesses stable for a fixed history.
-	adj := map[uint64][]edge{}
-	seenEdge := map[[3]uint64]bool{}
-	addEdge := func(from, to uint64, kind edgeKind, label string) {
-		if from == to {
-			return
-		}
-		k := [3]uint64{from, to, uint64(kind)}
-		if seenEdge[k] {
-			return
-		}
-		seenEdge[k] = true
-		adj[from] = append(adj[from], edge{from: from, to: to, kind: kind, label: label})
-		rep.Edges[kind.String()]++
-	}
-	prettyRow := func(rk string) string {
-		parts := strings.SplitN(rk, "\x00", 2)
-		if len(parts) == 2 {
-			return parts[0] + " r" + parts[1]
-		}
-		return rk
-	}
-
-	// ww: consecutive committed versions of one row.
-	for rk, rv := range rows {
-		for i := 1; i < len(rv.installs); i++ {
-			a, b := rv.installs[i-1], rv.installs[i]
-			addEdge(a.tx, b.tx, edgeWW, fmt.Sprintf("%s: v%d->v%d", prettyRow(rk), a.version, b.version))
-		}
-	}
-
-	// wr and rw from committed reads; G1a/G1b fall out of the same pass.
-	var flat []Finding
-	g1Seen := map[string]bool{} // dedup key for direct (non-cyclic) findings
-	for i := range events {
-		e := &events[i]
-		if e.Kind != KindRead || e.Own || e.Observed == 0 {
-			continue
-		}
-		reader := get(e.Tx)
-		if !reader.committed {
-			continue
-		}
-		rk := rowKey(e)
-		writerID, known := uint64(0), false
-		if m := writerOf[rk]; m != nil {
-			writerID, known = m[e.Observed]
-		}
-		if known {
-			w := get(writerID)
-			switch {
-			case w.aborted:
-				key := fmt.Sprintf("G1a|%d|%d|%s|%d", e.Tx, writerID, rk, e.Observed)
-				if !g1Seen[key] {
-					g1Seen[key] = true
-					flat = append(flat, Finding{
-						Anomaly: G1a,
-						Txs:     []uint64{e.Tx, writerID},
-						Levels:  []string{reader.level, w.level},
-						Witness: fmt.Sprintf("T%d read %s v%d installed by aborted T%d",
-							e.Tx, prettyRow(rk), e.Observed, writerID),
-					})
-				}
-			case w.committed:
-				if final := finalWrite[writerID][rk]; final != e.Observed {
-					key := fmt.Sprintf("G1b|%d|%d|%s|%d", e.Tx, writerID, rk, e.Observed)
-					if !g1Seen[key] {
-						g1Seen[key] = true
-						flat = append(flat, Finding{
-							Anomaly: G1b,
-							Txs:     []uint64{e.Tx, writerID},
-							Levels:  []string{reader.level, w.level},
-							Witness: fmt.Sprintf("T%d read %s v%d, an intermediate write of T%d (final v%d)",
-								e.Tx, prettyRow(rk), e.Observed, writerID, final),
-						})
-					}
-				}
-				addEdge(writerID, e.Tx, edgeWR,
-					fmt.Sprintf("%s: T%d installed v%d, read by T%d", prettyRow(rk), writerID, e.Observed, e.Tx))
-			}
-		}
-		// rw: the reader depends on the absence of the observed version's
-		// committed successor.
-		if rv := rows[rk]; rv != nil {
-			idx := sort.Search(len(rv.installs), func(i int) bool {
-				return rv.installs[i].version > e.Observed
-			})
-			if idx < len(rv.installs) {
-				succ := rv.installs[idx]
-				addEdge(e.Tx, succ.tx, edgeRW,
-					fmt.Sprintf("%s: read v%d, overwritten by v%d", prettyRow(rk), e.Observed, succ.version))
-			}
-		}
-	}
-
-	cyclic := findCycles(adj, txs)
-	rep.Findings = append(flat, cyclic...)
-	for i := range rep.Findings {
-		f := &rep.Findings[i]
-		for _, lvl := range f.Levels {
-			if !Allowed(lvl)[f.Anomaly] {
-				f.Forbidden = true
-				break
-			}
-		}
-	}
+	rep.Findings = g.Findings()
 	sort.SliceStable(rep.Findings, func(i, j int) bool {
 		return rep.Findings[i].Forbidden && !rep.Findings[j].Forbidden
 	})
 	return rep
-}
-
-// findCycles detects the cyclic phenomena (G0, G1c, G-single, G2-item) and
-// returns one finding per witness, bounded per class and strongly connected
-// component.
-func findCycles(adj map[uint64][]edge, txs map[uint64]*txInfo) []Finding {
-	comps := sccs(adj)
-	var out []Finding
-	for _, comp := range comps {
-		if len(comp) < 2 {
-			continue // self-edges are never added, so singletons are acyclic
-		}
-		in := map[uint64]bool{}
-		for _, n := range comp {
-			in[n] = true
-		}
-		member := func(e edge) bool { return in[e.to] }
-
-		counts := map[Anomaly]int{}
-		record := func(a Anomaly, cycle []edge) {
-			if counts[a] >= maxWitnessesPerClass {
-				return
-			}
-			counts[a]++
-			f := Finding{Anomaly: a, Witness: formatCycle(cycle)}
-			for _, e := range cycle {
-				f.Txs = append(f.Txs, e.from)
-				f.Levels = append(f.Levels, txs[e.from].level)
-			}
-			out = append(out, f)
-		}
-
-		// G0: a cycle of only ww edges.
-		for _, n := range comp {
-			if counts[G0] >= maxWitnessesPerClass {
-				break
-			}
-			for _, e := range adj[n] {
-				if e.kind != edgeWW || !member(e) {
-					continue
-				}
-				if path := shortestPath(adj, e.to, e.from, in, func(x edge) bool { return x.kind == edgeWW }); path != nil {
-					record(G0, append([]edge{e}, path...))
-					break
-				}
-			}
-		}
-		// G1c: a ww/wr cycle through at least one wr edge.
-		for _, n := range comp {
-			if counts[G1c] >= maxWitnessesPerClass {
-				break
-			}
-			for _, e := range adj[n] {
-				if e.kind != edgeWR || !member(e) {
-					continue
-				}
-				if path := shortestPath(adj, e.to, e.from, in, func(x edge) bool { return x.kind != edgeRW }); path != nil {
-					record(G1c, append([]edge{e}, path...))
-					break
-				}
-			}
-		}
-		// G-single vs G2-item: for every rw edge inside the component, a
-		// ww/wr return path closes a cycle with exactly one anti-dependency
-		// (G-single), and a return path crossing another rw edge closes one
-		// with at least two (G2-item). Both are checked independently — the
-		// same rw edge can participate in cycles of both classes, and the live
-		// checker detects on growing edge sets, so class presence must be
-		// monotone under edge addition for the two verdicts to agree.
-		for _, n := range comp {
-			if counts[GSingle] >= maxWitnessesPerClass && counts[G2Item] >= maxWitnessesPerClass {
-				break
-			}
-			for _, e := range adj[n] {
-				if e.kind != edgeRW || !member(e) {
-					continue
-				}
-				if path := shortestPath(adj, e.to, e.from, in, func(x edge) bool { return x.kind != edgeRW }); path != nil {
-					record(GSingle, append([]edge{e}, path...))
-				}
-				if path := rwReturnPath(adj, e.to, e.from, in); path != nil {
-					record(G2Item, append([]edge{e}, path...))
-				}
-				if counts[GSingle] >= maxWitnessesPerClass && counts[G2Item] >= maxWitnessesPerClass {
-					break
-				}
-			}
-		}
-	}
-	return out
-}
-
-// shortestPath returns the edges of a shortest path from src to dst using
-// only edges admitted by ok, restricted to nodes with in[node], or nil.
-func shortestPath(adj map[uint64][]edge, src, dst uint64, in map[uint64]bool, ok func(edge) bool) []edge {
-	if src == dst {
-		return []edge{}
-	}
-	parent := map[uint64]edge{}
-	visited := map[uint64]bool{src: true}
-	queue := []uint64{src}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, e := range adj[n] {
-			if !ok(e) || !in[e.to] || visited[e.to] {
-				continue
-			}
-			visited[e.to] = true
-			parent[e.to] = e
-			if e.to == dst {
-				var path []edge
-				for at := dst; at != src; {
-					pe := parent[at]
-					path = append([]edge{pe}, path...)
-					at = pe.from
-				}
-				return path
-			}
-			queue = append(queue, e.to)
-		}
-	}
-	return nil
-}
-
-// rwReturnPath returns the edges of a shortest path from src to dst that
-// crosses at least one rw edge, restricted to nodes with in[node] and never
-// extending through dst. Prepending the rw edge dst->src closes a cycle
-// carrying two or more anti-dependencies (G2-item) even when an rw-free
-// return path also exists (that one the G-single branch reports separately).
-// The search runs over (node, crossed-an-rw) states, so a node may be visited
-// once per flag value.
-func rwReturnPath(adj map[uint64][]edge, src, dst uint64, in map[uint64]bool) []edge {
-	if src == dst {
-		return nil
-	}
-	type state struct {
-		node uint64
-		rw   bool
-	}
-	start := state{node: src}
-	parentS := map[state]state{}
-	parentE := map[state]edge{}
-	visited := map[state]bool{start: true}
-	queue := []state{start}
-	for len(queue) > 0 {
-		s := queue[0]
-		queue = queue[1:]
-		if s.node == dst {
-			continue // the destination terminates a path, never extends one
-		}
-		for _, e := range adj[s.node] {
-			if !in[e.to] {
-				continue
-			}
-			ns := state{node: e.to, rw: s.rw || e.kind == edgeRW}
-			if visited[ns] {
-				continue
-			}
-			visited[ns] = true
-			parentS[ns] = s
-			parentE[ns] = e
-			if e.to == dst && ns.rw {
-				var path []edge
-				for at := ns; at != start; at = parentS[at] {
-					path = append([]edge{parentE[at]}, path...)
-				}
-				return path
-			}
-			queue = append(queue, ns)
-		}
-	}
-	return nil
-}
-
-// formatCycle renders a cycle as "T1 --kind[label]--> T2 --...--> T1".
-func formatCycle(cycle []edge) string {
-	var b strings.Builder
-	for _, e := range cycle {
-		fmt.Fprintf(&b, "T%d --%s[%s]--> ", e.from, e.kind, e.label)
-	}
-	fmt.Fprintf(&b, "T%d", cycle[0].from)
-	return b.String()
-}
-
-// sccs computes strongly connected components with an iterative Tarjan, so
-// long dependency chains cannot overflow the goroutine stack.
-func sccs(adj map[uint64][]edge) [][]uint64 {
-	index := map[uint64]int{}
-	low := map[uint64]int{}
-	onStack := map[uint64]bool{}
-	var stack []uint64
-	var comps [][]uint64
-	next := 0
-
-	type frame struct {
-		node uint64
-		ei   int
-	}
-	for start := range adj {
-		if _, seen := index[start]; seen {
-			continue
-		}
-		frames := []frame{{node: start}}
-		index[start] = next
-		low[start] = next
-		next++
-		stack = append(stack, start)
-		onStack[start] = true
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			edges := adj[f.node]
-			if f.ei < len(edges) {
-				to := edges[f.ei].to
-				f.ei++
-				if _, seen := index[to]; !seen {
-					index[to] = next
-					low[to] = next
-					next++
-					stack = append(stack, to)
-					onStack[to] = true
-					frames = append(frames, frame{node: to})
-				} else if onStack[to] && index[to] < low[f.node] {
-					low[f.node] = index[to]
-				}
-				continue
-			}
-			// Node finished: pop, propagate lowlink, maybe emit component.
-			n := f.node
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				p := frames[len(frames)-1].node
-				if low[n] < low[p] {
-					low[p] = low[n]
-				}
-			}
-			if low[n] == index[n] {
-				var comp []uint64
-				for {
-					m := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[m] = false
-					comp = append(comp, m)
-					if m == n {
-						break
-					}
-				}
-				comps = append(comps, comp)
-			}
-		}
-	}
-	return comps
 }

@@ -1,15 +1,16 @@
 // Package histcheck records per-transaction operation histories and checks
-// them offline against Adya's dependency-graph isolation model.
+// them against Adya's dependency-graph isolation model, offline or live.
 //
 // The storage engine (behind Options.RecordHistory) appends one Event per
 // transaction begin, item read, predicate read, installed write, commit, and
-// abort. The checker reconstructs the per-row version order from the
-// installed versions, builds the direct serialization graph — ww
-// (write-dependency), wr (read-dependency), and rw (anti-dependency) edges —
-// and searches it for Adya's phenomena: G0, G1a, G1b, G1c, G-single, and
-// G2-item. Each history then classifies as PASS or FAIL against the
-// isolation level its transactions ran under, with a human-readable cycle
-// witness for every anomaly found.
+// abort. Graph builds the direct serialization graph from those events one at
+// a time — ww (write-dependency), wr (read-dependency), and rw
+// (anti-dependency) edges over the per-row version order — and classifies it
+// for Adya's phenomena: G0, G1a, G1b, G1c, G-single, and G2-item. Check feeds
+// a Graph a complete history and classifies once at the end, so a history is
+// PASS or FAIL against the isolation level its transactions ran under, with a
+// human-readable cycle witness for every anomaly found; the live watcher
+// (internal/anomalywatch) feeds the same Graph sampled events as they happen.
 //
 // The package deliberately imports nothing from the rest of the repository,
 // so the storage engine can emit events directly and every layer above

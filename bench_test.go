@@ -6,7 +6,6 @@ package feralcc_test
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -78,8 +77,7 @@ func BenchmarkFig2UniquenessStress(b *testing.B) {
 		Workers:     []int{8},
 		Concurrency: 16,
 		Rounds:      10,
-		Isolation:   storage.ReadCommitted,
-		ThinkTime:   500 * time.Microsecond,
+		CellEnv:     experiment.CellEnv{Isolation: storage.ReadCommitted, ThinkTime: 500 * time.Microsecond},
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -96,9 +94,8 @@ func BenchmarkFig3UniquenessWorkload(b *testing.B) {
 		Clients:       16,
 		OpsPerClient:  20,
 		Workers:       16,
-		Isolation:     storage.ReadCommitted,
 		Seed:          2015,
-		ThinkTime:     200 * time.Microsecond,
+		CellEnv:       experiment.CellEnv{Isolation: storage.ReadCommitted, ThinkTime: 200 * time.Microsecond},
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -113,8 +110,7 @@ func BenchmarkFig4AssociationStress(b *testing.B) {
 		Workers:              []int{8},
 		Departments:          10,
 		InsertsPerDepartment: 16,
-		Isolation:            storage.ReadCommitted,
-		ThinkTime:            500 * time.Microsecond,
+		CellEnv:              experiment.CellEnv{Isolation: storage.ReadCommitted, ThinkTime: 500 * time.Microsecond},
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -130,9 +126,8 @@ func BenchmarkFig5AssociationWorkload(b *testing.B) {
 		Clients:          8,
 		Ops:              20,
 		Workers:          8,
-		Isolation:        storage.ReadCommitted,
 		Seed:             2015,
-		ThinkTime:        200 * time.Microsecond,
+		CellEnv:          experiment.CellEnv{Isolation: storage.ReadCommitted, ThinkTime: 200 * time.Microsecond},
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -170,7 +165,7 @@ func BenchmarkFig7Authorship(b *testing.B) {
 
 func BenchmarkSSIBug(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.RunSSIBug(8, 10, 16); err != nil {
+		if _, err := experiment.RunSSIBug(experiment.CellEnv{ThinkTime: time.Millisecond}, 8, 10, 16); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -196,7 +191,7 @@ func BenchmarkAblationIsolation(b *testing.B) {
 		b.Run(level.String(), func(b *testing.B) {
 			d := db.Open(storage.Options{DefaultIsolation: level, LockTimeout: 2 * time.Second})
 			// The probe column is indexed so per-op cost stays O(1) as b.N
-			// grows; the full-scan-vs-index cost is Ablation 4's subject.
+			// grows; the full-scan-vs-index cost is Ablation 3's subject.
 			if err := d.ExecScript("CREATE TABLE kv (id BIGINT PRIMARY KEY, key TEXT, value TEXT); CREATE INDEX ON kv (key)"); err != nil {
 				b.Fatal(err)
 			}
@@ -258,56 +253,7 @@ func BenchmarkAblationConstraintPlacement(b *testing.B) {
 	}
 }
 
-// --- Ablation 3: predicate lock granularity under 2PL --------------------------
-
-func BenchmarkAblationPredicateGranularity(b *testing.B) {
-	grains := map[string]storage.PredicateGranularity{
-		"value-level": storage.ValueGranularity,
-		"table-level": storage.TableGranularity,
-	}
-	for name, g := range grains {
-		b.Run(name, func(b *testing.B) {
-			// A short lock timeout is the deadlock resolver here: under
-			// table granularity, concurrent probe-then-insert transactions
-			// S->X upgrade-deadlock on the table lock, and the timeout/abort
-			// cost is precisely what the ablation measures.
-			d := db.Open(storage.Options{PredicateLocks: g, LockTimeout: 20 * time.Millisecond})
-			if err := d.ExecScript("CREATE TABLE kv (id BIGINT PRIMARY KEY, key TEXT); CREATE INDEX ON kv (key)"); err != nil {
-				b.Fatal(err)
-			}
-			const writers = 4
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			var seq sync.Mutex
-			next := 0
-			for w := 0; w < writers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					conn := d.Connect()
-					defer conn.Close()
-					for {
-						seq.Lock()
-						i := next
-						next++
-						seq.Unlock()
-						if i >= b.N {
-							return
-						}
-						key := storage.Str(fmt.Sprintf("k%d", i))
-						_, _ = conn.Exec("BEGIN ISOLATION LEVEL SERIALIZABLE 2PL")
-						_, _ = conn.Exec("SELECT 1 FROM kv WHERE key = ? LIMIT 1", key)
-						_, _ = conn.Exec("INSERT INTO kv (key) VALUES (?)", key)
-						_, _ = conn.Exec("COMMIT")
-					}
-				}()
-			}
-			wg.Wait()
-		})
-	}
-}
-
-// --- Ablation 4: index presence on the validation probe ------------------------
+// --- Ablation 3: index presence on the validation probe ------------------------
 
 func BenchmarkAblationIndex(b *testing.B) {
 	// The probe finds one row among `rows`. A full-scan probe's time is
@@ -348,7 +294,7 @@ func BenchmarkAblationIndex(b *testing.B) {
 	b.Run("indexed-probe", probe(2000, true))
 }
 
-// --- Ablation 5: embedded vs wire-protocol connection ---------------------------
+// --- Ablation 4: embedded vs wire-protocol connection ---------------------------
 
 func BenchmarkAblationWire(b *testing.B) {
 	store := storage.Open(storage.Options{})

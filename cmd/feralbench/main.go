@@ -31,8 +31,8 @@ func main() {
 		quick   = flag.Bool("quick", false, "scale experiment parameters down ~10x")
 		seed    = flag.Int64("seed", 2015, "corpus and workload seed")
 		think   = flag.Duration("think", time.Millisecond, "simulated application-tier latency per request")
-		faults  = flag.String("faults", "", "fault-injection spec applied to stress experiments, e.g. drop=0.01,latency=5ms (see internal/faultinject)")
-		dataDir = flag.String("data-dir", "", "run fig2/fig3 against durable stores rooted here; anomaly counts are taken after a restart")
+		faults  = flag.String("faults", "", "fault-injection spec applied to every fig2..fig5, isolevels and ssibug cell, e.g. drop=0.01,latency=5ms (see internal/faultinject)")
+		dataDir = flag.String("data-dir", "", "run every fig2..fig5, isolevels and ssibug cell against its own durable store under this directory (emptied first); anomaly counts are taken after a restart")
 		syncPol = flag.String("sync", "off", "WAL sync policy for durable experiment cells: always|interval|off (only meaningful with -data-dir)")
 		metrics = flag.Bool("metrics", true, "append a compact engine metrics snapshot to the output")
 		checkH  = flag.Bool("check-history", false, "record each experiment cell's operation history and fail the cell if the offline isolation checker (internal/histcheck) finds an anomaly its isolation level proscribes; failing histories are saved under $HISTCHECK_WITNESS_DIR")

@@ -22,39 +22,20 @@ type Study struct {
 	Seed int64
 	// Quick scales experiment parameters down (~10x) for smoke runs.
 	Quick bool
-	// ThinkTime is the simulated application-tier latency; see
-	// orm.Session.ThinkTime.
+	// ThinkTime, Faults, Retry, DataDir, Sync, CheckHistory and LiveCheck are
+	// the experiment environment: together with Seed they become the one
+	// experiment.CellEnv — documented field by field there — that every
+	// Figure 2–5, isolevels and ssibug cell runs in (feralbench -think,
+	// -faults, -data-dir, -sync, -check-history, -live-check).
 	ThinkTime time.Duration
-	// Faults is an optional fault-injection spec (feralbench -faults) applied
-	// to the stress experiments' worker connections; see faultinject.ParseSpec.
-	Faults faultinject.Spec
-	// Retry is the workers' automatic retry policy when Faults is armed.
-	// Left zero, it defaults to a small bounded policy whenever Faults is
+	Faults    faultinject.Spec
+	// Retry, left zero, defaults to a small bounded policy whenever Faults is
 	// non-empty, so injected failures degrade throughput instead of results.
-	Retry db.RetryPolicy
-	// DataDir, when non-empty, runs the Figure 2/3 experiments against
-	// durable stores rooted there (one subdirectory per cell) and takes the
-	// anomaly census after a close-and-recover cycle, so reported duplicates
-	// are restart-surviving ones.
-	DataDir string
-	// Sync is the WAL sync policy for those durable stores ("always",
-	// "interval", "off"; feralbench -sync). Empty keeps the historical
-	// default, off — the experiments model process death, and the
-	// close-and-recover cycle is the crash. With the group-commit WAL,
-	// "always" is now a realistic setting for the throughput sweeps.
-	Sync string
-	// CheckHistory records every experiment cell's operation history and runs
-	// the offline isolation checker (internal/histcheck) over it after the
-	// workload quiesces. A cell whose history exhibits an anomaly its
-	// isolation level proscribes fails; anomalies the level admits — the ones
-	// the paper measures — pass. Enabled by feralbench -check-history.
+	Retry        db.RetryPolicy
+	DataDir      string
+	Sync         string
 	CheckHistory bool
-	// LiveCheck attaches the streaming anomaly watcher
-	// (internal/anomalywatch) to every experiment cell at full sampling, so
-	// anomaly counts accumulate on /metrics while the workloads run. With
-	// CheckHistory also set, every cell additionally gates on live/offline
-	// parity. Enabled by feralbench -live-check.
-	LiveCheck bool
+	LiveCheck    bool
 
 	analysis *experiment.CorpusAnalysis
 }
@@ -80,75 +61,77 @@ func (s *Study) Corpus() *corpus.Corpus { return s.Analysis().Corpus }
 // Counts returns the per-application scan results.
 func (s *Study) Counts() []*railsscan.Counts { return s.Analysis().Counts }
 
+// env builds the cell environment the study's settings describe. Isolation
+// stays at the paper's Read Committed default; the isolation sweep and the
+// SSI-bug run set it per cell.
+func (s *Study) env() experiment.CellEnv {
+	env := experiment.CellEnv{
+		ThinkTime:    s.ThinkTime,
+		DataDir:      s.DataDir,
+		Sync:         s.Sync,
+		CheckHistory: s.CheckHistory,
+		LiveCheck:    s.LiveCheck,
+	}
+	if !s.Faults.Empty() {
+		env.Faults = s.Faults
+		env.FaultSeed = s.Seed
+		env.Retry = s.Retry
+		if !env.Retry.Enabled() {
+			env.Retry = db.RetryPolicy{MaxRetries: 5, Seed: uint64(s.Seed)}
+		}
+	}
+	return env
+}
+
 // StressConfig returns the Figure 2 configuration at the study's scale.
 func (s *Study) StressConfig() experiment.StressConfig {
 	cfg := experiment.DefaultStressConfig()
-	cfg.ThinkTime = s.ThinkTime
+	cfg.CellEnv = s.env()
 	if s.Quick {
 		cfg.Workers = []int{1, 4, 16, 64}
 		cfg.Rounds = 20
 		cfg.Concurrency = 32
 	}
-	if !s.Faults.Empty() {
-		cfg.Faults = s.Faults
-		cfg.FaultSeed = s.Seed
-		cfg.Retry = s.Retry
-		if !cfg.Retry.Enabled() {
-			cfg.Retry = db.RetryPolicy{MaxRetries: 5, Seed: uint64(s.Seed)}
-		}
-	}
-	cfg.DataDir = s.DataDir
-	cfg.Sync = s.Sync
-	cfg.CheckHistory = s.CheckHistory
-	cfg.LiveCheck = s.LiveCheck
 	return cfg
 }
 
 // WorkloadConfig returns the Figure 3 configuration at the study's scale.
 func (s *Study) WorkloadConfig() experiment.WorkloadConfig {
 	cfg := experiment.DefaultWorkloadConfig()
+	cfg.CellEnv = s.env()
 	cfg.Seed = s.Seed
-	cfg.ThinkTime = s.ThinkTime
 	if s.Quick {
 		cfg.KeySpaces = []int64{1, 100, 10000, 1000000}
 		cfg.Clients = 32
 		cfg.OpsPerClient = 50
 		cfg.Workers = 32
 	}
-	cfg.DataDir = s.DataDir
-	cfg.Sync = s.Sync
-	cfg.CheckHistory = s.CheckHistory
-	cfg.LiveCheck = s.LiveCheck
 	return cfg
 }
 
 // AssociationStressConfig returns the Figure 4 configuration.
 func (s *Study) AssociationStressConfig() experiment.AssociationStressConfig {
 	cfg := experiment.DefaultAssociationStressConfig()
-	cfg.ThinkTime = s.ThinkTime
+	cfg.CellEnv = s.env()
 	if s.Quick {
 		cfg.Workers = []int{1, 4, 16, 64}
 		cfg.Departments = 25
 		cfg.InsertsPerDepartment = 32
 	}
-	cfg.CheckHistory = s.CheckHistory
-	cfg.LiveCheck = s.LiveCheck
 	return cfg
 }
 
 // AssociationWorkloadConfig returns the Figure 5 configuration.
 func (s *Study) AssociationWorkloadConfig() experiment.AssociationWorkloadConfig {
 	cfg := experiment.DefaultAssociationWorkloadConfig()
+	cfg.CellEnv = s.env()
 	cfg.Seed = s.Seed
-	cfg.ThinkTime = s.ThinkTime
 	if s.Quick {
 		cfg.DepartmentCounts = []int{1, 10, 100, 1000}
 		cfg.Clients = 32
 		cfg.Ops = 50
 		cfg.Workers = 32
 	}
-	cfg.CheckHistory = s.CheckHistory
-	cfg.LiveCheck = s.LiveCheck
 	return cfg
 }
 
@@ -188,19 +171,17 @@ func (s *Study) RunSSIBug() (experiment.SSIBugResult, error) {
 	if s.Quick {
 		workers, rounds, concurrency = 8, 25, 16
 	}
-	return experiment.RunSSIBug(workers, rounds, concurrency)
+	return experiment.RunSSIBug(s.env(), workers, rounds, concurrency)
 }
 
 // RunIsolationSweep runs the extension experiment: both anomaly classes
 // measured at every isolation level the engine implements.
 func (s *Study) RunIsolationSweep() ([]experiment.IsolationSweepPoint, error) {
 	cfg := experiment.DefaultIsolationSweepConfig()
-	cfg.ThinkTime = s.ThinkTime
+	cfg.CellEnv = s.env()
 	if s.Quick {
 		cfg.Workers, cfg.Rounds, cfg.Concurrency = 8, 10, 16
 	}
-	cfg.CheckHistory = s.CheckHistory
-	cfg.LiveCheck = s.LiveCheck
 	return experiment.RunIsolationSweep(cfg)
 }
 

@@ -2,9 +2,14 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"feralcc/internal/db"
+	"feralcc/internal/experiment"
+	"feralcc/internal/faultinject"
 )
 
 func quickStudy() *Study {
@@ -135,5 +140,40 @@ func TestConfigScaling(t *testing.T) {
 	}
 	if len(quick.AssociationWorkloadConfig().DepartmentCounts) >= len(full.AssociationWorkloadConfig().DepartmentCounts) {
 		t.Error("quick mode should sweep fewer department counts")
+	}
+}
+
+// TestConfigsShareOneCellEnv pins that every setting feralbench's
+// cross-cutting flags write reaches every experiment config, identically: no
+// figure drops -data-dir, -sync, -faults, -check-history, -live-check or
+// -think.
+func TestConfigsShareOneCellEnv(t *testing.T) {
+	s := quickStudy()
+	s.Seed = 7
+	s.ThinkTime = 3 * time.Millisecond
+	s.DataDir, s.Sync = "/some/dir", "always"
+	s.CheckHistory, s.LiveCheck = true, true
+	spec, err := faultinject.ParseSpec("drop=0.01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Faults = spec
+	want := experiment.CellEnv{
+		ThinkTime: 3 * time.Millisecond,
+		Faults:    spec, FaultSeed: 7,
+		Retry:   db.RetryPolicy{MaxRetries: 5, Seed: 7},
+		DataDir: "/some/dir", Sync: "always",
+		CheckHistory: true, LiveCheck: true,
+	}
+	for name, got := range map[string]experiment.CellEnv{
+		"StressConfig":              s.StressConfig().CellEnv,
+		"WorkloadConfig":            s.WorkloadConfig().CellEnv,
+		"AssociationStressConfig":   s.AssociationStressConfig().CellEnv,
+		"AssociationWorkloadConfig": s.AssociationWorkloadConfig().CellEnv,
+		"env (isolevels, ssibug)":   s.env(),
+	} {
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s carries %+v, want %+v", name, got, want)
+		}
 	}
 }

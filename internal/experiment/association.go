@@ -1,15 +1,12 @@
 package experiment
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
-	"time"
 
 	"feralcc/internal/appserver"
 	"feralcc/internal/db"
-	"feralcc/internal/orm"
 	"feralcc/internal/storage"
 )
 
@@ -27,17 +24,87 @@ const (
 	InDatabaseFK
 )
 
+// associationVariant is one row of the variant table of Figures 4 and 5: the
+// variant's name in the figures' legends, the models the requests use, the
+// tables and column the orphan census joins, and the remedy DDL applied after
+// migration.
+type associationVariant struct {
+	name             string
+	dept, user       string // models
+	users, fk, depts string // users table, its department column, departments table
+	remedy           string
+}
+
+var associationVariants = [...]associationVariant{
+	NoConstraints: {name: "without validation", dept: "SimpleDepartment", user: "SimpleUser",
+		users: "simple_users", fk: "simple_department_id", depts: "simple_departments"},
+	FeralAssociation: {name: "with validation", dept: "ValidatedDepartment", user: "ValidatedUser",
+		users: "validated_users", fk: "validated_department_id", depts: "validated_departments"},
+	InDatabaseFK: {name: "with validation + in-database FK", dept: "ValidatedDepartment", user: "ValidatedUser",
+		users: "validated_users", fk: "validated_department_id", depts: "validated_departments",
+		remedy: "ALTER TABLE validated_users ADD FOREIGN KEY (validated_department_id) " +
+			"REFERENCES validated_departments ON DELETE CASCADE"},
+}
+
 func (v AssociationVariant) String() string {
-	switch v {
-	case NoConstraints:
-		return "without validation"
-	case FeralAssociation:
-		return "with validation"
-	case InDatabaseFK:
-		return "with validation + in-database FK"
-	default:
-		return fmt.Sprintf("AssociationVariant(%d)", uint8(v))
+	if int(v) < len(associationVariants) {
+		return associationVariants[v].name
 	}
+	return fmt.Sprintf("AssociationVariant(%d)", uint8(v))
+}
+
+// createUser requests a user under department id. Here and in
+// destroyDepartment, validation failures, missing departments and foreign-key
+// violations are the point of the experiments, not errors of them.
+func (v associationVariant) createUser(pool *appserver.Pool, id int64) {
+	_ = pool.Do(func(w *appserver.Worker) error {
+		_, err := w.Session.Create(v.user, map[string]storage.Value{v.fk: storage.Int(id)})
+		return err
+	})
+}
+
+// destroyDepartment requests department id's destruction, cascading as the
+// model declares.
+func (v associationVariant) destroyDepartment(pool *appserver.Pool, id int64) {
+	_ = pool.Do(func(w *appserver.Worker) error {
+		rec, err := w.Session.Find(v.dept, id)
+		if err != nil {
+			return err // already deleted: fine
+		}
+		return w.Session.Destroy(rec)
+	})
+}
+
+// associationCell runs one Figure 4/5 cell: departments 1..n are created up
+// front (Appendix C.5), drive races user creations against department
+// deletions, and the census is the appendix C.5 orphan count.
+func associationCell(env CellEnv, label string, workers int, variant AssociationVariant, departments int,
+	drive func(*appserver.Pool, associationVariant)) (int64, error) {
+	v := associationVariants[variant]
+	orphans, _, err := runCell(env, label, appserver.AssociationModels, workers, v.remedy,
+		func(pool *appserver.Pool) error {
+			for i := 1; i <= departments; i++ {
+				err := pool.Do(func(w *appserver.Worker) error {
+					rec, err := w.Session.New(v.dept, map[string]storage.Value{
+						"name": storage.Str(fmt.Sprintf("dept-%d", i)),
+					})
+					if err != nil {
+						return err
+					}
+					if err := rec.Set("id", storage.Int(int64(i))); err != nil {
+						return err
+					}
+					return w.Session.Save(rec)
+				})
+				if err != nil {
+					return err
+				}
+			}
+			drive(pool, v)
+			return nil
+		},
+		func(conn db.Conn) (int64, error) { return appserver.CountOrphans(conn, v.users, v.fk, v.depts) })
+	return orphans, err
 }
 
 // AssociationStressConfig parameterizes the Figure 4 stress test.
@@ -49,13 +116,8 @@ type AssociationStressConfig struct {
 	// InsertsPerDepartment is the number of concurrent user creations racing
 	// each department's deletion (64).
 	InsertsPerDepartment int
-	Isolation            storage.IsolationLevel
-	ThinkTime            time.Duration
-	// CheckHistory mirrors StressConfig.CheckHistory: record each cell's
-	// operation history and gate it through the offline isolation checker.
-	CheckHistory bool
-	// LiveCheck mirrors StressConfig.LiveCheck.
-	LiveCheck bool
+	// CellEnv is the environment every cell runs in.
+	CellEnv
 }
 
 // DefaultAssociationStressConfig returns the paper's parameters.
@@ -64,8 +126,7 @@ func DefaultAssociationStressConfig() AssociationStressConfig {
 		Workers:              []int{1, 2, 4, 8, 16, 32, 64},
 		Departments:          100,
 		InsertsPerDepartment: 64,
-		Isolation:            storage.ReadCommitted,
-		ThinkTime:            time.Millisecond,
+		CellEnv:              defaultCellEnv(),
 	}
 }
 
@@ -94,112 +155,28 @@ func RunAssociationStress(cfg AssociationStressConfig) ([]AssociationStressPoint
 	return out, nil
 }
 
-// associationTables returns the model and table names for a variant.
-func associationTables(variant AssociationVariant) (deptModel, userModel, usersTable, fkCol, deptsTable string) {
-	if variant == NoConstraints {
-		return "SimpleDepartment", "SimpleUser", "simple_users", "simple_department_id", "simple_departments"
-	}
-	return "ValidatedDepartment", "ValidatedUser", "validated_users", "validated_department_id", "validated_departments"
-}
-
-func newAssociationStack(isolation storage.IsolationLevel, variant AssociationVariant, workers int, think time.Duration, recordHistory, liveCheck bool) (*db.DB, *appserver.Pool, error) {
-	d := db.Open(storage.Options{
-		DefaultIsolation: isolation,
-		LockTimeout:      2 * time.Second,
-		RecordHistory:    recordHistory,
-		LiveCheck:        liveCheckConfig(liveCheck),
-	})
-	registry, err := appserver.AssociationModels()
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := appserver.MigrateOn(d, registry); err != nil {
-		return nil, nil, err
-	}
-	if variant == InDatabaseFK {
-		conn := d.Connect()
-		_, err := conn.Exec("ALTER TABLE validated_users ADD FOREIGN KEY (validated_department_id) " +
-			"REFERENCES validated_departments ON DELETE CASCADE")
-		conn.Close()
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	pool, err := appserver.NewPool(workers, registry, func() db.Conn { return d.Connect() })
-	if err != nil {
-		return nil, nil, err
-	}
-	pool.Configure(func(w *appserver.Worker) { w.Session.ThinkTime = think })
-	return d, pool, nil
-}
-
+// associationStressCell runs one (worker count, variant) Figure 4 cell; the
+// isolation sweep calls it too.
 func associationStressCell(cfg AssociationStressConfig, workers int, variant AssociationVariant) (int64, error) {
-	d, pool, err := newAssociationStack(cfg.Isolation, variant, workers, cfg.ThinkTime, cfg.CheckHistory, cfg.LiveCheck)
-	if err != nil {
-		return 0, err
-	}
-	defer d.Close()
-	defer pool.Close()
-	deptModel, userModel, usersTable, fkCol, deptsTable := associationTables(variant)
-
-	// Create the departments up front (Appendix C.5).
-	for i := 1; i <= cfg.Departments; i++ {
-		err := pool.Do(func(w *appserver.Worker) error {
-			rec, err := w.Session.New(deptModel, map[string]storage.Value{
-				"name": storage.Str(fmt.Sprintf("dept-%d", i)),
-			})
-			if err != nil {
-				return err
-			}
-			if err := rec.Set("id", storage.Int(int64(i))); err != nil {
-				return err
-			}
-			return w.Session.Save(rec)
-		})
-		if err != nil {
-			return 0, err
-		}
-	}
-
-	for i := 1; i <= cfg.Departments; i++ {
-		deptID := int64(i)
-		var wg sync.WaitGroup
-		wg.Add(cfg.InsertsPerDepartment + 1)
-		go func() {
-			defer wg.Done()
-			_ = pool.Do(func(w *appserver.Worker) error {
-				rec, err := w.Session.Find(deptModel, deptID)
-				if err != nil {
-					return err
-				}
-				return w.Session.Destroy(rec)
-			})
-		}()
-		for c := 0; c < cfg.InsertsPerDepartment; c++ {
+	label := fmt.Sprintf("assoc-stress-p%d-v%d-%s", workers, variant, cfg.Isolation)
+	return associationCell(cfg.CellEnv, label, workers, variant, cfg.Departments, func(pool *appserver.Pool, v associationVariant) {
+		for i := 1; i <= cfg.Departments; i++ {
+			deptID := int64(i)
+			var wg sync.WaitGroup
+			wg.Add(cfg.InsertsPerDepartment + 1)
 			go func() {
 				defer wg.Done()
-				_ = pool.Do(func(w *appserver.Worker) error {
-					_, err := w.Session.Create(userModel, map[string]storage.Value{
-						fkCol: storage.Int(deptID),
-					})
-					return err
-				})
+				v.destroyDepartment(pool, deptID)
 			}()
+			for c := 0; c < cfg.InsertsPerDepartment; c++ {
+				go func() {
+					defer wg.Done()
+					v.createUser(pool, deptID)
+				}()
+			}
+			wg.Wait()
 		}
-		wg.Wait()
-	}
-	if cfg.CheckHistory {
-		label := fmt.Sprintf("assoc-stress-p%d-v%d-%s", workers, variant, cfg.Isolation)
-		if err := verifyHistory(d, label); err != nil {
-			return 0, err
-		}
-		if err := verifyLiveParity(d, label); err != nil {
-			return 0, err
-		}
-	}
-	conn := d.Connect()
-	defer conn.Close()
-	return appserver.CountOrphans(conn, usersTable, fkCol, deptsTable)
+	})
 }
 
 // AssociationWorkloadConfig parameterizes the Figure 5 workload test.
@@ -208,16 +185,14 @@ type AssociationWorkloadConfig struct {
 	DepartmentCounts []int
 	// Clients concurrent clients (64) each issuing Ops operations (100) in a
 	// 10:1 create:delete mix.
-	Clients   int
-	Ops       int
-	Workers   int
-	Isolation storage.IsolationLevel
-	Seed      int64
-	ThinkTime time.Duration
-	// CheckHistory mirrors StressConfig.CheckHistory.
-	CheckHistory bool
-	// LiveCheck mirrors StressConfig.LiveCheck.
-	LiveCheck bool
+	Clients int
+	Ops     int
+	// Workers is the Unicorn pool size (64).
+	Workers int
+	// Seed derives each client's operation stream.
+	Seed int64
+	// CellEnv is the environment every cell runs in.
+	CellEnv
 }
 
 // DefaultAssociationWorkloadConfig returns the paper's parameters.
@@ -227,9 +202,8 @@ func DefaultAssociationWorkloadConfig() AssociationWorkloadConfig {
 		Clients:          64,
 		Ops:              100,
 		Workers:          64,
-		Isolation:        storage.ReadCommitted,
 		Seed:             2015,
-		ThinkTime:        time.Millisecond,
+		CellEnv:          defaultCellEnv(),
 	}
 }
 
@@ -259,82 +233,26 @@ func RunAssociationWorkload(cfg AssociationWorkloadConfig) ([]AssociationWorkloa
 	return out, nil
 }
 
+// associationWorkloadCell runs one (department count, variant) Figure 5 cell.
 func associationWorkloadCell(cfg AssociationWorkloadConfig, departments int, variant AssociationVariant) (int64, error) {
-	d, pool, err := newAssociationStack(cfg.Isolation, variant, cfg.Workers, cfg.ThinkTime, cfg.CheckHistory, cfg.LiveCheck)
-	if err != nil {
-		return 0, err
-	}
-	defer d.Close()
-	defer pool.Close()
-	deptModel, userModel, usersTable, fkCol, deptsTable := associationTables(variant)
-
-	for i := 1; i <= departments; i++ {
-		err := pool.Do(func(w *appserver.Worker) error {
-			rec, err := w.Session.New(deptModel, map[string]storage.Value{
-				"name": storage.Str(fmt.Sprintf("dept-%d", i)),
-			})
-			if err != nil {
-				return err
-			}
-			if err := rec.Set("id", storage.Int(int64(i))); err != nil {
-				return err
-			}
-			return w.Session.Save(rec)
-		})
-		if err != nil {
-			return 0, err
-		}
-	}
-
-	var wg sync.WaitGroup
-	wg.Add(cfg.Clients)
-	for c := 0; c < cfg.Clients; c++ {
-		go func(c int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(c)*104729))
-			for op := 0; op < cfg.Ops; op++ {
-				deptID := int64(rng.Intn(departments) + 1)
-				if rng.Float64() < 1.0/11.0 {
-					_ = pool.Do(func(w *appserver.Worker) error {
-						rec, err := w.Session.Find(deptModel, deptID)
-						if err != nil {
-							return err // already deleted: fine
-						}
-						return w.Session.Destroy(rec)
-					})
-				} else {
-					_ = pool.Do(func(w *appserver.Worker) error {
-						_, err := w.Session.Create(userModel, map[string]storage.Value{
-							fkCol: storage.Int(deptID),
-						})
-						return err
-					})
+	label := fmt.Sprintf("assoc-workload-d%d-v%d-%s", departments, variant, cfg.Isolation)
+	return associationCell(cfg.CellEnv, label, cfg.Workers, variant, departments, func(pool *appserver.Pool, v associationVariant) {
+		var wg sync.WaitGroup
+		wg.Add(cfg.Clients)
+		for c := 0; c < cfg.Clients; c++ {
+			go func() {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(cfg.Seed + int64(c)*104729))
+				for op := 0; op < cfg.Ops; op++ {
+					deptID := int64(rng.Intn(departments) + 1)
+					if rng.Float64() < 1.0/11.0 {
+						v.destroyDepartment(pool, deptID)
+					} else {
+						v.createUser(pool, deptID)
+					}
 				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	if cfg.CheckHistory {
-		label := fmt.Sprintf("assoc-workload-d%d-v%d-%s", departments, variant, cfg.Isolation)
-		if err := verifyHistory(d, label); err != nil {
-			return 0, err
+			}()
 		}
-		if err := verifyLiveParity(d, label); err != nil {
-			return 0, err
-		}
-	}
-	conn := d.Connect()
-	defer conn.Close()
-	return appserver.CountOrphans(conn, usersTable, fkCol, deptsTable)
-}
-
-// errIgnorable reports whether an experiment request failure is an expected
-// loss mode rather than an infrastructure error (exported for tests).
-func errIgnorable(err error) bool {
-	return err == nil ||
-		errors.Is(err, orm.ErrRecordInvalid) ||
-		errors.Is(err, orm.ErrRecordNotFound) ||
-		errors.Is(err, storage.ErrUniqueViolation) ||
-		errors.Is(err, storage.ErrForeignKeyViolation) ||
-		errors.Is(err, storage.ErrSerialization)
+		wg.Wait()
+	})
 }

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"feralcc/internal/anomalywatch"
-	"feralcc/internal/db"
 	"feralcc/internal/histcheck"
 )
 
@@ -16,17 +16,12 @@ import (
 // post-mortem (`feralcheck <file>` re-runs the verdict offline).
 const WitnessDirEnv = "HISTCHECK_WITNESS_DIR"
 
-// verifyHistory runs the offline isolation checker over the operation
-// history a cell recorded and fails when the history contains an anomaly the
-// cell's isolation level proscribes. Admitted anomalies (the ones the paper
-// *measures* at weak levels) pass — the gate proves the engine delivers the
-// isolation it claims, not that weak levels are strong.
-func verifyHistory(d *db.DB, label string) error {
-	events := d.History()
-	if len(events) == 0 {
-		return nil
-	}
-	rep := histcheck.Check(events)
+// verifyHistory is the offline isolation gate: rep is the checker's report on
+// the operation history a cell recorded, and the cell fails when that history
+// contains an anomaly its isolation level proscribes. Admitted anomalies (the
+// ones the paper *measures* at weak levels) pass — the gate proves the engine
+// delivers the isolation it claims, not that weak levels are strong.
+func verifyHistory(label string, events []histcheck.Event, rep *histcheck.Report) error {
 	if rep.Pass() {
 		return nil
 	}
@@ -37,57 +32,35 @@ func verifyHistory(d *db.DB, label string) error {
 	return fmt.Errorf("experiment: %s: isolation check failed%s:\n%s", label, where, rep)
 }
 
-// liveCheckConfig translates a cell's LiveCheck flag into watcher options:
-// every transaction sampled, so the live verdict is comparable with the
-// offline one on the same run.
-func liveCheckConfig(on bool) *anomalywatch.Config {
-	if !on {
-		return nil
-	}
-	return &anomalywatch.Config{SampleRate: 1}
-}
-
 // verifyLiveParity compares the live windowed checker's verdict against the
-// offline checker's on the same cell. On a clean run (no shed events, no
+// offline checker's report on the same cell (a nil watcher — LiveCheck off —
+// passes). On a clean run (no shed events, no
 // window truncation) the two must report exactly the same anomaly classes —
 // the live checker's central correctness claim. Once events were shed or a
 // transaction was evicted while it still carried dependency state, the
 // windowed verdict is explicitly best-effort (that is what the
 // window_truncated counter is for) and the gate stands down rather than
 // demand what a bounded window cannot prove.
-func verifyLiveParity(d *db.DB, label string) error {
-	w := d.Watcher()
+func verifyLiveParity(w *anomalywatch.Watcher, label string, rep *histcheck.Report) error {
 	if w == nil {
 		return nil
 	}
 	w.Drain()
-	events := d.History()
-	if len(events) == 0 {
-		return nil // nothing recorded offline to compare against
-	}
 	st := w.Stats()
 	if st.Shed != 0 || st.Truncated != 0 {
 		return nil
 	}
-	live := w.Classes()
-	rep := histcheck.Check(events)
-	offline := rep.Classes()
-	offSet := make(map[histcheck.Anomaly]bool, len(offline))
-	for _, c := range offline {
-		offSet[c] = true
-	}
-	liveSet := make(map[histcheck.Anomaly]bool, len(live))
+	live, offline := w.Classes(), rep.Classes()
 	for _, c := range live {
-		liveSet[c] = true
 		// An rw retarget means detection ran over a transient edge the final
 		// graph lacks, so a live-only class is explainable; the live checker
 		// must still find everything offline does (the graph converges).
-		if !offSet[c] && st.Retargets == 0 {
+		if !slices.Contains(offline, c) && st.Retargets == 0 {
 			return fmt.Errorf("experiment: %s: live checker reported %s, absent from the offline report", label, c)
 		}
 	}
 	for _, c := range offline {
-		if !liveSet[c] {
+		if !slices.Contains(live, c) {
 			return fmt.Errorf("experiment: %s: offline checker found %s the live checker missed on a clean window (no shed, no truncation)", label, c)
 		}
 	}
@@ -105,15 +78,7 @@ func saveWitness(label string, events []histcheck.Event) string {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return ""
 	}
-	clean := strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '.':
-			return r
-		default:
-			return '-'
-		}
-	}, label)
-	path := filepath.Join(dir, clean+".jsonl")
+	path := filepath.Join(dir, sanitizeLabel(label)+".jsonl")
 	f, err := os.Create(path)
 	if err != nil {
 		return ""
@@ -124,4 +89,17 @@ func saveWitness(label string, events []histcheck.Event) string {
 		return ""
 	}
 	return path
+}
+
+// sanitizeLabel maps a cell label onto the characters safe in a file name —
+// the witness file's and the durable cell directory's.
+func sanitizeLabel(label string) string {
+	return strings.Map(func(r rune) rune {
+		switch {
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '.':
+			return r
+		default:
+			return '-'
+		}
+	}, label)
 }

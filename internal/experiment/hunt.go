@@ -50,8 +50,8 @@ type HuntWorkload struct {
 
 // HuntResult is one scheduled execution of a workload.
 type HuntResult struct {
-	Events  []histcheck.Event
-	Report  *histcheck.Report
+	Events []histcheck.Event
+	Report *histcheck.Report
 	// TxTask maps transaction ids in Events to the task index that ran them.
 	TxTask map[uint64]int
 	// TaskErrs holds each task's transaction outcome (nil = committed).
@@ -81,46 +81,11 @@ func (r *HuntResult) Anomalies() []string {
 // RunHuntSchedule executes workload w at level under schedule sc.
 func RunHuntSchedule(w HuntWorkload, level storage.IsolationLevel, sc sched.Schedule) (*HuntResult, error) {
 	s := sched.New(len(w.Tasks), sc)
-	opts := storage.Options{
-		DefaultIsolation: level,
-		RecordHistory:    true,
-		Yielder:          s,
+	res, err := runHunt(w, level, storage.Options{Yielder: s}, func(bodies []func()) { s.Run(bodies...) })
+	if err != nil {
+		return nil, err
 	}
-	if w.Tune != nil {
-		w.Tune(&opts)
-	}
-	db := storage.Open(opts)
-	defer db.Close()
-	if err := w.Setup(db); err != nil {
-		return nil, fmt.Errorf("experiment: hunt setup %s: %w", w.Name, err)
-	}
-	db.ResetHistory()
-
-	res := &HuntResult{
-		TxTask:   make(map[uint64]int, len(w.Tasks)),
-		TaskErrs: make([]error, len(w.Tasks)),
-	}
-	bodies := make([]func(), len(w.Tasks))
-	for i := range w.Tasks {
-		i := i
-		bodies[i] = func() {
-			// Shared-map writes are safe without a mutex: the scheduler's
-			// baton serializes all task code between yield points.
-			id, err := w.Tasks[i](db, level)
-			if id != 0 {
-				res.TxTask[id] = i
-			}
-			res.TaskErrs[i] = err
-		}
-	}
-	s.Run(bodies...)
-
-	res.Events = db.History()
-	res.Report = histcheck.Check(res.Events)
 	res.Decisions = s.Decisions()
-	if w.Invariant != nil {
-		res.InvariantViolation = w.Invariant(db)
-	}
 	return res, nil
 }
 
@@ -130,11 +95,30 @@ func RunHuntSchedule(w HuntWorkload, level storage.IsolationLevel, sc sched.Sche
 // the anomaly that a directed schedule forces — so run summaries can report
 // the comparison the issue asks for.
 func RunHuntStress(w HuntWorkload, level storage.IsolationLevel) (*HuntResult, error) {
-	opts := storage.Options{
-		DefaultIsolation: level,
-		RecordHistory:    true,
-		LockTimeout:      50 * time.Millisecond,
-	}
+	return runHunt(w, level, storage.Options{LockTimeout: 50 * time.Millisecond}, func(bodies []func()) {
+		var start, wg sync.WaitGroup
+		start.Add(1)
+		wg.Add(len(bodies))
+		for _, body := range bodies {
+			go func() {
+				defer wg.Done()
+				start.Wait()
+				body()
+			}()
+		}
+		start.Done()
+		wg.Wait()
+	})
+}
+
+// runHunt is one hunt execution: open an engine with opts (plus the level,
+// history recording, and the workload's Tune), run Setup and discard its
+// history, hand run one body per task — the two runners differ only in how
+// they release the bodies — then check the recorded history and the
+// workload's invariant.
+func runHunt(w HuntWorkload, level storage.IsolationLevel, opts storage.Options, run func(bodies []func())) (*HuntResult, error) {
+	opts.DefaultIsolation = level
+	opts.RecordHistory = true
 	if w.Tune != nil {
 		w.Tune(&opts)
 	}
@@ -149,26 +133,22 @@ func RunHuntStress(w HuntWorkload, level storage.IsolationLevel) (*HuntResult, e
 		TxTask:   make(map[uint64]int, len(w.Tasks)),
 		TaskErrs: make([]error, len(w.Tasks)),
 	}
+	// Free-running bodies need the mutex; under the scheduler it is never
+	// contended, the baton already serializing task code between yield points.
 	var mu sync.Mutex
-	var start, wg sync.WaitGroup
-	start.Add(1)
-	wg.Add(len(w.Tasks))
-	for i := range w.Tasks {
-		i := i
-		go func() {
-			defer wg.Done()
-			start.Wait()
-			id, err := w.Tasks[i](db, level)
+	bodies := make([]func(), len(w.Tasks))
+	for i, task := range w.Tasks {
+		bodies[i] = func() {
+			id, err := task(db, level)
 			mu.Lock()
 			if id != 0 {
 				res.TxTask[id] = i
 			}
 			res.TaskErrs[i] = err
 			mu.Unlock()
-		}()
+		}
 	}
-	start.Done()
-	wg.Wait()
+	run(bodies)
 
 	res.Events = db.History()
 	res.Report = histcheck.Check(res.Events)
@@ -210,23 +190,7 @@ func LostUpdateWorkload() HuntWorkload {
 	return HuntWorkload{
 		Name:        "lost-update",
 		Description: "two read-modify-write increments of one balance (G-single at RC/RR)",
-		Setup: func(db *storage.Database) error {
-			if err := db.CreateTable(&storage.Schema{
-				Name: "accounts",
-				Columns: []storage.Column{
-					{Name: "id", Kind: storage.KindInt, PrimaryKey: true},
-					{Name: "balance", Kind: storage.KindInt},
-				},
-			}); err != nil {
-				return err
-			}
-			tx := db.Begin(storage.ReadCommitted)
-			if _, _, err := tx.Insert("accounts", map[string]storage.Value{"balance": storage.Int(100)}); err != nil {
-				tx.Rollback()
-				return err
-			}
-			return tx.Commit()
-		},
+		Setup:       huntAccounts(1, 100),
 		Tasks: []HuntTask{
 			huntIncrement(rowID, 10),
 			huntIncrement(rowID, 25),
@@ -234,18 +198,49 @@ func LostUpdateWorkload() HuntWorkload {
 	}
 }
 
+// huntAccounts returns a Setup that creates the accounts table and seeds rows
+// 1..n with balance in one transaction.
+func huntAccounts(n int, balance int64) func(*storage.Database) error {
+	return func(db *storage.Database) error {
+		if err := db.CreateTable(&storage.Schema{
+			Name: "accounts",
+			Columns: []storage.Column{
+				{Name: "id", Kind: storage.KindInt, PrimaryKey: true},
+				{Name: "balance", Kind: storage.KindInt},
+			},
+		}); err != nil {
+			return err
+		}
+		tx := db.Begin(storage.ReadCommitted)
+		for i := 0; i < n; i++ {
+			if _, _, err := tx.Insert("accounts", map[string]storage.Value{"balance": storage.Int(balance)}); err != nil {
+				tx.Rollback()
+				return err
+			}
+		}
+		return tx.Commit()
+	}
+}
+
 // huntIncrement returns a task that adds delta to the balance of row id via
 // an unlocked read followed by an update — the feral read-modify-write.
 func huntIncrement(id storage.RowID, delta int64) HuntTask {
-	return func(db *storage.Database, level storage.IsolationLevel) (uint64, error) {
-		tx := db.Begin(level)
+	return huntTx(func(tx *storage.Tx) (bool, error) {
 		vals, err := tx.Get("accounts", id)
 		if err != nil || vals == nil {
-			tx.Rollback()
-			return tx.ID(), err
+			return false, err
 		}
 		bal := vals[1].I
-		if err := tx.Update("accounts", id, map[string]storage.Value{"balance": storage.Int(bal + delta)}); err != nil {
+		return true, tx.Update("accounts", id, map[string]storage.Value{"balance": storage.Int(bal + delta)})
+	})
+}
+
+// huntTx makes a task of one transaction body: begin at the hunt's level, run
+// body, and commit if it says so without error — roll back otherwise.
+func huntTx(body func(tx *storage.Tx) (commit bool, err error)) HuntTask {
+	return func(db *storage.Database, level storage.IsolationLevel) (uint64, error) {
+		tx := db.Begin(level)
+		if commit, err := body(tx); err != nil || !commit {
 			tx.Rollback()
 			return tx.ID(), err
 		}
@@ -261,25 +256,7 @@ func WriteSkewWorkload() HuntWorkload {
 	return HuntWorkload{
 		Name:        "write-skew",
 		Description: "disjoint decrements guarded by a sum constraint (G2-item at SI)",
-		Setup: func(db *storage.Database) error {
-			if err := db.CreateTable(&storage.Schema{
-				Name: "accounts",
-				Columns: []storage.Column{
-					{Name: "id", Kind: storage.KindInt, PrimaryKey: true},
-					{Name: "balance", Kind: storage.KindInt},
-				},
-			}); err != nil {
-				return err
-			}
-			tx := db.Begin(storage.ReadCommitted)
-			for i := 0; i < 2; i++ {
-				if _, _, err := tx.Insert("accounts", map[string]storage.Value{"balance": storage.Int(60)}); err != nil {
-					tx.Rollback()
-					return err
-				}
-			}
-			return tx.Commit()
-		},
+		Setup:       huntAccounts(2, 60),
 		Tasks: []HuntTask{
 			huntSkewWithdraw(xID, yID, xID, 100),
 			huntSkewWithdraw(xID, yID, yID, 100),
@@ -290,32 +267,24 @@ func WriteSkewWorkload() HuntWorkload {
 // huntSkewWithdraw reads both constraint rows, and withdraws amount from
 // target only if the combined balance covers it.
 func huntSkewWithdraw(xID, yID, target storage.RowID, amount int64) HuntTask {
-	return func(db *storage.Database, level storage.IsolationLevel) (uint64, error) {
-		tx := db.Begin(level)
+	return huntTx(func(tx *storage.Tx) (bool, error) {
 		xv, err := tx.Get("accounts", xID)
 		if err != nil || xv == nil {
-			tx.Rollback()
-			return tx.ID(), err
+			return false, err
 		}
 		yv, err := tx.Get("accounts", yID)
 		if err != nil || yv == nil {
-			tx.Rollback()
-			return tx.ID(), err
+			return false, err
 		}
 		if xv[1].I+yv[1].I < amount {
-			tx.Rollback()
-			return tx.ID(), nil // constraint correctly refused the withdrawal
+			return false, nil // constraint correctly refused the withdrawal
 		}
 		cur := xv[1].I
 		if target == yID {
 			cur = yv[1].I
 		}
-		if err := tx.Update("accounts", target, map[string]storage.Value{"balance": storage.Int(cur - amount)}); err != nil {
-			tx.Rollback()
-			return tx.ID(), err
-		}
-		return tx.ID(), tx.Commit()
-	}
+		return true, tx.Update("accounts", target, map[string]storage.Value{"balance": storage.Int(cur - amount)})
+	})
 }
 
 // UniquenessHuntWorkload is the paper's Figure 3 pattern at minimal scale:
@@ -355,8 +324,7 @@ func UniquenessHuntWorkload() HuntWorkload {
 
 // huntFeralInsert performs SELECT-then-INSERT uniqueness validation.
 func huntFeralInsert(email string) HuntTask {
-	return func(db *storage.Database, level storage.IsolationLevel) (uint64, error) {
-		tx := db.Begin(level)
+	return huntTx(func(tx *storage.Tx) (bool, error) {
 		found := false
 		err := tx.Scan("users", storage.ScanOptions{
 			Filter: &storage.EqFilter{Column: "email", Value: storage.Str(email)},
@@ -364,20 +332,12 @@ func huntFeralInsert(email string) HuntTask {
 			found = true
 			return false
 		})
-		if err != nil {
-			tx.Rollback()
-			return tx.ID(), err
+		if err != nil || found {
+			return false, err // found: validation correctly refused the duplicate
 		}
-		if found {
-			tx.Rollback()
-			return tx.ID(), nil // validation correctly refused the duplicate
-		}
-		if _, _, err := tx.Insert("users", map[string]storage.Value{"email": storage.Str(email)}); err != nil {
-			tx.Rollback()
-			return tx.ID(), err
-		}
-		return tx.ID(), tx.Commit()
-	}
+		_, _, err = tx.Insert("users", map[string]storage.Value{"email": storage.Str(email)})
+		return true, err
+	})
 }
 
 // huntCountEmail counts committed rows holding email.
@@ -407,23 +367,7 @@ func OverloadShedWorkload() HuntWorkload {
 	return HuntWorkload{
 		Name:        "overload-shed",
 		Description: "three contended blind writes with no-wait locks (sheds must abort cleanly, no G1a)",
-		Setup: func(db *storage.Database) error {
-			if err := db.CreateTable(&storage.Schema{
-				Name: "accounts",
-				Columns: []storage.Column{
-					{Name: "id", Kind: storage.KindInt, PrimaryKey: true},
-					{Name: "balance", Kind: storage.KindInt},
-				},
-			}); err != nil {
-				return err
-			}
-			tx := db.Begin(storage.ReadCommitted)
-			if _, _, err := tx.Insert("accounts", map[string]storage.Value{"balance": storage.Int(100)}); err != nil {
-				tx.Rollback()
-				return err
-			}
-			return tx.Commit()
-		},
+		Setup:       huntAccounts(1, 100),
 		Tasks: []HuntTask{
 			huntBlindWrite(rowID, 201),
 			huntBlindWrite(rowID, 202),
@@ -454,14 +398,9 @@ func OverloadShedWorkload() HuntWorkload {
 
 // huntBlindWrite sets the balance of row id to val without reading it first.
 func huntBlindWrite(id storage.RowID, val int64) HuntTask {
-	return func(db *storage.Database, level storage.IsolationLevel) (uint64, error) {
-		tx := db.Begin(level)
-		if err := tx.Update("accounts", id, map[string]storage.Value{"balance": storage.Int(val)}); err != nil {
-			tx.Rollback()
-			return tx.ID(), err
-		}
-		return tx.ID(), tx.Commit()
-	}
+	return huntTx(func(tx *storage.Tx) (bool, error) {
+		return true, tx.Update("accounts", id, map[string]storage.Value{"balance": storage.Int(val)})
+	})
 }
 
 // AssociationHuntWorkload is the paper's Figure 5 pattern: one transaction
@@ -500,26 +439,16 @@ func AssociationHuntWorkload() HuntWorkload {
 		},
 		Tasks: []HuntTask{
 			// Inserter: check the parent exists, then insert the child.
-			func(db *storage.Database, level storage.IsolationLevel) (uint64, error) {
-				tx := db.Begin(level)
+			huntTx(func(tx *storage.Tx) (bool, error) {
 				parent, err := tx.Get("departments", deptID)
-				if err != nil {
-					tx.Rollback()
-					return tx.ID(), err
+				if err != nil || parent == nil {
+					return false, err // no parent: validation correctly refused the orphan
 				}
-				if parent == nil {
-					tx.Rollback()
-					return tx.ID(), nil // validation correctly refused the orphan
-				}
-				if _, _, err := tx.Insert("employees", map[string]storage.Value{"dept_id": storage.Int(int64(deptID))}); err != nil {
-					tx.Rollback()
-					return tx.ID(), err
-				}
-				return tx.ID(), tx.Commit()
-			},
+				_, _, err = tx.Insert("employees", map[string]storage.Value{"dept_id": storage.Int(int64(deptID))})
+				return true, err
+			}),
 			// Deleter: check no children exist, then delete the parent.
-			func(db *storage.Database, level storage.IsolationLevel) (uint64, error) {
-				tx := db.Begin(level)
+			huntTx(func(tx *storage.Tx) (bool, error) {
 				hasChild := false
 				err := tx.Scan("employees", storage.ScanOptions{
 					Filter: &storage.EqFilter{Column: "dept_id", Value: storage.Int(int64(deptID))},
@@ -527,20 +456,11 @@ func AssociationHuntWorkload() HuntWorkload {
 					hasChild = true
 					return false
 				})
-				if err != nil {
-					tx.Rollback()
-					return tx.ID(), err
+				if err != nil || hasChild {
+					return false, err // children present: delete refused
 				}
-				if hasChild {
-					tx.Rollback()
-					return tx.ID(), nil // children present; delete refused
-				}
-				if err := tx.Delete("departments", deptID); err != nil {
-					tx.Rollback()
-					return tx.ID(), err
-				}
-				return tx.ID(), tx.Commit()
-			},
+				return true, tx.Delete("departments", deptID)
+			}),
 		},
 		Invariant: func(db *storage.Database) string {
 			tx := db.Begin(storage.ReadCommitted)

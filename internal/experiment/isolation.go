@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"time"
 
 	"feralcc/internal/storage"
 )
@@ -27,22 +26,20 @@ type IsolationSweepConfig struct {
 	Workers     int
 	Rounds      int
 	Concurrency int
-	ThinkTime   time.Duration
-	// CheckHistory gates every cell of the sweep through the offline
-	// isolation checker — the strongest use of the gate, since the sweep
-	// visits every level the engine implements.
-	CheckHistory bool
-	// LiveCheck mirrors StressConfig.LiveCheck.
-	LiveCheck bool
+	// CellEnv is the environment every cell runs in, except Isolation, which
+	// the sweep sets per level. With CheckHistory this is the strongest use
+	// of the gate, since the sweep visits every level the engine implements.
+	CellEnv
 }
 
 // DefaultIsolationSweepConfig returns a moderate-contention configuration.
 func DefaultIsolationSweepConfig() IsolationSweepConfig {
-	return IsolationSweepConfig{Workers: 16, Rounds: 50, Concurrency: 32, ThinkTime: time.Millisecond}
+	return IsolationSweepConfig{Workers: 16, Rounds: 50, Concurrency: 32, CellEnv: defaultCellEnv()}
 }
 
-// RunIsolationSweep runs the uniqueness stress and association stress
-// workloads at every isolation level the engine implements.
+// RunIsolationSweep runs the feral-validation cells of Figure 2 (uniqueness
+// stress) and Figure 4 (association stress) at every isolation level the
+// engine implements.
 func RunIsolationSweep(cfg IsolationSweepConfig) ([]IsolationSweepPoint, error) {
 	levels := []storage.IsolationLevel{
 		storage.ReadCommitted,
@@ -53,66 +50,30 @@ func RunIsolationSweep(cfg IsolationSweepConfig) ([]IsolationSweepPoint, error) 
 	}
 	var out []IsolationSweepPoint
 	for _, level := range levels {
-		p := IsolationSweepPoint{Level: level}
-
-		sc := StressConfig{
-			Workers:      []int{cfg.Workers},
-			Concurrency:  cfg.Concurrency,
-			Rounds:       cfg.Rounds,
-			Isolation:    level,
-			ThinkTime:    cfg.ThinkTime,
-			CheckHistory: cfg.CheckHistory,
-			LiveCheck:    cfg.LiveCheck,
-		}
-		dups, stats, err := uniquenessStressCellWithStats(sc, cfg.Workers, FeralValidation)
+		env := cfg.CellEnv
+		env.Isolation = level
+		dups, stats, err := uniquenessStressCell(StressConfig{
+			Concurrency: cfg.Concurrency,
+			Rounds:      cfg.Rounds,
+			CellEnv:     env,
+		}, cfg.Workers, FeralValidation)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: isolation sweep %v: %w", level, err)
 		}
-		p.Duplicates = dups
-		p.SerializationFailures = stats.SerializationFailures
-
-		ac := AssociationStressConfig{
-			Workers:              []int{cfg.Workers},
+		orphans, err := associationStressCell(AssociationStressConfig{
 			Departments:          cfg.Rounds / 2,
 			InsertsPerDepartment: cfg.Concurrency / 2,
-			Isolation:            level,
-			ThinkTime:            cfg.ThinkTime,
-			CheckHistory:         cfg.CheckHistory,
-			LiveCheck:            cfg.LiveCheck,
-		}
-		orphans, err := associationStressCell(ac, cfg.Workers, FeralAssociation)
+			CellEnv:              env,
+		}, cfg.Workers, FeralAssociation)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: isolation sweep %v: %w", level, err)
 		}
-		p.Orphans = orphans
-		out = append(out, p)
+		out = append(out, IsolationSweepPoint{
+			Level:                 level,
+			Duplicates:            dups,
+			Orphans:               orphans,
+			SerializationFailures: stats.SerializationFailures,
+		})
 	}
 	return out, nil
-}
-
-// uniquenessStressCellWithStats is uniquenessStressCell with the database's
-// conflict counters captured.
-func uniquenessStressCellWithStats(cfg StressConfig, workers int, variant UniquenessVariant) (int64, storage.Stats, error) {
-	d, pool, table, model, err := buildUniquenessStack(cfg, workers, variant)
-	if err != nil {
-		return 0, storage.Stats{}, err
-	}
-	defer d.Close()
-	defer pool.Close()
-	if err := runStressRounds(pool, model, cfg.Rounds, cfg.Concurrency); err != nil {
-		return 0, storage.Stats{}, err
-	}
-	if cfg.CheckHistory {
-		label := fmt.Sprintf("sweep-p%d-v%d-%s", workers, variant, cfg.Isolation)
-		if err := verifyHistory(d, label); err != nil {
-			return 0, storage.Stats{}, err
-		}
-		if err := verifyLiveParity(d, label); err != nil {
-			return 0, storage.Stats{}, err
-		}
-	}
-	conn := d.Connect()
-	defer conn.Close()
-	dups, err := countDuplicatesOn(conn, table)
-	return dups, d.Store().Stats(), err
 }

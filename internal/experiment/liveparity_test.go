@@ -172,19 +172,17 @@ func TestHuntLiveParityStress(t *testing.T) {
 
 // TestFigureCellsLiveParity runs scaled-down Figure 2 and Figure 5 cells
 // with both CheckHistory and LiveCheck enabled, across a weak and a strong
-// level. The per-cell parity gate (verifyLiveParity) runs inside the cell and
+// level. The per-cell parity gate (verifyLiveParity) runs inside cell.finish and
 // surfaces any divergence as an error from the Run* entry point — the same
 // path `feralbench -check-history -live-check` exercises.
 func TestFigureCellsLiveParity(t *testing.T) {
 	for _, level := range []storage.IsolationLevel{storage.ReadCommitted, storage.Serializable} {
+		env := CellEnv{Isolation: level, ThinkTime: time.Millisecond, CheckHistory: true, LiveCheck: true}
 		ucfg := StressConfig{
-			Workers:      []int{8},
-			Concurrency:  16,
-			Rounds:       20,
-			Isolation:    level,
-			ThinkTime:    time.Millisecond,
-			CheckHistory: true,
-			LiveCheck:    true,
+			Workers:     []int{8},
+			Concurrency: 16,
+			Rounds:      20,
+			CellEnv:     env,
 		}
 		if _, err := RunUniquenessStress(ucfg); err != nil {
 			t.Errorf("uniqueness@%v: %v", level, err)
@@ -193,10 +191,7 @@ func TestFigureCellsLiveParity(t *testing.T) {
 			Workers:              []int{8},
 			Departments:          10,
 			InsertsPerDepartment: 8,
-			Isolation:            level,
-			ThinkTime:            time.Millisecond,
-			CheckHistory:         true,
-			LiveCheck:            true,
+			CellEnv:              env,
 		}
 		if _, err := RunAssociationStress(acfg); err != nil {
 			t.Errorf("association@%v: %v", level, err)

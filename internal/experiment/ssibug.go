@@ -1,12 +1,6 @@
 package experiment
 
-import (
-	"time"
-
-	"feralcc/internal/appserver"
-	"feralcc/internal/db"
-	"feralcc/internal/storage"
-)
+import "feralcc/internal/storage"
 
 // SSIBugResult reproduces the paper's footnote 8 (PostgreSQL BUG #11732):
 // the uniqueness stress workload run under nominally SERIALIZABLE isolation,
@@ -22,20 +16,21 @@ type SSIBugResult struct {
 	DuplicatesReadCommitted int64
 }
 
-// RunSSIBug measures duplicate admission for the feral validator under
-// Serializable (correct), Serializable with the phantom bug, and Read
-// Committed.
-func RunSSIBug(workers, rounds, concurrency int) (SSIBugResult, error) {
+// RunSSIBug measures duplicate admission for the feral validator — Figure 2's
+// with-validation cell — under Serializable (correct), Serializable with the
+// phantom bug, and Read Committed. env is the cells' environment; its
+// Isolation and PhantomBug are set per cell. The PhantomBug cell deliberately
+// breaks the level it claims, so under env.CheckHistory its history may fail
+// the gate — that is the bug being caught, not a harness error.
+func RunSSIBug(env CellEnv, workers, rounds, concurrency int) (SSIBugResult, error) {
 	run := func(level storage.IsolationLevel, bug bool) (int64, error) {
-		cfg := StressConfig{
-			Workers:     []int{workers},
+		env.Isolation, env.PhantomBug = level, bug
+		dups, _, err := uniquenessStressCell(StressConfig{
 			Concurrency: concurrency,
 			Rounds:      rounds,
-			Isolation:   level,
-			PhantomBug:  bug,
-			ThinkTime:   time.Millisecond,
-		}
-		return ssiBugCell(cfg)
+			CellEnv:     env,
+		}, workers, FeralValidation)
+		return dups, err
 	}
 	var res SSIBugResult
 	var err error
@@ -49,32 +44,4 @@ func RunSSIBug(workers, rounds, concurrency int) (SSIBugResult, error) {
 		return res, err
 	}
 	return res, nil
-}
-
-// ssiBugCell runs the feral-validation variant only.
-func ssiBugCell(cfg StressConfig) (int64, error) {
-	d := db.Open(storage.Options{
-		DefaultIsolation: cfg.Isolation,
-		PhantomBug:       cfg.PhantomBug,
-		LockTimeout:      2 * time.Second,
-	})
-	registry, err := appserver.UniquenessModels()
-	if err != nil {
-		return 0, err
-	}
-	if err := appserver.MigrateOn(d, registry); err != nil {
-		return 0, err
-	}
-	pool, err := appserver.NewPool(cfg.Workers[0], registry, func() db.Conn { return d.Connect() })
-	if err != nil {
-		return 0, err
-	}
-	defer pool.Close()
-	pool.Configure(func(w *appserver.Worker) { w.Session.ThinkTime = cfg.ThinkTime })
-	if err := runStressRounds(pool, "ValidatedKeyValue", cfg.Rounds, cfg.Concurrency); err != nil {
-		return 0, err
-	}
-	conn := d.Connect()
-	defer conn.Close()
-	return appserver.CountDuplicates(conn, "validated_key_values")
 }

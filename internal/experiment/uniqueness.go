@@ -9,11 +9,9 @@ package experiment
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"feralcc/internal/appserver"
 	"feralcc/internal/db"
-	"feralcc/internal/faultinject"
 	"feralcc/internal/storage"
 	"feralcc/internal/workload"
 )
@@ -32,17 +30,48 @@ const (
 	FeralWithIndex
 )
 
+// uniquenessVariants is the variant table of Figures 2 and 3: the variant's
+// name in the figures' legends, the model the requests create, the table the
+// duplicate census reads, and the remedy DDL applied after migration.
+var uniquenessVariants = [...]struct {
+	name         string
+	model, table string
+	remedy       string
+}{
+	NoValidation:    {name: "without validation", model: "SimpleKeyValue", table: "simple_key_values"},
+	FeralValidation: {name: "with validation", model: "ValidatedKeyValue", table: "validated_key_values"},
+	FeralWithIndex: {name: "with validation + unique index", model: "ValidatedKeyValue", table: "validated_key_values",
+		remedy: "CREATE UNIQUE INDEX ON validated_key_values (key)"},
+}
+
 func (v UniquenessVariant) String() string {
-	switch v {
-	case NoValidation:
-		return "without validation"
-	case FeralValidation:
-		return "with validation"
-	case FeralWithIndex:
-		return "with validation + unique index"
-	default:
-		return fmt.Sprintf("UniquenessVariant(%d)", uint8(v))
+	if int(v) < len(uniquenessVariants) {
+		return uniquenessVariants[v].name
 	}
+	return fmt.Sprintf("UniquenessVariant(%d)", uint8(v))
+}
+
+// uniquenessCell runs one Figure 2/3 cell: drive issues creations of the
+// variant's model through the pool, and the census is the appendix C.2
+// duplicate count.
+func uniquenessCell(env CellEnv, label string, workers int, variant UniquenessVariant,
+	drive func(pool *appserver.Pool, model string) error) (int64, storage.Stats, error) {
+	v := uniquenessVariants[variant]
+	return runCell(env, label, appserver.UniquenessModels, workers, v.remedy,
+		func(pool *appserver.Pool) error { return drive(pool, v.model) },
+		func(conn db.Conn) (int64, error) { return appserver.CountDuplicates(conn, v.table) })
+}
+
+// createKey issues one key-value creation request. Validation failures and
+// unique violations are the point of the experiments, not errors of them.
+func createKey(pool *appserver.Pool, model, key string) {
+	_ = pool.Do(func(w *appserver.Worker) error {
+		_, err := w.Session.Create(model, map[string]storage.Value{
+			"key":   storage.Str(key),
+			"value": storage.Str("v"),
+		})
+		return err
+	})
 }
 
 // StressConfig parameterizes the Figure 2 uniqueness stress test.
@@ -53,49 +82,8 @@ type StressConfig struct {
 	Concurrency int
 	// Rounds is the number of rounds, one fresh key each (100).
 	Rounds int
-	// Isolation is the database default isolation level (Read Committed in
-	// the paper's PostgreSQL deployment).
-	Isolation storage.IsolationLevel
-	// PhantomBug enables the PostgreSQL bug #11732 reproduction when
-	// Isolation is Serializable.
-	PhantomBug bool
-	// ThinkTime is the simulated application-tier processing separating a
-	// validation from its write (see orm.Session.ThinkTime). Zero collapses
-	// the race window to nanoseconds and hides the anomalies the paper
-	// measured against a real Rails stack.
-	ThinkTime time.Duration
-	// Faults, when non-empty, interposes the fault-injection layer in front
-	// of every worker connection (and arms the storage engine's commit/lock
-	// points for rules that name them), so the experiment runs under
-	// infrastructure failure. The injection draws derive from FaultSeed.
-	Faults    faultinject.Spec
-	FaultSeed int64
-	// Retry is the per-worker automatic retry policy (connection-level
-	// replay via db.Reliable plus ORM transaction retry). Zero disables
-	// retries — the bare configuration the paper measured.
-	Retry db.RetryPolicy
-	// DataDir, when non-empty, runs every cell against a durable store in a
-	// per-cell subdirectory, and the duplicate count is taken only after
-	// closing and reopening the database — so the anomalies Figure 2 reports
-	// are ones that survive a server restart, as the paper's PostgreSQL ones
-	// did.
-	DataDir string
-	// Sync selects the WAL sync policy for durable cells ("always",
-	// "interval", "off"; feralbench -sync). Empty keeps the historical
-	// default, SyncOff: the model is process death, and the experiment's own
-	// close/reopen cycle is the crash. Ignored without DataDir.
-	Sync string
-	// CheckHistory records every cell's operation history and, after the
-	// workload quiesces, runs the offline isolation checker over it
-	// (feralbench -check-history). A history containing an anomaly the
-	// cell's isolation level proscribes fails the cell.
-	CheckHistory bool
-	// LiveCheck attaches the streaming anomaly watcher
-	// (internal/anomalywatch) to every cell at full sampling (feralbench
-	// -live-check). With CheckHistory also set, each cell additionally gates
-	// on live/offline parity: on a clean window the two checkers must report
-	// the same anomaly classes.
-	LiveCheck bool
+	// CellEnv is the environment every cell runs in.
+	CellEnv
 }
 
 // DefaultStressConfig returns the paper's parameters.
@@ -104,8 +92,7 @@ func DefaultStressConfig() StressConfig {
 		Workers:     []int{1, 2, 4, 8, 16, 32, 64},
 		Concurrency: 64,
 		Rounds:      100,
-		Isolation:   storage.ReadCommitted,
-		ThinkTime:   time.Millisecond,
+		CellEnv:     defaultCellEnv(),
 	}
 }
 
@@ -123,7 +110,7 @@ func RunUniquenessStress(cfg StressConfig) ([]StressPoint, error) {
 	for _, p := range cfg.Workers {
 		point := StressPoint{Workers: p, Duplicates: map[UniquenessVariant]int64{}}
 		for _, variant := range []UniquenessVariant{NoValidation, FeralValidation, FeralWithIndex} {
-			dups, err := uniquenessStressCell(cfg, p, variant)
+			dups, _, err := uniquenessStressCell(cfg, p, variant)
 			if err != nil {
 				return nil, fmt.Errorf("experiment: stress P=%d %v: %w", p, variant, err)
 			}
@@ -134,162 +121,27 @@ func RunUniquenessStress(cfg StressConfig) ([]StressPoint, error) {
 	return out, nil
 }
 
-// uniquenessStressCell runs one (worker count, variant) cell on a fresh
-// database and returns the duplicate count. Durable cells (cfg.DataDir set)
-// count duplicates on a recovered copy of the store, not the live one.
-func uniquenessStressCell(cfg StressConfig, workers int, variant UniquenessVariant) (int64, error) {
-	d, pool, table, model, err := buildUniquenessStack(cfg, workers, variant)
-	if err != nil {
-		return 0, err
-	}
-	if err := runStressRounds(pool, model, cfg.Rounds, cfg.Concurrency); err != nil {
-		pool.Close()
-		return 0, err
-	}
-	pool.Close()
-	if cfg.CheckHistory {
-		label := fmt.Sprintf("stress-p%d-v%d-%s", workers, variant, cfg.Isolation)
-		if err := verifyHistory(d, label); err != nil {
-			d.Close()
-			return 0, err
-		}
-		if err := verifyLiveParity(d, label); err != nil {
-			d.Close()
-			return 0, err
-		}
-	}
-	if cfg.DataDir != "" {
-		// Restart the database: every duplicate still counted after recovery
-		// is a durable anomaly, exactly what the paper measured.
-		if err := d.Close(); err != nil {
-			return 0, err
-		}
-		d, err = db.OpenDir(storage.Options{DataDir: stressCellDir(cfg.DataDir, workers, variant)})
-		if err != nil {
-			return 0, err
-		}
-	}
-	defer d.Close()
-	conn := d.Connect()
-	defer conn.Close()
-	return countDuplicatesOn(conn, table)
-}
-
-// cellSyncPolicy resolves a config's Sync string for durable cells. Empty
-// keeps the historical default, SyncOff — the experiments model process
-// death, not power loss, and their own close/reopen cycle is the crash.
-func cellSyncPolicy(s string) (storage.SyncPolicy, error) {
-	if s == "" {
-		return storage.SyncOff, nil
-	}
-	return storage.ParseSyncPolicy(s)
-}
-
-// stressCellDir is the per-cell durable directory, kept stable between the
-// stack build and the post-run reopen.
-func stressCellDir(base string, workers int, variant UniquenessVariant) string {
-	return fmt.Sprintf("%s/stress-p%d-v%d", base, workers, variant)
-}
-
-// buildUniquenessStack assembles a fresh database, registry, migrations,
-// and worker pool for one uniqueness-experiment cell.
-func buildUniquenessStack(cfg StressConfig, workers int, variant UniquenessVariant) (*db.DB, *appserver.Pool, string, string, error) {
-	var inj *faultinject.Injector
-	opts := storage.Options{
-		DefaultIsolation: cfg.Isolation,
-		PhantomBug:       cfg.PhantomBug,
-		LockTimeout:      2 * time.Second,
-		RecordHistory:    cfg.CheckHistory,
-		LiveCheck:        liveCheckConfig(cfg.LiveCheck),
-	}
-	if !cfg.Faults.Empty() {
-		inj = cfg.Faults.Injector(cfg.FaultSeed)
-		// Rules naming the engine's commit/lock points fire through the
-		// storage-side hook; connection-level rules fire through Wrap below.
-		opts.FaultHook = inj.EngineHook()
-	}
-	if cfg.DataDir != "" {
-		opts.DataDir = stressCellDir(cfg.DataDir, workers, variant)
-		pol, err := cellSyncPolicy(cfg.Sync)
-		if err != nil {
-			return nil, nil, "", "", err
-		}
-		opts.SyncPolicy = pol
-	}
-	d, err := db.OpenDir(opts)
-	if err != nil {
-		return nil, nil, "", "", err
-	}
-	registry, err := appserver.UniquenessModels()
-	if err != nil {
-		return nil, nil, "", "", err
-	}
-	if err := appserver.MigrateOn(d, registry); err != nil {
-		return nil, nil, "", "", err
-	}
-	model, table := "SimpleKeyValue", "simple_key_values"
-	if variant != NoValidation {
-		model, table = "ValidatedKeyValue", "validated_key_values"
-	}
-	if variant == FeralWithIndex {
-		conn := d.Connect()
-		_, err := conn.Exec("CREATE UNIQUE INDEX ON validated_key_values (key)")
-		conn.Close()
-		if err != nil {
-			return nil, nil, "", "", err
-		}
-	}
-	connect := func() db.Conn { return d.Connect() }
-	if inj != nil {
-		connect = func() db.Conn {
-			conn := faultinject.Wrap(d.Connect(), inj)
-			if cfg.Retry.Enabled() {
-				conn = db.Reliable(conn, cfg.Retry)
+// uniquenessStressCell runs one (worker count, variant) Figure 2 cell: Rounds
+// sets of Concurrency simultaneous creations, one fresh key per round,
+// blocking between rounds so every round races internally (Appendix C.2). The
+// isolation sweep and the SSI-bug run call it too, for the conflict counters.
+func uniquenessStressCell(cfg StressConfig, workers int, variant UniquenessVariant) (int64, storage.Stats, error) {
+	label := fmt.Sprintf("stress-p%d-v%d-%s", workers, variant, cfg.Isolation)
+	return uniquenessCell(cfg.CellEnv, label, workers, variant, func(pool *appserver.Pool, model string) error {
+		for round := 0; round < cfg.Rounds; round++ {
+			key := fmt.Sprintf("key-%d", round)
+			var wg sync.WaitGroup
+			wg.Add(cfg.Concurrency)
+			for c := 0; c < cfg.Concurrency; c++ {
+				go func() {
+					defer wg.Done()
+					createKey(pool, model, key)
+				}()
 			}
-			return conn
+			wg.Wait()
 		}
-	}
-	pool, err := appserver.NewPool(workers, registry, connect)
-	if err != nil {
-		return nil, nil, "", "", err
-	}
-	pool.Configure(func(w *appserver.Worker) {
-		w.Session.ThinkTime = cfg.ThinkTime
-		w.Session.Retry = cfg.Retry
+		return nil
 	})
-	return d, pool, table, model, nil
-}
-
-// countDuplicatesOn aliases the appendix C.2 duplicate counter.
-func countDuplicatesOn(conn db.Conn, table string) (int64, error) {
-	return appserver.CountDuplicates(conn, table)
-}
-
-// runStressRounds issues Rounds sets of Concurrency simultaneous creations,
-// one fresh key per round, blocking between rounds so every round races
-// internally (Appendix C.2).
-func runStressRounds(pool *appserver.Pool, model string, rounds, concurrency int) error {
-	for round := 0; round < rounds; round++ {
-		key := fmt.Sprintf("key-%d", round)
-		var wg sync.WaitGroup
-		wg.Add(concurrency)
-		for c := 0; c < concurrency; c++ {
-			go func() {
-				defer wg.Done()
-				// Validation failures and unique violations are the point of
-				// the experiment, not errors of it.
-				_ = pool.Do(func(w *appserver.Worker) error {
-					_, err := w.Session.Create(model, map[string]storage.Value{
-						"key":   storage.Str(key),
-						"value": storage.Str("v"),
-					})
-					return err
-				})
-			}()
-		}
-		wg.Wait()
-	}
-	return nil
 }
 
 // WorkloadConfig parameterizes the Figure 3 uniqueness workload test.
@@ -303,19 +155,11 @@ type WorkloadConfig struct {
 	Clients      int
 	OpsPerClient int
 	// Workers is the Unicorn pool size (64).
-	Workers   int
-	Isolation storage.IsolationLevel
-	Seed      int64
-	ThinkTime time.Duration
-	// DataDir mirrors StressConfig.DataDir: durable per-cell stores with the
-	// duplicate census taken after a close-and-recover cycle.
-	DataDir string
-	// Sync mirrors StressConfig.Sync.
-	Sync string
-	// CheckHistory mirrors StressConfig.CheckHistory.
-	CheckHistory bool
-	// LiveCheck mirrors StressConfig.LiveCheck.
-	LiveCheck bool
+	Workers int
+	// Seed derives each client's key generator.
+	Seed int64
+	// CellEnv is the environment every cell runs in.
+	CellEnv
 }
 
 // DefaultWorkloadConfig returns the paper's parameters.
@@ -326,9 +170,8 @@ func DefaultWorkloadConfig() WorkloadConfig {
 		Clients:       64,
 		OpsPerClient:  100,
 		Workers:       64,
-		Isolation:     storage.ReadCommitted,
 		Seed:          2015,
-		ThinkTime:     time.Millisecond,
+		CellEnv:       defaultCellEnv(),
 	}
 }
 
@@ -361,101 +204,35 @@ func RunUniquenessWorkload(cfg WorkloadConfig) ([]WorkloadPoint, error) {
 	return out, nil
 }
 
+// uniquenessWorkloadCell runs one (distribution, key space, variant) Figure 3
+// cell: Clients independent clients, each creating OpsPerClient keys drawn
+// from its own seeded generator.
 func uniquenessWorkloadCell(cfg WorkloadConfig, dist string, keys int64, variant UniquenessVariant) (int64, error) {
-	opts := storage.Options{
-		DefaultIsolation: cfg.Isolation,
-		LockTimeout:      2 * time.Second,
-		RecordHistory:    cfg.CheckHistory,
-		LiveCheck:        liveCheckConfig(cfg.LiveCheck),
-	}
-	if cfg.DataDir != "" {
-		opts.DataDir = fmt.Sprintf("%s/workload-%s-k%d-v%d", cfg.DataDir, dist, keys, variant)
-		pol, err := cellSyncPolicy(cfg.Sync)
-		if err != nil {
-			return 0, err
+	label := fmt.Sprintf("workload-%s-k%d-v%d-%s", dist, keys, variant, cfg.Isolation)
+	dups, _, err := uniquenessCell(cfg.CellEnv, label, cfg.Workers, variant, func(pool *appserver.Pool, model string) error {
+		errs := make([]error, cfg.Clients)
+		var wg sync.WaitGroup
+		wg.Add(cfg.Clients)
+		for c := range errs {
+			go func() {
+				defer wg.Done()
+				gen, err := workload.New(dist, keys, cfg.Seed+int64(c)*7919)
+				if err != nil {
+					errs[c] = err
+					return
+				}
+				for op := 0; op < cfg.OpsPerClient; op++ {
+					createKey(pool, model, fmt.Sprintf("key-%d", gen.Next()))
+				}
+			}()
 		}
-		opts.SyncPolicy = pol
-	}
-	d, err := db.OpenDir(opts)
-	if err != nil {
-		return 0, err
-	}
-	registry, err := appserver.UniquenessModels()
-	if err != nil {
-		return 0, err
-	}
-	if err := appserver.MigrateOn(d, registry); err != nil {
-		return 0, err
-	}
-	model, table := "SimpleKeyValue", "simple_key_values"
-	if variant != NoValidation {
-		model, table = "ValidatedKeyValue", "validated_key_values"
-	}
-	pool, err := appserver.NewPool(cfg.Workers, registry, func() db.Conn { return d.Connect() })
-	if err != nil {
-		return 0, err
-	}
-	poolOpen := true
-	defer func() {
-		if poolOpen {
-			pool.Close()
-		}
-	}()
-	pool.Configure(func(w *appserver.Worker) { w.Session.ThinkTime = cfg.ThinkTime })
-
-	var wg sync.WaitGroup
-	wg.Add(cfg.Clients)
-	errs := make([]error, cfg.Clients)
-	for c := 0; c < cfg.Clients; c++ {
-		go func(c int) {
-			defer wg.Done()
-			gen, err := workload.New(dist, keys, cfg.Seed+int64(c)*7919)
+		wg.Wait()
+		for _, err := range errs {
 			if err != nil {
-				errs[c] = err
-				return
+				return err
 			}
-			for op := 0; op < cfg.OpsPerClient; op++ {
-				key := fmt.Sprintf("key-%d", gen.Next())
-				_ = pool.Do(func(w *appserver.Worker) error {
-					_, err := w.Session.Create(model, map[string]storage.Value{
-						"key":   storage.Str(key),
-						"value": storage.Str("v"),
-					})
-					return err
-				})
-			}
-		}(c)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
 		}
-	}
-	if cfg.CheckHistory {
-		label := fmt.Sprintf("workload-%s-k%d-v%d-%s", dist, keys, variant, cfg.Isolation)
-		if err := verifyHistory(d, label); err != nil {
-			return 0, err
-		}
-		if err := verifyLiveParity(d, label); err != nil {
-			return 0, err
-		}
-	}
-	if cfg.DataDir != "" {
-		// Restart the database before the census: the duplicates Figure 3
-		// reports are the ones that survived recovery.
-		pool.Close()
-		poolOpen = false
-		if err := d.Close(); err != nil {
-			return 0, err
-		}
-		d, err = db.OpenDir(storage.Options{DataDir: opts.DataDir})
-		if err != nil {
-			return 0, err
-		}
-		defer d.Close()
-	}
-	conn := d.Connect()
-	defer conn.Close()
-	return appserver.CountDuplicates(conn, table)
+		return nil
+	})
+	return dups, err
 }

@@ -30,11 +30,13 @@ func chaosStressConfig(faults string, seed int64) experiment.StressConfig {
 		Workers:     []int{8},
 		Concurrency: 16,
 		Rounds:      20,
-		Isolation:   storage.ReadCommitted,
-		ThinkTime:   200 * time.Microsecond,
-		Faults:      spec,
-		FaultSeed:   seed,
-		Retry:       db.RetryPolicy{MaxRetries: 6, Seed: uint64(seed)},
+		CellEnv: experiment.CellEnv{
+			Isolation: storage.ReadCommitted,
+			ThinkTime: 200 * time.Microsecond,
+			Faults:    spec,
+			FaultSeed: seed,
+			Retry:     db.RetryPolicy{MaxRetries: 6, Seed: uint64(seed)},
+		},
 	}
 }
 

@@ -107,17 +107,6 @@ func (l IsolationLevel) certifiesReads() bool { return l == Serializable }
 // locking reports whether the level uses pessimistic predicate/row locking.
 func (l IsolationLevel) locking() bool { return l == Serializable2PL }
 
-// PredicateGranularity selects how coarse the predicate locks taken by
-// Serializable2PL are. Value granularity locks individual (column, value)
-// pairs; table granularity locks whole tables. The coarser mode exists for
-// the design-choice ablation benchmark.
-type PredicateGranularity uint8
-
-const (
-	ValueGranularity PredicateGranularity = iota
-	TableGranularity
-)
-
 // Options configures a Database.
 type Options struct {
 	// DefaultIsolation is used by Begin when the caller does not specify a
@@ -131,8 +120,6 @@ type Options struct {
 	// Serializable, reproducing PostgreSQL bug #11732 (duplicates admitted
 	// under nominally serializable isolation).
 	PhantomBug bool
-	// PredicateLocks selects the Serializable2PL predicate-lock granularity.
-	PredicateLocks PredicateGranularity
 	// FaultHook, when non-nil, is consulted at named engine fault points —
 	// "commit" (before commit validation), "lock" (before a row or predicate
 	// lock acquisition), and the durability seams "wal.append", "wal.fsync",
@@ -150,9 +137,6 @@ type Options struct {
 	// SyncPolicy selects when the WAL is fsynced (see SyncAlways et al).
 	// Ignored when DataDir is empty.
 	SyncPolicy SyncPolicy
-	// SyncInterval is the background fsync period under SyncInterval policy.
-	// Defaults to 50ms.
-	SyncInterval time.Duration
 	// LockQueueBound bounds how many transactions may queue waiting for any
 	// single lock resource. 0 (the default) keeps the queue unbounded, the
 	// pre-overload-control behavior. N > 0 admits at most N waiters per
@@ -247,9 +231,6 @@ const (
 func (o Options) withDefaults() Options {
 	if o.LockTimeout <= 0 {
 		o.LockTimeout = 2 * time.Second
-	}
-	if o.SyncInterval <= 0 {
-		o.SyncInterval = 50 * time.Millisecond
 	}
 	return o
 }

@@ -386,21 +386,6 @@ func TestSerializable2PLGetTakesSharedLock(t *testing.T) {
 	}
 }
 
-func TestSerializable2PLTableGranularity(t *testing.T) {
-	db := testDB(t, Options{LockTimeout: 100 * time.Millisecond, PredicateLocks: TableGranularity})
-	mustCreate(t, db, kvSchema("kv"))
-	t1 := db.Begin(Serializable2PL)
-	_ = scanCount(t1, "kv", &EqFilter{Column: "key", Value: Str("a")})
-	t2 := db.Begin(Serializable2PL)
-	// Table granularity: even a non-overlapping insert conflicts.
-	_, _, err := t2.Insert("kv", map[string]Value{"key": Str("zzz")})
-	if !errors.Is(err, ErrLockTimeout) {
-		t.Fatalf("table-granularity insert should conflict, got %v", err)
-	}
-	t2.Rollback()
-	t1.Rollback()
-}
-
 func TestSnapshotDeleteConflict(t *testing.T) {
 	// First-committer-wins also applies to deletes racing updates.
 	db := testDB(t, Options{})

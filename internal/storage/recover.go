@@ -102,7 +102,7 @@ func OpenDir(opts Options) (*Database, error) {
 		}
 	}
 
-	db.wal, err = openWAL(walPath, scan.validLen, o.SyncPolicy, o.SyncInterval, db.point)
+	db.wal, err = openWAL(walPath, scan.validLen, o.SyncPolicy, db.point)
 	if err != nil {
 		return nil, fmt.Errorf("storage: open wal for append: %w", err)
 	}

@@ -428,12 +428,8 @@ func (tx *Tx) Delete(tableName string, id RowID) error {
 
 // lockForWrite acquires the Serializable2PL locks protecting a row write:
 // an intent-exclusive table lock plus exclusive predicate locks covering
-// every (column, value) pair of the old and new images (value granularity),
-// or an exclusive table lock (table granularity).
+// every (column, value) pair of the old and new images.
 func (tx *Tx) lockForWrite(t *table, id RowID, old, new []Value) error {
-	if tx.db.opts.PredicateLocks == TableGranularity {
-		return tx.lock(t.tableKey, LockX)
-	}
 	if err := tx.lock(t.tableKey, LockIX); err != nil {
 		return err
 	}
@@ -513,7 +509,7 @@ func (tx *Tx) Scan(tableName string, opts ScanOptions, fn func(RowID, []Value) b
 		})
 	}
 	if tx.level.locking() {
-		if tx.db.opts.PredicateLocks == TableGranularity || filterPos < 0 {
+		if filterPos < 0 {
 			if err := tx.lock(t.tableKey, LockS); err != nil {
 				return err
 			}

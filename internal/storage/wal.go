@@ -65,7 +65,7 @@ const (
 	// The safe default.
 	SyncAlways SyncPolicy = iota
 	// SyncInterval writes records immediately but fsyncs from a background
-	// ticker every Options.SyncInterval; a crash may lose the last interval's
+	// ticker every walSyncInterval; a crash may lose the last interval's
 	// acknowledged commits (never corrupt the log).
 	SyncInterval
 	// SyncOff never fsyncs; the OS flushes at its leisure. Process death
@@ -73,6 +73,9 @@ const (
 	// written to the kernel before the commit is acknowledged.
 	SyncOff
 )
+
+// walSyncInterval is the background fsync period under SyncInterval.
+const walSyncInterval = 50 * time.Millisecond
 
 // String returns the flag-style name of the policy.
 func (p SyncPolicy) String() string {
@@ -123,7 +126,7 @@ type wal struct {
 
 // openWAL opens (creating if absent) the log file and positions the writer at
 // size, which recovery has already truncated to the last valid record.
-func openWAL(path string, size int64, policy SyncPolicy, interval time.Duration, point func(string) error) (*wal, error) {
+func openWAL(path string, size int64, policy SyncPolicy, point func(string) error) (*wal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
@@ -132,7 +135,7 @@ func openWAL(path string, size int64, policy SyncPolicy, interval time.Duration,
 	if policy == SyncInterval {
 		w.stop = make(chan struct{})
 		w.done = make(chan struct{})
-		go w.syncLoop(interval)
+		go w.syncLoop()
 	}
 	return w, nil
 }
@@ -305,9 +308,9 @@ func (w *wal) truncateAll() error {
 
 // syncLoop is the SyncInterval background fsync. Errors are retried on the
 // next tick (dirty stays set).
-func (w *wal) syncLoop(interval time.Duration) {
+func (w *wal) syncLoop() {
 	defer close(w.done)
-	t := time.NewTicker(interval)
+	t := time.NewTicker(walSyncInterval)
 	defer t.Stop()
 	for {
 		select {

@@ -249,10 +249,25 @@ func TestWALAppendFailureAborts(t *testing.T) {
 
 func TestSyncIntervalPolicy(t *testing.T) {
 	dir := t.TempDir()
-	db := durableDB(t, dir, Options{SyncPolicy: SyncInterval, SyncInterval: 5 * time.Millisecond})
+	db := durableDB(t, dir, Options{SyncPolicy: SyncInterval})
 	mustCreate(t, db, kvSchema("kv"))
 	for i := 0; i < 10; i++ {
 		insertKV(t, db, "kv", "k"+formatRowID(RowID(i)), "v")
+	}
+	// The commits were acknowledged unsynced; the background ticker must
+	// flush them within a few walSyncInterval periods, before any Close.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		db.wal.mu.Lock()
+		dirty := db.wal.dirty
+		db.wal.mu.Unlock()
+		if !dirty {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("interval syncer never flushed the log")
+		}
+		time.Sleep(walSyncInterval / 5)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatalf("close: %v", err)

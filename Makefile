@@ -34,8 +34,8 @@ gates:
 # bench/README.md): four full-stack workloads, end-to-end and per-layer
 # metrics. Results are appended to bench/out/results.json, which git ignores;
 # compare two such files with `go run ./bench/feralperf -compare a.json b.json`.
-# BENCH_1/3/6/9.json in the repo root are frozen recordings from earlier PRs
-# that no target writes.
+# The older micro-benchmark numbers that the docs still quote are inlined where
+# they are cited (git history keeps the raw recordings).
 bench:
 	$(GO) run ./bench/feralperf -results bench/out/results.json
 

@@ -2,8 +2,8 @@
 // sub-benchmark grid crosses the WAL sync policy with the number of concurrent
 // committers. Each committer performs disjoint single-row inserts, so every
 // measured commit is conflict-free and the curve isolates commit-path cost.
-// BENCH_6.json is the frozen PR 6 recording of this grid, which also carried
-// the since-removed serial commit path as its baseline.
+// DESIGN.md ("History: the serial path") quotes the one recording of this
+// grid that also carried the since-removed serial commit path as baseline.
 package feralcc_test
 
 import (

@@ -3,8 +3,8 @@
 // concurrent committers. Each committer performs disjoint single-row inserts
 // against an in-memory store — the cheapest possible commit path, so whatever
 // the watcher costs shows up as the largest possible relative regression. The
-// acceptance bar is ≤5% commit-throughput regression at 1% sampling; the
-// committed BENCH_9.json snapshot is regenerated by `make bench-livecheck`.
+// acceptance bar is ≤5% commit-throughput regression at 1% sampling;
+// EXPERIMENTS.md quotes the one recorded run of the grid.
 package feralcc_test
 
 import (

@@ -14,6 +14,10 @@
 //	feralhunt -dsl custom.hunt -level "READ COMMITTED" -baseline 500
 //	feralhunt -list
 //
+// Catalog workloads and -dsl files are written in the same hunt DSL; its
+// grammar is the experiment.ParseHuntWorkload doc comment, and -list prints
+// each catalog workload's program.
+//
 // Witness headers and certificates name the workload, level, anomaly and
 // schedule. Files written before the serial commit path was removed (PR 12)
 // also carry serial=false; feralcheck skips header lines, so they replay
@@ -30,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"feralcc/internal/experiment"
 	"feralcc/internal/histcheck"
@@ -52,7 +57,7 @@ func run(args []string, out, errw io.Writer) int {
 		target   = fs.String("target", "any", `what counts as a find: "any", an Adya class (G-single, G2-item, ...), or "invariant"`)
 		outPath  = fs.String("o", "", "write the witness JSONL or certificate JSON here (default stdout summary only)")
 		baseline = fs.Int("baseline", 0, "also run up to N unscheduled stress iterations and report the comparison")
-		list     = fs.Bool("list", false, "list built-in workloads and exit")
+		list     = fs.Bool("list", false, "list built-in workloads with their DSL programs and exit")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(errw, "usage: feralhunt -workload NAME|-dsl FILE [-level L] [-budget N] [-seed S] [-target T] [-o FILE] [-baseline N]\n")
@@ -64,6 +69,9 @@ func run(args []string, out, errw io.Writer) int {
 	if *list {
 		for _, w := range experiment.HuntWorkloads() {
 			fmt.Fprintf(out, "%-12s %s\n", w.Name, w.Description)
+			for _, line := range strings.Split(strings.TrimSpace(w.Source), "\n") {
+				fmt.Fprintf(out, "    %s\n", line)
+			}
 		}
 		return 0
 	}
@@ -76,7 +84,7 @@ func run(args []string, out, errw io.Writer) int {
 			fmt.Fprintf(errw, "feralhunt: %v\n", err)
 			return 2
 		}
-		w, err = parseDSL(f, *dslPath)
+		w, err = experiment.ParseHuntWorkload(f, *dslPath)
 		f.Close()
 		if err != nil {
 			fmt.Fprintf(errw, "feralhunt: %v\n", err)
@@ -126,7 +134,8 @@ func run(args []string, out, errw io.Writer) int {
 			return 2
 		}
 	} else {
-		cert := newCertificate(w, level, res, *seed, *target)
+		cert := certificate{Workload: w.Name, Level: level.String(), Verdict: "no-anomaly",
+			Schedules: res.Schedules, Directed: res.Directed, Seed: *seed, Target: *target}
 		fmt.Fprintf(out, "no anomaly in %d schedules (%d directed): certificate follows\n", res.Schedules, res.Directed)
 		if err := writeCertificate(*outPath, out, cert); err != nil {
 			fmt.Fprintf(errw, "feralhunt: %v\n", err)
@@ -164,10 +173,14 @@ func writeWitness(path string, out io.Writer, w experiment.HuntWorkload, level s
 		defer f.Close()
 		dst = f
 	}
-	for _, line := range witnessHeader(w, level, res) {
-		if _, err := fmt.Fprintln(dst, line); err != nil {
-			return err
-		}
+	// The provenance header is comment lines, which feralcheck skips on replay.
+	header := fmt.Sprintf("# feralhunt witness\n# workload=%s level=%s\n# anomaly=%s schedules=%d directed=%d\n# schedule: %s\n",
+		w.Name, level, res.Class, res.Schedules, res.Directed, res.Schedule)
+	if res.Invariant != "" {
+		header += "# invariant: " + res.Invariant + "\n"
+	}
+	if _, err := io.WriteString(dst, header); err != nil {
+		return err
 	}
 	if err := histcheck.WriteJSONL(dst, res.Witness); err != nil {
 		return err

@@ -152,7 +152,7 @@ task
   read accounts 1 balance
   add accounts 1 balance 25
 `
-	w, err := parseDSL(strings.NewReader(src), "custom-lu")
+	w, err := experiment.ParseHuntWorkload(strings.NewReader(src), "custom-lu")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ task
 	}
 }
 
-// TestDSLOverloadShed pins the DSL's queue-bound directives: with
+// TestDSLOverloadShed pins the DSL's lock-queue-bound directive: with
 // lock-queue-bound -1 the engine refuses lock waits, so holding task 0's
 // commit open while task 1 runs forces task 1's conflicting write to shed
 // with ErrOverloaded — deterministically, under the scheduler — and the shed
@@ -178,23 +178,17 @@ func TestDSLOverloadShed(t *testing.T) {
 table accounts id:int:pk balance:int
 row accounts balance=100
 lock-queue-bound -1
-commit-queue-bound 8
 task
   set accounts 1 balance 201
 task
   set accounts 1 balance 202
 `
-	w, err := parseDSL(strings.NewReader(src), "shed")
+	w, err := experiment.ParseHuntWorkload(strings.NewReader(src), "shed")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Tune == nil {
-		t.Fatal("queue-bound directives must compile to a Tune hook")
-	}
-	var opts storage.Options
-	w.Tune(&opts)
-	if opts.LockQueueBound != -1 || opts.CommitQueueBound != 8 {
-		t.Fatalf("Tune applied lock=%d commit=%d, want -1 and 8", opts.LockQueueBound, opts.CommitQueueBound)
+	if w.LockQueueBound != -1 {
+		t.Fatalf("lock-queue-bound parsed as %d, want -1", w.LockQueueBound)
 	}
 
 	sc := sched.Schedule{Delays: []sched.Delay{{
@@ -225,9 +219,23 @@ func TestDSLErrors(t *testing.T) {
 		{"op before task", "table t id:int:pk\nread t 1 id\n", "before any task"},
 		{"bad kind", "table t id:float\n", "unknown kind"},
 		{"bad statement", "tabel t id:int\n", "unknown statement"},
+		{"removed directive", "commit-queue-bound 8\n", "unknown statement"},
+	}
+	// Names must be declared, and add must build on a read of its own cell;
+	// each case is line 4 of an otherwise valid two-task workload.
+	for op, want := range map[string]string{
+		"read accounts 1 balanec":             `dsl line 4: table accounts has no column "balanec"`,
+		"read acounts 1 balance":              `dsl line 4: undeclared table "acounts"`,
+		"add accounts 1 balance 5":            "dsl line 4: add accounts 1 balance: no earlier read",
+		"insert-unless accounts owner=x":      `dsl line 4: table accounts has no column "owner"`,
+		"absent accounts balance=1 balance=2": "dsl line 4: want absent <table> <col>=<value>",
+		"guard-sum lots":                      `dsl line 4: guard-sum: bad <n> "lots"`,
+	} {
+		src := "table accounts id:int:pk balance:int\nrow accounts balance=1\ntask\n  " + op + "\ntask\n  read accounts 1 balance\n"
+		cases = append(cases, struct{ name, src, wantErr string }{op, src, want})
 	}
 	for _, tc := range cases {
-		if _, err := parseDSL(strings.NewReader(tc.src), tc.name); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+		if _, err := experiment.ParseHuntWorkload(strings.NewReader(tc.src), tc.name); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: err = %v, want containing %q", tc.name, err, tc.wantErr)
 		}
 	}

@@ -1,8 +1,6 @@
 package main
 
 import (
-	"fmt"
-
 	"feralcc/internal/experiment"
 	"feralcc/internal/histcheck"
 	"feralcc/internal/sched"
@@ -73,27 +71,6 @@ func hunt(w experiment.HuntWorkload, level storage.IsolationLevel, budget int, s
 		}
 	}
 
-	matches := func(res *experiment.HuntResult) (string, bool) {
-		switch target {
-		case "any", "":
-			if cs := res.Report.Classes(); len(cs) > 0 {
-				return string(cs[0]), true
-			}
-			if res.InvariantViolation != "" {
-				return "invariant", true
-			}
-		case "invariant":
-			if res.InvariantViolation != "" {
-				return "invariant", true
-			}
-		default:
-			if res.Report.Has(histcheck.Anomaly(target)) {
-				return target, true
-			}
-		}
-		return "", false
-	}
-
 	for i := 0; i < budget; i++ {
 		var sc sched.Schedule
 		directed := false
@@ -115,7 +92,7 @@ func hunt(w experiment.HuntWorkload, level storage.IsolationLevel, budget int, s
 		if directed {
 			out.Directed++
 		}
-		if class, ok := matches(res); ok {
+		if class, ok := matches(res, target); ok {
 			out.Found = true
 			out.Class = class
 			out.Schedule = sc
@@ -143,20 +120,34 @@ func stressBaseline(w experiment.HuntWorkload, level storage.IsolationLevel, run
 		if err != nil {
 			return 0, err
 		}
-		hit := false
-		switch target {
-		case "any", "":
-			hit = len(res.Report.Classes()) > 0 || res.InvariantViolation != ""
-		case "invariant":
-			hit = res.InvariantViolation != ""
-		default:
-			hit = res.Report.Has(histcheck.Anomaly(target))
-		}
-		if hit {
+		if _, hit := matches(res, target); hit {
 			return i, nil
 		}
 	}
 	return 0, nil
+}
+
+// matches reports whether a run counts as a find for target ("any", a
+// histcheck class name, or "invariant"), and as which class.
+func matches(res *experiment.HuntResult, target string) (string, bool) {
+	switch target {
+	case "any", "":
+		if cs := res.Report.Classes(); len(cs) > 0 {
+			return string(cs[0]), true
+		}
+		if res.InvariantViolation != "" {
+			return "invariant", true
+		}
+	case "invariant":
+		if res.InvariantViolation != "" {
+			return "invariant", true
+		}
+	default:
+		if res.Report.Has(histcheck.Anomaly(target)) {
+			return target, true
+		}
+	}
+	return "", false
 }
 
 // certificate is the no-anomaly verdict for a bounded exploration.
@@ -168,31 +159,4 @@ type certificate struct {
 	Directed  int    `json:"directed"`
 	Seed      int64  `json:"seed"`
 	Target    string `json:"target"`
-}
-
-func newCertificate(w experiment.HuntWorkload, level storage.IsolationLevel, out *outcome, seed int64, target string) certificate {
-	return certificate{
-		Workload:  w.Name,
-		Level:     level.String(),
-		Verdict:   "no-anomaly",
-		Schedules: out.Schedules,
-		Directed:  out.Directed,
-		Seed:      seed,
-		Target:    target,
-	}
-}
-
-// witnessHeader renders the provenance comment lines prepended to a witness
-// JSONL file; feralcheck skips them on replay.
-func witnessHeader(w experiment.HuntWorkload, level storage.IsolationLevel, out *outcome) []string {
-	lines := []string{
-		"# feralhunt witness",
-		fmt.Sprintf("# workload=%s level=%s", w.Name, level),
-		fmt.Sprintf("# anomaly=%s schedules=%d directed=%d", out.Class, out.Schedules, out.Directed),
-		fmt.Sprintf("# schedule: %s", out.Schedule),
-	}
-	if out.Invariant != "" {
-		lines = append(lines, "# invariant: "+out.Invariant)
-	}
-	return lines
 }

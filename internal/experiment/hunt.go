@@ -2,7 +2,9 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -19,33 +21,46 @@ import (
 // history, its Adya report, and the tx-id-to-task mapping that turns
 // almost-cycles into Delay directives for the next run.
 
-// HuntTask is one transaction body: it runs exactly one transaction against
-// db at level and returns the transaction's id (0 when Begin was never
-// reached). Engine aborts (lock timeouts, first-committer-wins, serialization
-// failures) are expected hunt outcomes and are returned, not swallowed.
-type HuntTask func(db *storage.Database, level storage.IsolationLevel) (uint64, error)
-
-// HuntWorkload is a named concurrent workload for the anomaly hunter.
+// HuntWorkload is a named concurrent workload for the anomaly hunter. It is
+// data, not code — ParseHuntWorkload builds one from the workload DSL, the
+// built-in catalog included — so every workload runs through one
+// interpreter and can be inspected op by op.
 type HuntWorkload struct {
 	Name        string
 	Description string
-	// Setup creates the schema and seed rows; it runs unscheduled (the
-	// scheduler ignores unregistered goroutines) and its history is discarded.
-	Setup func(db *storage.Database) error
-	// Tasks run concurrently, one per scheduler task, in task-index order of
-	// the schedule's priority vector.
-	Tasks []HuntTask
-	// Invariant, when non-nil, checks the application-level integrity
-	// condition after all tasks finish (duplicate keys, orphaned children);
-	// it returns "" when the final state is consistent. Predicate-only
-	// workloads need it: a feral validation race materializes as corrupt
+	// Source is the DSL text the workload was parsed from.
+	Source string
+	// Tables are created at setup; Seed holds the seed rows as insert ops,
+	// run as one unscheduled transaction whose history is discarded.
+	Tables []*storage.Schema
+	Seed   []HuntOp
+	// Tasks holds one transaction template per scheduler task, in task-index
+	// order of the schedule's priority vector.
+	Tasks [][]HuntOp
+	// Invariants (verbs unique, no-orphans, one-of) check the
+	// application-level integrity condition after all tasks finish
+	// (duplicate keys, orphaned children, leaked writes). Predicate-only
+	// workloads need them: a feral validation race materializes as corrupt
 	// final state even when the item-level serialization graph stays acyclic.
-	Invariant func(db *storage.Database) string
-	// Tune, when non-nil, adjusts the engine options before Open — how
-	// overload workloads set queue bounds (LockQueueBound, CommitQueueBound)
-	// without the runner growing a parameter per knob. It runs after the
-	// runner fills the fields it owns, so it can override them too.
-	Tune func(*storage.Options)
+	Invariants []HuntOp
+	// LockQueueBound, when nonzero, is the engine's storage.Options
+	// LockQueueBound for the run (-1 sheds every lock conflict).
+	LockQueueBound int
+}
+
+// HuntOp is one step of a transaction template or one invariant; the
+// ParseHuntWorkload doc comment defines each verb and the fields it uses.
+type HuntOp struct {
+	Verb   string
+	Table  string
+	Row    storage.RowID
+	Col    string
+	Parent string // no-orphans' parent table
+	N      int64  // add's delta, guard-sum's minimum
+	// Cols and Values are insert's and absent's col=value pairs in the order
+	// written; set and one-of keep their values in Values alone.
+	Cols   []string
+	Values []storage.Value
 }
 
 // HuntResult is one scheduled execution of a workload.
@@ -56,7 +71,7 @@ type HuntResult struct {
 	TxTask map[uint64]int
 	// TaskErrs holds each task's transaction outcome (nil = committed).
 	TaskErrs []error
-	// InvariantViolation is the workload invariant's complaint, or "".
+	// InvariantViolation is the first invariant's complaint, or "".
 	InvariantViolation string
 	// Decisions is the number of scheduling decisions the run consumed — the
 	// step-count input for sizing random schedules.
@@ -80,52 +95,44 @@ func (r *HuntResult) Anomalies() []string {
 
 // RunHuntSchedule executes workload w at level under schedule sc.
 func RunHuntSchedule(w HuntWorkload, level storage.IsolationLevel, sc sched.Schedule) (*HuntResult, error) {
-	s := sched.New(len(w.Tasks), sc)
-	res, err := runHunt(w, level, storage.Options{Yielder: s}, func(bodies []func()) { s.Run(bodies...) })
-	if err != nil {
-		return nil, err
-	}
-	res.Decisions = s.Decisions()
-	return res, nil
+	res, _, err := runHunt(w, level, &sc, storage.Options{})
+	return res, err
 }
 
 // RunHuntStress executes workload w once with NO scheduler: tasks race as
 // plain goroutines released together, the way the stress census runs. This is
 // the hunter's baseline — how often wall-clock nondeterminism stumbles into
-// the anomaly that a directed schedule forces — so run summaries can report
-// the comparison the issue asks for.
+// the anomaly that a directed schedule forces — so feralhunt -baseline can
+// report the comparison.
 func RunHuntStress(w HuntWorkload, level storage.IsolationLevel) (*HuntResult, error) {
-	return runHunt(w, level, storage.Options{LockTimeout: 50 * time.Millisecond}, func(bodies []func()) {
-		var start, wg sync.WaitGroup
-		start.Add(1)
-		wg.Add(len(bodies))
-		for _, body := range bodies {
-			go func() {
-				defer wg.Done()
-				start.Wait()
-				body()
-			}()
-		}
-		start.Done()
-		wg.Wait()
-	})
+	res, _, err := runHunt(w, level, nil, storage.Options{})
+	return res, err
 }
 
 // runHunt is one hunt execution: open an engine with opts (plus the level,
-// history recording, and the workload's Tune), run Setup and discard its
-// history, hand run one body per task — the two runners differ only in how
-// they release the bodies — then check the recorded history and the
-// workload's invariant.
-func runHunt(w HuntWorkload, level storage.IsolationLevel, opts storage.Options, run func(bodies []func())) (*HuntResult, error) {
+// history recording and the workload's queue bound), run setup and discard
+// its history, run one body per task — under a scheduler following *sc, or,
+// with sc nil, as free goroutines released together with a short lock
+// timeout — then check the recorded history and the workload's invariants.
+// It returns the closed database too, so callers that attached a live
+// watcher through opts can read its final state.
+func runHunt(w HuntWorkload, level storage.IsolationLevel, sc *sched.Schedule, opts storage.Options) (*HuntResult, *storage.Database, error) {
+	var s *sched.Scheduler
+	if sc != nil {
+		s = sched.New(len(w.Tasks), *sc)
+		opts.Yielder = s
+	} else {
+		opts.LockTimeout = 50 * time.Millisecond
+	}
 	opts.DefaultIsolation = level
 	opts.RecordHistory = true
-	if w.Tune != nil {
-		w.Tune(&opts)
+	if w.LockQueueBound != 0 {
+		opts.LockQueueBound = w.LockQueueBound
 	}
 	db := storage.Open(opts)
 	defer db.Close()
-	if err := w.Setup(db); err != nil {
-		return nil, fmt.Errorf("experiment: hunt setup %s: %w", w.Name, err)
+	if err := w.setup(db); err != nil {
+		return nil, nil, fmt.Errorf("experiment: hunt setup %s: %w", w.Name, err)
 	}
 	db.ResetHistory()
 
@@ -137,9 +144,9 @@ func runHunt(w HuntWorkload, level storage.IsolationLevel, opts storage.Options,
 	// contended, the baton already serializing task code between yield points.
 	var mu sync.Mutex
 	bodies := make([]func(), len(w.Tasks))
-	for i, task := range w.Tasks {
+	for i, ops := range w.Tasks {
 		bodies[i] = func() {
-			id, err := task(db, level)
+			id, _, err := w.exec(db, level, ops)
 			mu.Lock()
 			if id != 0 {
 				res.TxTask[id] = i
@@ -148,28 +155,253 @@ func runHunt(w HuntWorkload, level storage.IsolationLevel, opts storage.Options,
 			mu.Unlock()
 		}
 	}
-	run(bodies)
+	if s != nil {
+		s.Run(bodies...)
+		res.Decisions = s.Decisions()
+	} else {
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for _, body := range bodies {
+			wg.Add(1)
+			go func() { defer wg.Done(); <-start; body() }()
+		}
+		close(start)
+		wg.Wait()
+	}
 
 	res.Events = db.History()
 	res.Report = histcheck.Check(res.Events)
-	if w.Invariant != nil {
-		res.InvariantViolation = w.Invariant(db)
+	res.InvariantViolation = w.violation(db)
+	return res, db, nil
+}
+
+// setup creates the workload's tables and commits its seed rows. A workload
+// with no seed rows opens no seed transaction, so its tasks' transaction ids
+// start right after setup's.
+func (w *HuntWorkload) setup(db *storage.Database) error {
+	for _, s := range w.Tables {
+		if err := db.CreateTable(s); err != nil {
+			return err
+		}
 	}
-	return res, nil
+	if len(w.Seed) == 0 {
+		return nil
+	}
+	_, _, err := w.exec(db, storage.ReadCommitted, w.Seed)
+	return err
+}
+
+// huntCell keys the values a task has read.
+type huntCell struct {
+	table string
+	row   storage.RowID
+	col   string
+}
+
+// exec is the hunt interpreter, the one place hunt ops become storage calls:
+// it runs ops as one transaction at level — a task, the seed rows, or the
+// invariants as one read-only check — and commits after the last op. An op
+// that refuses rolls the transaction back and says why, with no error: for a
+// task that is the workload's own validation saying no, for an invariant it
+// is the violation. Engine errors roll back and are returned.
+func (w *HuntWorkload) exec(db *storage.Database, level storage.IsolationLevel, ops []HuntOp) (id uint64, refused string, err error) {
+	tx := db.Begin(level)
+	read := map[huntCell]int64{}
+	for _, op := range ops {
+		at := func(vals []storage.Value) storage.Value { return vals[w.schema(op.Table).ColumnIndex(op.Col)] }
+		switch op.Verb {
+		case "read":
+			var vals []storage.Value
+			if vals, err = tx.Get(op.Table, op.Row); vals != nil {
+				read[huntCell{op.Table, op.Row, op.Col}] = at(vals).I
+			} else {
+				refused = fmt.Sprintf("%s row %d is absent", op.Table, op.Row)
+			}
+		case "guard-sum":
+			var sum int64
+			for _, v := range read {
+				sum += v
+			}
+			if sum < op.N {
+				refused = fmt.Sprintf("the values read sum to %d, under %d", sum, op.N)
+			}
+		case "absent":
+			err = tx.Scan(op.Table, storage.ScanOptions{
+				Filter: &storage.EqFilter{Column: op.Cols[0], Value: op.Values[0]},
+			}, func(storage.RowID, []storage.Value) bool {
+				refused = fmt.Sprintf("a %s row has %s %s", op.Table, op.Cols[0], op.Values[0].Format())
+				return false
+			})
+		case "add":
+			sum := read[huntCell{op.Table, op.Row, op.Col}] + op.N
+			err = tx.Update(op.Table, op.Row, map[string]storage.Value{op.Col: storage.Int(sum)})
+		case "set":
+			err = tx.Update(op.Table, op.Row, map[string]storage.Value{op.Col: op.Values[0]})
+		case "insert":
+			row := make(map[string]storage.Value, len(op.Cols))
+			for i, col := range op.Cols {
+				row[col] = op.Values[i]
+			}
+			_, _, err = tx.Insert(op.Table, row)
+		case "delete":
+			err = tx.Delete(op.Table, op.Row)
+		case "unique":
+			count := map[string]int{}
+			var dup storage.Value // NULL until some value repeats; NULLs never do
+			err = tx.Scan(op.Table, storage.ScanOptions{}, func(_ storage.RowID, vals []storage.Value) bool {
+				v := at(vals)
+				if count[v.Key()]++; count[v.Key()] == 2 && dup.IsNull() {
+					dup = v
+				}
+				return true
+			})
+			if !dup.IsNull() {
+				refused = fmt.Sprintf("%d rows share %s %q (want <= 1)", count[dup.Key()], op.Col, dup.Format())
+			}
+		case "no-orphans":
+			var refs []storage.RowID
+			err = tx.Scan(op.Table, storage.ScanOptions{}, func(_ storage.RowID, vals []storage.Value) bool {
+				if v := at(vals); !v.IsNull() {
+					refs = append(refs, storage.RowID(v.I))
+				}
+				return true
+			})
+			for _, ref := range refs {
+				if err != nil || refused != "" {
+					break
+				}
+				var parent []storage.Value
+				if parent, err = tx.Get(op.Parent, ref); parent == nil && err == nil {
+					refused = fmt.Sprintf("deleted %s row %d is still referenced from %s", op.Parent, ref, op.Table)
+				}
+			}
+		case "one-of":
+			var vals []storage.Value
+			if vals, err = tx.Get(op.Table, op.Row); vals == nil {
+				refused = fmt.Sprintf("%s row %d is absent", op.Table, op.Row)
+			} else if !slices.ContainsFunc(op.Values, func(v storage.Value) bool { return storage.Equal(at(vals), v) }) {
+				refused = fmt.Sprintf("%s row %d %s is %s, none of the allowed values", op.Table, op.Row, op.Col, at(vals).Format())
+			}
+		}
+		if err != nil || refused != "" {
+			tx.Rollback()
+			return tx.ID(), refused, err
+		}
+	}
+	return tx.ID(), "", tx.Commit()
+}
+
+// schema returns the declared table named name, or nil.
+func (w *HuntWorkload) schema(name string) *storage.Schema {
+	for _, s := range w.Tables {
+		if strings.EqualFold(s.Name, name) {
+			return s
+		}
+	}
+	return nil
+}
+
+// violation checks the invariants against the committed final state and
+// returns the first complaint, or "".
+func (w *HuntWorkload) violation(db *storage.Database) string {
+	if len(w.Invariants) == 0 {
+		return ""
+	}
+	_, refused, err := w.exec(db, storage.ReadCommitted, w.Invariants)
+	if err != nil {
+		return "invariant check failed: " + err.Error()
+	}
+	return refused
 }
 
 // Hunt workload catalog -------------------------------------------------------
 
-// HuntWorkloads returns the built-in catalog: the four feral integrity
-// patterns the paper measures, each reduced to its minimal concurrent shape.
+// huntCatalog is the built-in catalog: the feral integrity patterns the paper
+// measures, each reduced to its minimal concurrent shape, plus the engine's
+// overload shed path.
+var huntCatalog = []struct{ name, description, source string }{
+	// The canonical G-single shape: read committed loses one of the
+	// increments; snapshot isolation's first-committer-wins aborts one instead.
+	{"lost-update", "two read-modify-write increments of one balance (G-single at RC/RR)", `
+table accounts id:int:pk balance:int
+row accounts balance=100
+task
+  read accounts 1 balance
+  add accounts 1 balance 10
+task
+  read accounts 1 balance
+  add accounts 1 balance 25`},
+	// The canonical G2-item shape: each task reads both rows of the x + y >= 0
+	// constraint and decrements a different row. Snapshot isolation admits it
+	// (disjoint write sets); serializable aborts one.
+	{"write-skew", "disjoint decrements guarded by a sum constraint (G2-item at SI)", `
+table accounts id:int:pk balance:int
+row accounts balance=60
+row accounts balance=60
+task
+  read accounts 1 balance
+  read accounts 2 balance
+  guard-sum 100
+  add accounts 1 balance -100
+task
+  read accounts 1 balance
+  read accounts 2 balance
+  guard-sum 100
+  add accounts 2 balance -100`},
+	// Figure 3 at minimal scale: both tasks feral-validate one email with a
+	// scan and insert on absence. Predicate-only reads leave no item rw edges
+	// for the graph, so the duplicate is caught by the invariant.
+	{"uniqueness", "feral validates_uniqueness: scan-then-insert of one email (duplicates at weak levels)", `
+table users id:int:pk email:string
+invariant unique users email
+task
+  insert-unless users email=dup@example.com
+task
+  insert-unless users email=dup@example.com`},
+	// Figure 5: the inserter feral-validates the parent's existence before
+	// inserting a child while the deleter deletes the parent after
+	// feral-checking it has no children. The orphan is a final-state fact.
+	{"association", "feral belongs_to: insert-after-parent-check races parent delete (orphans at weak levels)", `
+table departments id:int:pk
+table employees id:int:pk dept_id:int
+row departments
+invariant no-orphans employees dept_id departments
+task
+  read departments 1 id
+  insert employees dept_id=1
+task
+  absent employees dept_id=1
+  delete departments 1`},
+	// Three blind writes contend on one row with lock waiting disabled, so
+	// every lock conflict is an immediate ErrOverloaded instead of a park.
+	// Blind writes keep the anomaly vocabulary empty regardless of
+	// interleaving; the property is negative — a shed transaction must abort
+	// cleanly and leave no trace in the history (no G1a) or the final state.
+	{"overload-shed", "three contended blind writes with no-wait locks (sheds must abort cleanly, no G1a)", `
+table accounts id:int:pk balance:int
+row accounts balance=100
+lock-queue-bound -1
+invariant one-of accounts 1 balance 100 201 202 203
+task
+  set accounts 1 balance 201
+task
+  set accounts 1 balance 202
+task
+  set accounts 1 balance 203`},
+}
+
+// HuntWorkloads returns the built-in catalog, parsed from its DSL source.
 func HuntWorkloads() []HuntWorkload {
-	return []HuntWorkload{
-		LostUpdateWorkload(),
-		WriteSkewWorkload(),
-		UniquenessHuntWorkload(),
-		AssociationHuntWorkload(),
-		OverloadShedWorkload(),
+	out := make([]HuntWorkload, len(huntCatalog))
+	for i, c := range huntCatalog {
+		w, err := ParseHuntWorkload(strings.NewReader(c.source), c.name)
+		if err != nil {
+			panic(fmt.Sprintf("experiment: hunt catalog %s: %v", c.name, err))
+		}
+		w.Description = c.description
+		out[i] = w
 	}
+	return out
 }
 
 // HuntWorkloadByName finds a catalog workload.
@@ -180,312 +412,4 @@ func HuntWorkloadByName(name string) (HuntWorkload, error) {
 		}
 	}
 	return HuntWorkload{}, fmt.Errorf("experiment: unknown hunt workload %q", name)
-}
-
-// LostUpdateWorkload is the canonical G-single shape: two transactions each
-// read-modify-write the same account balance. Read committed loses one of the
-// increments; snapshot isolation's first-committer-wins aborts one instead.
-func LostUpdateWorkload() HuntWorkload {
-	const rowID = storage.RowID(1)
-	return HuntWorkload{
-		Name:        "lost-update",
-		Description: "two read-modify-write increments of one balance (G-single at RC/RR)",
-		Setup:       huntAccounts(1, 100),
-		Tasks: []HuntTask{
-			huntIncrement(rowID, 10),
-			huntIncrement(rowID, 25),
-		},
-	}
-}
-
-// huntAccounts returns a Setup that creates the accounts table and seeds rows
-// 1..n with balance in one transaction.
-func huntAccounts(n int, balance int64) func(*storage.Database) error {
-	return func(db *storage.Database) error {
-		if err := db.CreateTable(&storage.Schema{
-			Name: "accounts",
-			Columns: []storage.Column{
-				{Name: "id", Kind: storage.KindInt, PrimaryKey: true},
-				{Name: "balance", Kind: storage.KindInt},
-			},
-		}); err != nil {
-			return err
-		}
-		tx := db.Begin(storage.ReadCommitted)
-		for i := 0; i < n; i++ {
-			if _, _, err := tx.Insert("accounts", map[string]storage.Value{"balance": storage.Int(balance)}); err != nil {
-				tx.Rollback()
-				return err
-			}
-		}
-		return tx.Commit()
-	}
-}
-
-// huntIncrement returns a task that adds delta to the balance of row id via
-// an unlocked read followed by an update — the feral read-modify-write.
-func huntIncrement(id storage.RowID, delta int64) HuntTask {
-	return huntTx(func(tx *storage.Tx) (bool, error) {
-		vals, err := tx.Get("accounts", id)
-		if err != nil || vals == nil {
-			return false, err
-		}
-		bal := vals[1].I
-		return true, tx.Update("accounts", id, map[string]storage.Value{"balance": storage.Int(bal + delta)})
-	})
-}
-
-// huntTx makes a task of one transaction body: begin at the hunt's level, run
-// body, and commit if it says so without error — roll back otherwise.
-func huntTx(body func(tx *storage.Tx) (commit bool, err error)) HuntTask {
-	return func(db *storage.Database, level storage.IsolationLevel) (uint64, error) {
-		tx := db.Begin(level)
-		if commit, err := body(tx); err != nil || !commit {
-			tx.Rollback()
-			return tx.ID(), err
-		}
-		return tx.ID(), tx.Commit()
-	}
-}
-
-// WriteSkewWorkload is the canonical G2-item shape: two transactions each
-// read both rows of a constraint (x + y >= 0) and decrement different rows.
-// Snapshot isolation admits it (disjoint write sets); serializable aborts one.
-func WriteSkewWorkload() HuntWorkload {
-	const xID, yID = storage.RowID(1), storage.RowID(2)
-	return HuntWorkload{
-		Name:        "write-skew",
-		Description: "disjoint decrements guarded by a sum constraint (G2-item at SI)",
-		Setup:       huntAccounts(2, 60),
-		Tasks: []HuntTask{
-			huntSkewWithdraw(xID, yID, xID, 100),
-			huntSkewWithdraw(xID, yID, yID, 100),
-		},
-	}
-}
-
-// huntSkewWithdraw reads both constraint rows, and withdraws amount from
-// target only if the combined balance covers it.
-func huntSkewWithdraw(xID, yID, target storage.RowID, amount int64) HuntTask {
-	return huntTx(func(tx *storage.Tx) (bool, error) {
-		xv, err := tx.Get("accounts", xID)
-		if err != nil || xv == nil {
-			return false, err
-		}
-		yv, err := tx.Get("accounts", yID)
-		if err != nil || yv == nil {
-			return false, err
-		}
-		if xv[1].I+yv[1].I < amount {
-			return false, nil // constraint correctly refused the withdrawal
-		}
-		cur := xv[1].I
-		if target == yID {
-			cur = yv[1].I
-		}
-		return true, tx.Update("accounts", target, map[string]storage.Value{"balance": storage.Int(cur - amount)})
-	})
-}
-
-// UniquenessHuntWorkload is the paper's Figure 3 pattern at minimal scale:
-// two transactions feral-validate the same email with a scan and insert on
-// absence. The duplicate materializes in final state; the invariant is the
-// oracle because predicate-only reads leave no item rw edges for the graph.
-func UniquenessHuntWorkload() HuntWorkload {
-	const email = "dup@example.com"
-	return HuntWorkload{
-		Name:        "uniqueness",
-		Description: "feral validates_uniqueness: scan-then-insert of one email (duplicates at weak levels)",
-		Setup: func(db *storage.Database) error {
-			return db.CreateTable(&storage.Schema{
-				Name: "users",
-				Columns: []storage.Column{
-					{Name: "id", Kind: storage.KindInt, PrimaryKey: true},
-					{Name: "email", Kind: storage.KindString},
-				},
-			})
-		},
-		Tasks: []HuntTask{
-			huntFeralInsert(email),
-			huntFeralInsert(email),
-		},
-		Invariant: func(db *storage.Database) string {
-			n, err := huntCountEmail(db, email)
-			if err != nil {
-				return "invariant check failed: " + err.Error()
-			}
-			if n > 1 {
-				return fmt.Sprintf("%d rows share email %q (want <= 1)", n, email)
-			}
-			return ""
-		},
-	}
-}
-
-// huntFeralInsert performs SELECT-then-INSERT uniqueness validation.
-func huntFeralInsert(email string) HuntTask {
-	return huntTx(func(tx *storage.Tx) (bool, error) {
-		found := false
-		err := tx.Scan("users", storage.ScanOptions{
-			Filter: &storage.EqFilter{Column: "email", Value: storage.Str(email)},
-		}, func(storage.RowID, []storage.Value) bool {
-			found = true
-			return false
-		})
-		if err != nil || found {
-			return false, err // found: validation correctly refused the duplicate
-		}
-		_, _, err = tx.Insert("users", map[string]storage.Value{"email": storage.Str(email)})
-		return true, err
-	})
-}
-
-// huntCountEmail counts committed rows holding email.
-func huntCountEmail(db *storage.Database, email string) (int, error) {
-	tx := db.Begin(storage.ReadCommitted)
-	defer tx.Rollback()
-	n := 0
-	err := tx.Scan("users", storage.ScanOptions{
-		Filter: &storage.EqFilter{Column: "email", Value: storage.Str(email)},
-	}, func(storage.RowID, []storage.Value) bool {
-		n++
-		return true
-	})
-	return n, err
-}
-
-// OverloadShedWorkload exercises the engine's shed path under the hunter:
-// three blind writes contend on one row with lock waiting disabled
-// (LockQueueBound -1), so every lock conflict is answered with an immediate
-// ErrOverloaded instead of a park. Blind writes keep the anomaly vocabulary
-// empty regardless of interleaving (no read-modify-write, so no G-single);
-// the interesting property is negative — a shed transaction must abort
-// cleanly and leave no trace in the history (no G1a) or the final state,
-// which the invariant and the standard Adya report jointly pin.
-func OverloadShedWorkload() HuntWorkload {
-	const rowID = storage.RowID(1)
-	return HuntWorkload{
-		Name:        "overload-shed",
-		Description: "three contended blind writes with no-wait locks (sheds must abort cleanly, no G1a)",
-		Setup:       huntAccounts(1, 100),
-		Tasks: []HuntTask{
-			huntBlindWrite(rowID, 201),
-			huntBlindWrite(rowID, 202),
-			huntBlindWrite(rowID, 203),
-		},
-		Invariant: func(db *storage.Database) string {
-			tx := db.Begin(storage.ReadCommitted)
-			defer tx.Rollback()
-			vals, err := tx.Get("accounts", rowID)
-			if err != nil || vals == nil {
-				return "invariant check failed: seed row missing"
-			}
-			// The committed balance must be the seed or one task's whole
-			// write; a shed transaction's value surviving would mean the
-			// abort leaked a write.
-			switch bal := vals[1].I; bal {
-			case 100, 201, 202, 203:
-				return ""
-			default:
-				return fmt.Sprintf("balance %d is no task's committed write: a shed leaked", bal)
-			}
-		},
-		Tune: func(o *storage.Options) {
-			o.LockQueueBound = -1 // no waiting: conflicts shed immediately
-		},
-	}
-}
-
-// huntBlindWrite sets the balance of row id to val without reading it first.
-func huntBlindWrite(id storage.RowID, val int64) HuntTask {
-	return huntTx(func(tx *storage.Tx) (bool, error) {
-		return true, tx.Update("accounts", id, map[string]storage.Value{"balance": storage.Int(val)})
-	})
-}
-
-// AssociationHuntWorkload is the paper's Figure 5 pattern: one transaction
-// feral-validates a parent's existence before inserting a child, while a
-// concurrent transaction deletes the parent after feral-checking it has no
-// children. The orphan is a final-state fact; the invariant is the oracle.
-func AssociationHuntWorkload() HuntWorkload {
-	const deptID = storage.RowID(1)
-	return HuntWorkload{
-		Name:        "association",
-		Description: "feral belongs_to: insert-after-parent-check races parent delete (orphans at weak levels)",
-		Setup: func(db *storage.Database) error {
-			if err := db.CreateTable(&storage.Schema{
-				Name: "departments",
-				Columns: []storage.Column{
-					{Name: "id", Kind: storage.KindInt, PrimaryKey: true},
-				},
-			}); err != nil {
-				return err
-			}
-			if err := db.CreateTable(&storage.Schema{
-				Name: "employees",
-				Columns: []storage.Column{
-					{Name: "id", Kind: storage.KindInt, PrimaryKey: true},
-					{Name: "dept_id", Kind: storage.KindInt},
-				},
-			}); err != nil {
-				return err
-			}
-			tx := db.Begin(storage.ReadCommitted)
-			if _, _, err := tx.Insert("departments", nil); err != nil {
-				tx.Rollback()
-				return err
-			}
-			return tx.Commit()
-		},
-		Tasks: []HuntTask{
-			// Inserter: check the parent exists, then insert the child.
-			huntTx(func(tx *storage.Tx) (bool, error) {
-				parent, err := tx.Get("departments", deptID)
-				if err != nil || parent == nil {
-					return false, err // no parent: validation correctly refused the orphan
-				}
-				_, _, err = tx.Insert("employees", map[string]storage.Value{"dept_id": storage.Int(int64(deptID))})
-				return true, err
-			}),
-			// Deleter: check no children exist, then delete the parent.
-			huntTx(func(tx *storage.Tx) (bool, error) {
-				hasChild := false
-				err := tx.Scan("employees", storage.ScanOptions{
-					Filter: &storage.EqFilter{Column: "dept_id", Value: storage.Int(int64(deptID))},
-				}, func(storage.RowID, []storage.Value) bool {
-					hasChild = true
-					return false
-				})
-				if err != nil || hasChild {
-					return false, err // children present: delete refused
-				}
-				return true, tx.Delete("departments", deptID)
-			}),
-		},
-		Invariant: func(db *storage.Database) string {
-			tx := db.Begin(storage.ReadCommitted)
-			defer tx.Rollback()
-			parent, err := tx.Get("departments", deptID)
-			if err != nil {
-				return "invariant check failed: " + err.Error()
-			}
-			if parent != nil {
-				return "" // parent survived; children cannot be orphans
-			}
-			orphans := 0
-			err = tx.Scan("employees", storage.ScanOptions{
-				Filter: &storage.EqFilter{Column: "dept_id", Value: storage.Int(int64(deptID))},
-			}, func(storage.RowID, []storage.Value) bool {
-				orphans++
-				return true
-			})
-			if err != nil {
-				return "invariant check failed: " + err.Error()
-			}
-			if orphans > 0 {
-				return fmt.Sprintf("%d employees reference deleted department %d", orphans, deptID)
-			}
-			return ""
-		},
-	}
 }

@@ -2,6 +2,11 @@ package experiment
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"sort"
+	"strings"
 	"testing"
 
 	"feralcc/internal/histcheck"
@@ -46,7 +51,7 @@ func TestHuntDirectedDelayFindsLostUpdate(t *testing.T) {
 		Task: 0, Point: storage.YieldCommit,
 		Until: sched.Until{Task: 1, Point: storage.YieldCommit},
 	}}}
-	res, err := RunHuntSchedule(LostUpdateWorkload(), storage.ReadCommitted, sc)
+	res, err := RunHuntSchedule(mustHuntWorkload(t, "lost-update"), storage.ReadCommitted, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +68,7 @@ func TestHuntDirectedDelayFindsWriteSkew(t *testing.T) {
 		Task: 0, Point: storage.YieldCommit,
 		Until: sched.Until{Task: 1, Point: storage.YieldCommit},
 	}}}
-	res, err := RunHuntSchedule(WriteSkewWorkload(), storage.SnapshotIsolation, sc)
+	res, err := RunHuntSchedule(mustHuntWorkload(t, "write-skew"), storage.SnapshotIsolation, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,23 +109,32 @@ func TestHuntSchedDeterminism(t *testing.T) {
 	}
 }
 
+// huntOracleFile pins every scheduled catalog run: one line per (workload,
+// level, schedule) holding the history's sha256, the decision count, the task
+// outcomes, the tx-to-task mapping and whether the invariant fired. A change
+// to how the hunt runner or a catalog workload drives the engine shows up
+// here as a differing line, even when every run stays within its contract.
+const huntOracleFile = "testdata/hunt_schedules.golden"
+
 // TestHuntSchedulesWithinContract hunts every catalog workload over a fixed
 // schedule set — the natural order, both anomaly-forcing directed delays, and
 // a spread of random schedules — at every isolation level: each run must stay
-// within its level's admitted anomaly classes.
+// within its level's admitted anomaly classes, and the runs must match
+// huntOracleFile line for line.
 func TestHuntSchedulesWithinContract(t *testing.T) {
 	if testing.Short() {
 		t.Skip("contract sweep is the long half of the hunt suite")
 	}
-	schedules := []sched.Schedule{
-		{},
-		{Delays: []sched.Delay{{Task: 0, Point: storage.YieldCommit, Until: sched.Until{Task: 1, Point: storage.YieldCommit}}}},
-		{Delays: []sched.Delay{{Task: 1, Point: storage.YieldCommit, Until: sched.Until{Task: 0, Point: storage.YieldCommit}}}},
-	}
-	for seed := int64(1); seed <= 12; seed++ {
-		schedules = append(schedules, sched.RandomSchedule(seed, 2, 20, 3))
-	}
+	var got []string
 	for _, w := range HuntWorkloads() {
+		schedules := []sched.Schedule{
+			{},
+			{Delays: []sched.Delay{{Task: 0, Point: storage.YieldCommit, Until: sched.Until{Task: 1, Point: storage.YieldCommit}}}},
+			{Delays: []sched.Delay{{Task: 1, Point: storage.YieldCommit, Until: sched.Until{Task: 0, Point: storage.YieldCommit}}}},
+		}
+		for seed := int64(1); seed <= 40; seed++ {
+			schedules = append(schedules, sched.RandomSchedule(seed, len(w.Tasks), 20, 3))
+		}
 		for _, level := range huntLevels {
 			for _, sc := range schedules {
 				res, err := RunHuntSchedule(w, level, sc)
@@ -131,7 +145,123 @@ func TestHuntSchedulesWithinContract(t *testing.T) {
 					t.Fatalf("%s@%v (%s): engine exceeded its isolation contract\n%s",
 						w.Name, level, sc, res.Report)
 				}
+				got = append(got, huntOracleRow(t, w.Name, level, sc, res))
 			}
 		}
+	}
+	raw, err := os.ReadFile(huntOracleFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	var diffs []string
+	for i := 0; i < len(got) || i < len(want); i++ {
+		g, w := "<none>", "<none>"
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(want) {
+			w = want[i]
+		}
+		if g != w && len(diffs) < 6 {
+			diffs = append(diffs, fmt.Sprintf("row %d:\n  want %s\n  got  %s", i+1, w, g))
+		}
+	}
+	if len(diffs) > 0 {
+		t.Fatalf("hunt runs differ from %s (%d rows, want %d); first differences:\n%s",
+			huntOracleFile, len(got), len(want), strings.Join(diffs, "\n"))
+	}
+}
+
+// huntOracleRow renders one run as a huntOracleFile line.
+func huntOracleRow(t *testing.T, name string, level storage.IsolationLevel, sc sched.Schedule, res *HuntResult) string {
+	var buf bytes.Buffer
+	if err := histcheck.WriteJSONL(&buf, res.Events); err != nil {
+		t.Fatal(err)
+	}
+	errs := make([]string, len(res.TaskErrs))
+	for i, err := range res.TaskErrs {
+		errs[i] = fmt.Sprint(err)
+	}
+	var pairs []string
+	for tx, task := range res.TxTask {
+		pairs = append(pairs, fmt.Sprintf("%d:%d", tx, task))
+	}
+	sort.Strings(pairs)
+	return fmt.Sprintf("%s\t%s\t%s\tsha256=%x\tdecisions=%d\terrs=%q\ttxtask=%v\tinvariant=%v",
+		name, level, sc, sha256.Sum256(buf.Bytes()), res.Decisions, errs, pairs, res.InvariantViolation != "")
+}
+
+// mustHuntWorkload looks up a catalog workload by name.
+func mustHuntWorkload(t *testing.T, name string) HuntWorkload {
+	t.Helper()
+	w, err := HuntWorkloadByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// TestDSLAddUsesItsOwnRead pins that add builds on the value read for its own
+// (table, row, column): after reading both rows, row 1 must end at its own
+// 60 - 100, not at row 2's 70 - 100.
+func TestDSLAddUsesItsOwnRead(t *testing.T) {
+	const src = `
+table accounts id:int:pk balance:int
+row accounts balance=60
+row accounts balance=70
+invariant one-of accounts 1 balance -40
+task
+  read accounts 1 balance
+  read accounts 2 balance
+  add accounts 1 balance -100
+task
+  read accounts 1 balance
+`
+	w, err := ParseHuntWorkload(strings.NewReader(src), "two-reads")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunHuntSchedule(w, storage.ReadCommitted, sched.Schedule{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TaskErrs[0] != nil || res.InvariantViolation != "" {
+		t.Fatalf("task 0: %v; want row 1 at -40: %s", res.TaskErrs[0], res.InvariantViolation)
+	}
+}
+
+// TestDSLInsertUnlessDeterministic pins that insert-unless probes the first
+// column written, so one schedule always records one history.
+func TestDSLInsertUnlessDeterministic(t *testing.T) {
+	const src = `
+table users id:int:pk email:string name:string
+task
+  insert-unless users email=a name=b
+task
+  insert-unless users email=a name=b
+`
+	w, err := ParseHuntWorkload(strings.NewReader(src), "two-columns")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first []byte
+	for rep := 0; rep < 10; rep++ {
+		res, err := RunHuntSchedule(w, storage.ReadCommitted, sched.Schedule{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := histcheck.WriteJSONL(&buf, res.Events); err != nil {
+			t.Fatal(err)
+		}
+		if rep == 0 {
+			first = buf.Bytes()
+		} else if !bytes.Equal(first, buf.Bytes()) {
+			t.Fatalf("rep %d: history differs\n--- rep 0 ---\n%s--- rep %d ---\n%s", rep, first, rep, buf.Bytes())
+		}
+	}
+	if !bytes.Contains(first, []byte("email")) {
+		t.Errorf("the probe must scan the first column written, email:\n%s", first)
 	}
 }

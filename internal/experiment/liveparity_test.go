@@ -18,26 +18,11 @@ import (
 // from the storage engine's own dual-emit path, under both the deterministic
 // scheduler and free-running goroutines.
 
-// withLiveCheck returns a copy of w whose Tune additionally attaches a
-// full-sampling live watcher, and whose Setup captures the opened database so
-// the test can interrogate the watcher after the runner returns. The runner's
-// deferred db.Close stops the watcher, and Stop drains the ring before
-// returning, so post-run Classes/Stats are complete and race-free.
-func withLiveCheck(w HuntWorkload, dbOut **storage.Database) HuntWorkload {
-	baseTune := w.Tune
-	w.Tune = func(o *storage.Options) {
-		if baseTune != nil {
-			baseTune(o)
-		}
-		o.LiveCheck = &anomalywatch.Config{SampleRate: 1}
-	}
-	baseSetup := w.Setup
-	w.Setup = func(d *storage.Database) error {
-		*dbOut = d
-		return baseSetup(d)
-	}
-	return w
-}
+// fullLiveCheck attaches a full-sampling live watcher through the hunt
+// runner's options. runHunt returns the database closed, and Close stops the
+// watcher after draining its ring, so post-run Classes/Stats are complete and
+// race-free.
+var fullLiveCheck = storage.Options{LiveCheck: &anomalywatch.Config{SampleRate: 1}}
 
 // assertLiveParity compares the watcher's accumulated classes against the
 // offline report for one run. The stand-down rules mirror verifyLiveParity:
@@ -95,9 +80,7 @@ func TestHuntLiveParitySchedules(t *testing.T) {
 	for _, base := range HuntWorkloads() {
 		for _, level := range []storage.IsolationLevel{storage.ReadCommitted, storage.SnapshotIsolation} {
 			for si, sc := range schedules {
-				var d *storage.Database
-				w := withLiveCheck(base, &d)
-				res, err := RunHuntSchedule(w, level, sc)
+				res, d, err := runHunt(base, level, &sc, fullLiveCheck)
 				if err != nil {
 					t.Fatalf("%s@%v sched %d: %v", base.Name, level, si, err)
 				}
@@ -121,12 +104,11 @@ func TestHuntLiveParityDirectedHitsAnomalies(t *testing.T) {
 		level    storage.IsolationLevel
 		want     histcheck.Anomaly
 	}{
-		{LostUpdateWorkload(), storage.ReadCommitted, histcheck.GSingle},
-		{WriteSkewWorkload(), storage.SnapshotIsolation, histcheck.G2Item},
+		{mustHuntWorkload(t, "lost-update"), storage.ReadCommitted, histcheck.GSingle},
+		{mustHuntWorkload(t, "write-skew"), storage.SnapshotIsolation, histcheck.G2Item},
 	}
 	for _, tc := range cases {
-		var d *storage.Database
-		res, err := RunHuntSchedule(withLiveCheck(tc.workload, &d), tc.level, delay)
+		res, d, err := runHunt(tc.workload, tc.level, &delay, fullLiveCheck)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.workload.Name, err)
 		}
@@ -158,9 +140,7 @@ func TestHuntLiveParityStress(t *testing.T) {
 	for _, base := range HuntWorkloads() {
 		for _, level := range []storage.IsolationLevel{storage.ReadCommitted, storage.SnapshotIsolation, storage.Serializable} {
 			for rep := 0; rep < reps; rep++ {
-				var d *storage.Database
-				w := withLiveCheck(base, &d)
-				res, err := RunHuntStress(w, level)
+				res, d, err := runHunt(base, level, nil, fullLiveCheck)
 				if err != nil {
 					t.Fatalf("%s@%v rep %d: %v", base.Name, level, rep, err)
 				}

@@ -5,14 +5,18 @@ GO ?= go
 # Three tiers, nothing run twice: `check` is every test, `gates` is what no
 # test runs, `bench` is the benchmark.
 
-# check is the full gate: compile, vet, and the whole test suite under the
-# race detector. That includes every suite that once had a target of its own:
+# check is the full gate: gofmt (any file `gofmt -l` lists fails it), compile,
+# vet, and the whole test suite under the race detector. That includes every
+# suite that once had a target of its own:
 # the fault-injection and crash-recovery chaos suites, the history-checker
 # gates, the hunt corpus replay and scheduler determinism, the overload
 # contracts, the live/offline parity suites, and the feraldbd subprocess
 # smokes (obs, live-check, SIGTERM checkpoint) — none of them is skipped
 # outside -short.
 check:
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists files that need formatting:"; echo "$$unformatted"; exit 1; \
+	fi
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...

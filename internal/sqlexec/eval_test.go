@@ -194,3 +194,23 @@ func TestPushdownFilterSelection(t *testing.T) {
 		}
 	}
 }
+
+// TestProjectRowAllocatesOnce pins projectRow's sizing: the output row is
+// allocated once at the projection's width, stars expanded, rather than grown
+// by append (four allocations for the five-column star).
+func TestProjectRowAllocatesOnce(t *testing.T) {
+	e := testEnv()
+	for src, width := range map[string]int{"*": 5, "*, n": 6, "id, s": 2} {
+		stmt, err := sqlfront.Parse("SELECT " + src + " FROM t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel := stmt.(*sqlfront.SelectStmt)
+		if row, err := projectRow(sel, e); err != nil || len(row) != width || cap(row) != width {
+			t.Errorf("SELECT %s: %d values, capacity %d, %v; want %d", src, len(row), cap(row), err, width)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { projectRow(sel, e) }); allocs != 1 {
+			t.Errorf("SELECT %s: %.0f allocations per row, want 1", src, allocs)
+		}
+	}
+}

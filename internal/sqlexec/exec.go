@@ -895,9 +895,20 @@ func projectionColumns(t *sqlfront.SelectStmt, baseSchema *storage.Schema) []str
 	return cols
 }
 
-// projectRow evaluates the projection for one row env.
+// projectRow evaluates the projection for one row env into a row sized once
+// from the projection's width, stars expanded.
 func projectRow(t *sqlfront.SelectStmt, r *env) ([]storage.Value, error) {
-	var out []storage.Value
+	width := 0
+	for _, it := range t.Items {
+		if _, ok := it.Expr.(*sqlfront.Star); !ok {
+			width++
+			continue
+		}
+		for _, b := range r.bindings {
+			width += len(b.schema.Columns)
+		}
+	}
+	out := make([]storage.Value, 0, width)
 	for _, it := range t.Items {
 		if _, ok := it.Expr.(*sqlfront.Star); ok {
 			for _, b := range r.bindings {

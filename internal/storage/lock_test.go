@@ -44,7 +44,7 @@ func TestLockSharedConcurrent(t *testing.T) {
 }
 
 func TestLockExclusiveBlocksAndTimesOut(t *testing.T) {
-	lm := newLockManager(50 * time.Millisecond, 0, nil)
+	lm := newLockManager(50*time.Millisecond, 0, nil)
 	if err := lm.Acquire(1, "k", LockX); err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestLockExclusiveBlocksAndTimesOut(t *testing.T) {
 }
 
 func TestLockWaiterWokenOnRelease(t *testing.T) {
-	lm := newLockManager(5 * time.Second, 0, nil)
+	lm := newLockManager(5*time.Second, 0, nil)
 	if err := lm.Acquire(1, "k", LockX); err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestLockWaiterWokenOnRelease(t *testing.T) {
 }
 
 func TestLockReentrantAndUpgrade(t *testing.T) {
-	lm := newLockManager(50 * time.Millisecond, 0, nil)
+	lm := newLockManager(50*time.Millisecond, 0, nil)
 	if err := lm.Acquire(1, "k", LockS); err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestLockReentrantAndUpgrade(t *testing.T) {
 }
 
 func TestLockUpgradeContention(t *testing.T) {
-	lm := newLockManager(50 * time.Millisecond, 0, nil)
+	lm := newLockManager(50*time.Millisecond, 0, nil)
 	_ = lm.Acquire(1, "k", LockS)
 	_ = lm.Acquire(2, "k", LockS)
 	// Neither can upgrade while the other holds S: classic upgrade deadlock,
@@ -108,7 +108,7 @@ func TestLockUpgradeContention(t *testing.T) {
 }
 
 func TestLockIntentModes(t *testing.T) {
-	lm := newLockManager(30 * time.Millisecond, 0, nil)
+	lm := newLockManager(30*time.Millisecond, 0, nil)
 	_ = lm.Acquire(1, "t", LockIX)
 	if err := lm.Acquire(2, "t", LockIX); err != nil {
 		t.Fatalf("IX/IX should be compatible: %v", err)
@@ -127,7 +127,7 @@ func TestLockIntentModes(t *testing.T) {
 }
 
 func TestLockFIFOFairness(t *testing.T) {
-	lm := newLockManager(5 * time.Second, 0, nil)
+	lm := newLockManager(5*time.Second, 0, nil)
 	_ = lm.Acquire(1, "k", LockX)
 	order := make(chan uint64, 2)
 	var wg sync.WaitGroup
@@ -155,7 +155,7 @@ func TestLockFIFOFairness(t *testing.T) {
 }
 
 func TestLockNewRequestQueuesBehindWaiters(t *testing.T) {
-	lm := newLockManager(5 * time.Second, 0, nil)
+	lm := newLockManager(5*time.Second, 0, nil)
 	_ = lm.Acquire(1, "k", LockS)
 	// Writer queues.
 	writerDone := make(chan struct{})

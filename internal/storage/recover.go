@@ -93,7 +93,7 @@ func OpenDir(opts Options) (*Database, error) {
 			db.recovery.CorruptTail = true
 			break
 		}
-		off += walHeaderSize + int64(len(payload))
+		off += frameHeaderSize + int64(len(payload))
 		db.recovery.RecordsReplayed++
 	}
 	if scan.validLen < int64(len(raw)) {
@@ -120,24 +120,21 @@ func OpenDir(opts Options) (*Database, error) {
 // re-logged); commit records install their versions directly at the recorded
 // commit timestamp.
 func (db *Database) replayRecord(payload []byte) error {
-	d := &walDecoder{b: payload}
-	switch typ := d.byteVal(); typ {
+	d := NewDecoder(payload)
+	switch typ := d.Byte(); typ {
 	case recCommit:
 		return db.replayCommit(d)
 	case recGroupCommit:
 		// A group-commit frame: replay each embedded commit record in order.
 		// The frame is covered by one checksum, so a torn batch was already
 		// discarded whole by scanWAL — sub-records are never partially valid.
-		n := d.u64()
+		n := d.Uvarint()
 		for i := uint64(0); i < n && d.err == nil; i++ {
-			subLen := d.u64()
-			if d.err != nil || uint64(len(d.b)) < subLen {
-				d.fail("group commit record")
+			sub := NewDecoder(d.take(d.Uvarint(), "group commit record"))
+			if d.err != nil {
 				return d.err
 			}
-			sub := &walDecoder{b: d.b[:subLen]}
-			d.b = d.b[subLen:]
-			if sub.byteVal() != recCommit {
+			if sub.Byte() != recCommit {
 				return fmt.Errorf("storage: wal group commit: unexpected sub-record type")
 			}
 			if err := db.replayCommit(sub); err != nil {
@@ -146,23 +143,23 @@ func (db *Database) replayRecord(payload []byte) error {
 		}
 		return d.err
 	case recCreateTable:
-		s := d.schema()
+		s := decodeSchema(d)
 		if d.err != nil {
 			return d.err
 		}
 		db.recovery.DDLReplayed++
 		return db.CreateTable(s)
 	case recDropTable:
-		name := d.str()
+		name := d.Str()
 		if d.err != nil {
 			return d.err
 		}
 		db.recovery.DDLReplayed++
 		return db.DropTable(name)
 	case recAddIndex:
-		table := d.str()
-		column := d.str()
-		unique := d.byteVal() != 0
+		table := d.Str()
+		column := d.Str()
+		unique := d.Bool()
 		if d.err != nil {
 			return d.err
 		}
@@ -175,10 +172,10 @@ func (db *Database) replayRecord(payload []byte) error {
 		}
 		return nil
 	case recAddForeignKey:
-		table := d.str()
-		column := d.str()
-		parent := d.str()
-		onDelete := ReferentialAction(d.byteVal())
+		table := d.Str()
+		column := d.Str()
+		parent := d.Str()
+		onDelete := ReferentialAction(d.Byte())
 		if d.err != nil {
 			return d.err
 		}
@@ -192,12 +189,12 @@ func (db *Database) replayRecord(payload []byte) error {
 // replayCommit reinstalls one committed transaction's writes at its original
 // commit timestamp, bumping the per-table row and primary-key allocators so
 // new traffic never collides with recovered rows.
-func (db *Database) replayCommit(d *walDecoder) error {
-	commitTS := d.u64()
-	nTables := d.u64()
+func (db *Database) replayCommit(d *Decoder) error {
+	commitTS := d.Uvarint()
+	nTables := d.Uvarint()
 	for i := uint64(0); i < nTables && d.err == nil; i++ {
-		name := d.str()
-		nOps := d.u64()
+		name := d.Str()
+		nOps := d.Uvarint()
 		if d.err != nil {
 			return d.err
 		}
@@ -209,11 +206,11 @@ func (db *Database) replayCommit(d *walDecoder) error {
 			}
 		}
 		for j := uint64(0); j < nOps && d.err == nil; j++ {
-			op := d.byteVal()
-			id := RowID(d.u64())
+			op := d.Byte()
+			id := RowID(d.Uvarint())
 			var vals []Value
 			if op == walOpInsert || op == walOpUpdate {
-				vals = d.row()
+				vals = d.Row()
 			}
 			if d.err != nil {
 				return d.err

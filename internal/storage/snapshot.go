@@ -3,7 +3,7 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -11,9 +11,9 @@ import (
 	"time"
 )
 
-// A snapshot checkpoint is one CRC-framed blob (same length+crc framing as a
-// WAL record) holding the commit clock and, per table, the schema, the row
-// and primary-key allocators, and every *live* latest row version. Dead
+// A snapshot checkpoint is one frame (appendFrame, as for a WAL record)
+// holding the commit clock and, per table, the schema, the row and
+// primary-key allocators, and every *live* latest row version. Dead
 // versions are deliberately not persisted — a checkpoint doubles as a vacuum
 // of the on-disk representation. The file is written to a temp name, fsynced,
 // and renamed over the previous snapshot, so a crash mid-checkpoint leaves
@@ -78,7 +78,7 @@ func (db *Database) Checkpoint() (CheckpointStats, error) {
 			if v := chain.live(); v != nil {
 				payload = binary.AppendUvarint(payload, uint64(id))
 				payload = binary.AppendUvarint(payload, v.beginTS)
-				payload = appendWALRow(payload, v.vals)
+				payload = AppendRow(payload, v.vals)
 			}
 		}
 		t.mu.RUnlock()
@@ -86,10 +86,7 @@ func (db *Database) Checkpoint() (CheckpointStats, error) {
 		stats.Rows += live
 	}
 
-	framed := make([]byte, walHeaderSize+len(payload))
-	binary.BigEndian.PutUint32(framed[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(framed[4:8], crc32.Checksum(payload, crcTable))
-	copy(framed[walHeaderSize:], payload)
+	framed := appendFrame(make([]byte, 0, frameHeaderSize+len(payload)), payload)
 
 	final := filepath.Join(db.opts.DataDir, snapFileName)
 	tmp := final + ".tmp"
@@ -153,33 +150,26 @@ func syncDir(dir string) error {
 	return err
 }
 
-// decodeSnapshot parses a snapshot file's raw bytes and installs its contents
+// loadSnapshot parses a snapshot file's raw bytes and installs its contents
 // into a fresh database shell. Returns the snapshot's commit clock and the
 // number of rows installed.
 func (db *Database) loadSnapshot(raw []byte) (clock uint64, rows int, err error) {
-	if len(raw) < walHeaderSize {
-		return 0, 0, fmt.Errorf("storage: snapshot: short header (%d bytes)", len(raw))
+	// The snapshot is bounded by the file, not by the WAL's record limit.
+	payload, _, err := cutFrame(raw, math.MaxUint32)
+	if err != nil {
+		return 0, 0, fmt.Errorf("storage: snapshot: %w", err)
 	}
-	length := int64(binary.BigEndian.Uint32(raw[0:4]))
-	crc := binary.BigEndian.Uint32(raw[4:8])
-	if int64(len(raw))-walHeaderSize < length {
-		return 0, 0, fmt.Errorf("storage: snapshot: truncated payload")
-	}
-	payload := raw[walHeaderSize : walHeaderSize+length]
-	if crc32.Checksum(payload, crcTable) != crc {
-		return 0, 0, fmt.Errorf("storage: snapshot: checksum mismatch")
-	}
-	d := &walDecoder{b: payload}
-	if v := d.byteVal(); v != snapVersion {
+	d := NewDecoder(payload)
+	if v := d.Byte(); v != snapVersion {
 		return 0, 0, fmt.Errorf("storage: snapshot: unknown version %d", v)
 	}
-	clock = d.u64()
-	nTables := d.u64()
+	clock = d.Uvarint()
+	nTables := d.Uvarint()
 	for i := uint64(0); i < nTables && d.err == nil; i++ {
-		s := d.schema()
-		nextRow := d.u64()
-		nextID := d.u64()
-		nRows := d.u64()
+		s := decodeSchema(d)
+		nextRow := d.Uvarint()
+		nextID := d.Uvarint()
+		nRows := d.Uvarint()
 		if d.err != nil {
 			break
 		}
@@ -190,9 +180,9 @@ func (db *Database) loadSnapshot(raw []byte) (clock uint64, rows int, err error)
 		t.nextRow = nextRow
 		t.nextID = nextID
 		for r := uint64(0); r < nRows && d.err == nil; r++ {
-			id := RowID(d.u64())
-			beginTS := d.u64()
-			vals := d.row()
+			id := RowID(d.Uvarint())
+			beginTS := d.Uvarint()
+			vals := d.Row()
 			if d.err != nil {
 				break
 			}

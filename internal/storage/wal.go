@@ -3,8 +3,6 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"math"
 	"os"
 	"sort"
 	"sync"
@@ -13,14 +11,11 @@ import (
 	"feralcc/internal/obs"
 )
 
-// The write-ahead log is a single append-only file of checksummed,
-// length-prefixed records living in Options.DataDir. Every record is
-//
-//	length:uint32BE  crc:uint32BE(Castagnoli, over payload)  payload
-//
-// and the payload's first byte is a record type. Commit records are appended
-// by the group-commit log writer after validation and before install, so a
-// record reaches the log if and only if the commit will be acknowledged; DDL
+// The write-ahead log is a single append-only file of records living in
+// Options.DataDir. Every record is one checksummed frame (appendFrame) whose
+// payload's first byte is a record type. Commit records are appended by the
+// group-commit log writer after validation and before install, so a record
+// reaches the log if and only if the commit will be acknowledged; DDL
 // records are appended under catalogMu before the catalog mutation becomes
 // visible. Recovery scans the log until the first torn or
 // checksum-corrupt record, replays the valid prefix, and truncates the rest —
@@ -33,8 +28,6 @@ const (
 	// walMaxRecord bounds a single record; a length field beyond it is treated
 	// as a corrupt tail rather than an allocation request.
 	walMaxRecord = 64 << 20
-
-	walHeaderSize = 8
 )
 
 // WAL record types (first payload byte).
@@ -52,9 +45,6 @@ const (
 	// exactly the durable frames.
 	recGroupCommit byte = 6
 )
-
-// crcTable is the Castagnoli polynomial, hardware-accelerated on amd64/arm64.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // SyncPolicy selects when the WAL is fsynced to stable storage.
 type SyncPolicy uint8
@@ -169,10 +159,7 @@ func (w *wal) append(payload []byte) error {
 // nothing will be replayed. Returns the time spent in the fsync itself (zero
 // when the policy defers it). Caller holds w.mu.
 func (w *wal) writeFrame(payload []byte, records int) (time.Duration, error) {
-	frame := make([]byte, walHeaderSize+len(payload))
-	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
-	copy(frame[walHeaderSize:], payload)
+	frame := appendFrame(make([]byte, 0, frameHeaderSize+len(payload)), payload)
 	off := w.size
 	if _, err := w.f.WriteAt(frame, off); err != nil {
 		w.rollbackTo(off)
@@ -341,46 +328,6 @@ func (w *wal) close() error {
 
 // --- record payload encoding --------------------------------------------------
 
-// appendLPString appends a uvarint-length-prefixed string.
-func appendLPString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-// appendWALValue appends one typed value: a kind byte followed by the
-// kind-specific payload (matching Value.Key's equality semantics when
-// decoded: times round-trip through UnixNano, floats through their bits).
-func appendWALValue(b []byte, v Value) []byte {
-	b = append(b, byte(v.Kind))
-	switch v.Kind {
-	case KindNull:
-	case KindInt:
-		b = binary.AppendVarint(b, v.I)
-	case KindFloat:
-		b = binary.BigEndian.AppendUint64(b, math.Float64bits(v.F))
-	case KindString:
-		b = appendLPString(b, v.S)
-	case KindBool:
-		if v.B {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-	case KindTime:
-		b = binary.AppendVarint(b, v.T.UnixNano())
-	}
-	return b
-}
-
-// appendWALRow appends a value-count-prefixed row image.
-func appendWALRow(b []byte, vals []Value) []byte {
-	b = binary.AppendUvarint(b, uint64(len(vals)))
-	for _, v := range vals {
-		b = appendWALValue(b, v)
-	}
-	return b
-}
-
 // Schema column flag bits.
 const (
 	schemaColNotNull    = 1 << 0
@@ -391,10 +338,10 @@ const (
 // appendSchema serializes a schema (shared by CreateTable records and
 // snapshots).
 func appendSchema(b []byte, s *Schema) []byte {
-	b = appendLPString(b, s.Name)
+	b = AppendString(b, s.Name)
 	b = binary.AppendUvarint(b, uint64(len(s.Columns)))
 	for _, c := range s.Columns {
-		b = appendLPString(b, c.Name)
+		b = AppendString(b, c.Name)
 		b = append(b, byte(c.Kind))
 		var flags byte
 		if c.NotNull {
@@ -408,25 +355,21 @@ func appendSchema(b []byte, s *Schema) []byte {
 		}
 		b = append(b, flags)
 		if !c.Default.IsNull() {
-			b = appendWALValue(b, c.Default)
+			b = AppendValue(b, c.Default)
 		}
 	}
 	b = binary.AppendUvarint(b, uint64(len(s.Indexes)))
 	for _, ix := range s.Indexes {
-		b = appendLPString(b, ix.Column)
-		b = appendLPString(b, ix.Name)
-		if ix.Unique {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
+		b = AppendString(b, ix.Column)
+		b = AppendString(b, ix.Name)
+		b = AppendBool(b, ix.Unique)
 	}
 	b = binary.AppendUvarint(b, uint64(len(s.ForeignKeys)))
 	for _, fk := range s.ForeignKeys {
-		b = appendLPString(b, fk.Column)
-		b = appendLPString(b, fk.ParentTable)
+		b = AppendString(b, fk.Column)
+		b = AppendString(b, fk.ParentTable)
 		b = append(b, byte(fk.OnDelete))
-		b = appendLPString(b, fk.Name)
+		b = AppendString(b, fk.Name)
 	}
 	return b
 }
@@ -438,24 +381,21 @@ func encodeCreateTable(s *Schema) []byte {
 
 // encodeDropTable builds a recDropTable payload.
 func encodeDropTable(name string) []byte {
-	return appendLPString([]byte{recDropTable}, name)
+	return AppendString([]byte{recDropTable}, name)
 }
 
 // encodeAddIndex builds a recAddIndex payload.
 func encodeAddIndex(table, column string, unique bool) []byte {
-	b := appendLPString([]byte{recAddIndex}, table)
-	b = appendLPString(b, column)
-	if unique {
-		return append(b, 1)
-	}
-	return append(b, 0)
+	b := AppendString([]byte{recAddIndex}, table)
+	b = AppendString(b, column)
+	return AppendBool(b, unique)
 }
 
 // encodeAddForeignKey builds a recAddForeignKey payload.
 func encodeAddForeignKey(table, column, parent string, onDelete ReferentialAction) []byte {
-	b := appendLPString([]byte{recAddForeignKey}, table)
-	b = appendLPString(b, column)
-	b = appendLPString(b, parent)
+	b := AppendString([]byte{recAddForeignKey}, table)
+	b = AppendString(b, column)
+	b = AppendString(b, parent)
 	return append(b, byte(onDelete))
 }
 
@@ -482,7 +422,7 @@ func encodeCommit(writes map[string]map[RowID]*txWrite, commitTS uint64) []byte 
 	b = binary.AppendUvarint(b, uint64(len(names)))
 	for _, name := range names {
 		rows := writes[name]
-		b = appendLPString(b, name)
+		b = AppendString(b, name)
 		type opEntry struct {
 			id RowID
 			w  *txWrite
@@ -498,11 +438,11 @@ func encodeCommit(writes map[string]map[RowID]*txWrite, commitTS uint64) []byte 
 			case opInsert:
 				b = append(b, walOpInsert)
 				b = binary.AppendUvarint(b, uint64(e.id))
-				b = appendWALRow(b, e.w.vals)
+				b = AppendRow(b, e.w.vals)
 			case opUpdate:
 				b = append(b, walOpUpdate)
 				b = binary.AppendUvarint(b, uint64(e.id))
-				b = appendWALRow(b, e.w.vals)
+				b = AppendRow(b, e.w.vals)
 			case opDelete:
 				b = append(b, walOpDelete)
 				b = binary.AppendUvarint(b, uint64(e.id))
@@ -514,141 +454,28 @@ func encodeCommit(writes map[string]map[RowID]*txWrite, commitTS uint64) []byte 
 
 // --- record payload decoding --------------------------------------------------
 
-// walDecoder is a cursor over one record payload. The first decode error
-// sticks; callers check err once at the end.
-type walDecoder struct {
-	b   []byte
-	err error
-}
-
-func (d *walDecoder) fail(what string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("storage: wal record: truncated %s", what)
-	}
-}
-
-func (d *walDecoder) byteVal() byte {
-	if d.err != nil || len(d.b) < 1 {
-		d.fail("byte")
-		return 0
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
-}
-
-func (d *walDecoder) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.fail("uvarint")
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *walDecoder) i64() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.fail("varint")
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *walDecoder) str() string {
-	n := d.u64()
-	if d.err != nil || uint64(len(d.b)) < n {
-		d.fail("string")
-		return ""
-	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s
-}
-
-func (d *walDecoder) value() Value {
-	switch Kind(d.byteVal()) {
-	case KindNull:
-		return Null()
-	case KindInt:
-		return Int(d.i64())
-	case KindFloat:
-		if d.err != nil || len(d.b) < 8 {
-			d.fail("float")
-			return Value{}
-		}
-		bits := binary.BigEndian.Uint64(d.b)
-		d.b = d.b[8:]
-		return Float(math.Float64frombits(bits))
-	case KindString:
-		return Str(d.str())
-	case KindBool:
-		return Bool(d.byteVal() != 0)
-	case KindTime:
-		return Time(time.Unix(0, d.i64()).UTC())
-	default:
-		d.fail("value kind")
-		return Value{}
-	}
-}
-
-func (d *walDecoder) row() []Value {
-	n := d.u64()
-	if d.err != nil || n > uint64(len(d.b)) { // each value is ≥ 1 byte
-		d.fail("row")
-		return nil
-	}
-	vals := make([]Value, n)
-	for i := range vals {
-		vals[i] = d.value()
-	}
-	return vals
-}
-
-func (d *walDecoder) schema() *Schema {
-	s := &Schema{Name: d.str()}
-	nCols := d.u64()
-	if d.err != nil || nCols > uint64(len(d.b))+1 {
-		d.fail("columns")
-		return s
-	}
-	for i := uint64(0); i < nCols && d.err == nil; i++ {
-		c := Column{Name: d.str(), Kind: Kind(d.byteVal())}
-		flags := d.byteVal()
+// decodeSchema reads a schema written by appendSchema.
+func decodeSchema(d *Decoder) *Schema {
+	s := &Schema{Name: d.Str()}
+	for n := d.Count(); n > 0 && d.err == nil; n-- {
+		c := Column{Name: d.Str(), Kind: Kind(d.Byte())}
+		flags := d.Byte()
 		c.NotNull = flags&schemaColNotNull != 0
 		c.PrimaryKey = flags&schemaColPrimaryKey != 0
 		if flags&schemaColHasDefault != 0 {
-			c.Default = d.value()
+			c.Default = d.Value()
 		}
 		s.Columns = append(s.Columns, c)
 	}
-	nIx := d.u64()
-	if d.err != nil || nIx > uint64(len(d.b))+1 {
-		d.fail("indexes")
-		return s
-	}
-	for i := uint64(0); i < nIx && d.err == nil; i++ {
-		ix := IndexSpec{Column: d.str(), Name: d.str(), Unique: false}
-		ix.Unique = d.byteVal() != 0
+	for n := d.Count(); n > 0 && d.err == nil; n-- {
+		ix := IndexSpec{Column: d.Str(), Name: d.Str()}
+		ix.Unique = d.Bool()
 		s.Indexes = append(s.Indexes, ix)
 	}
-	nFK := d.u64()
-	if d.err != nil || nFK > uint64(len(d.b))+1 {
-		d.fail("foreign keys")
-		return s
-	}
-	for i := uint64(0); i < nFK && d.err == nil; i++ {
-		fk := ForeignKey{Column: d.str(), ParentTable: d.str()}
-		fk.OnDelete = ReferentialAction(d.byteVal())
-		fk.Name = d.str()
+	for n := d.Count(); n > 0 && d.err == nil; n-- {
+		fk := ForeignKey{Column: d.Str(), ParentTable: d.Str()}
+		fk.OnDelete = ReferentialAction(d.Byte())
+		fk.Name = d.Str()
 		s.ForeignKeys = append(s.ForeignKeys, fk)
 	}
 	return s
@@ -673,27 +500,17 @@ type walScan struct {
 // everything before it is trusted and everything from it on is discarded.
 func scanWAL(data []byte) walScan {
 	var s walScan
-	off := int64(0)
-	n := int64(len(data))
-	for n-off >= walHeaderSize {
-		length := int64(binary.BigEndian.Uint32(data[off : off+4]))
-		crc := binary.BigEndian.Uint32(data[off+4 : off+8])
-		if length > walMaxRecord {
-			s.corrupt = true
-			break
-		}
-		if n-off-walHeaderSize < length {
-			break // torn: the payload never finished reaching the disk
-		}
-		payload := data[off+walHeaderSize : off+walHeaderSize+length]
-		if crc32.Checksum(payload, crcTable) != crc {
-			s.corrupt = true
+	rest := data
+	for len(rest) > 0 {
+		payload, next, err := cutFrame(rest, walMaxRecord)
+		if err != nil {
+			s.corrupt = err == errFrameCorrupt
 			break
 		}
 		s.payloads = append(s.payloads, payload)
-		off += walHeaderSize + length
+		rest = next
 	}
-	s.validLen = off
-	s.tornTail = n - off
+	s.validLen = int64(len(data) - len(rest))
+	s.tornTail = int64(len(rest))
 	return s
 }

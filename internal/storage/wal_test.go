@@ -1,10 +1,8 @@
 package storage
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -49,31 +47,6 @@ func TestSyncPolicyParse(t *testing.T) {
 	}
 }
 
-func TestWALValueRoundTrip(t *testing.T) {
-	vals := []Value{
-		Null(),
-		Int(-42), Int(0), Int(1 << 60),
-		Float(3.25), Float(-0.0),
-		Str(""), Str("héllo\x00world"),
-		Bool(true), Bool(false),
-		Time(time.Date(2015, 2, 14, 9, 30, 0, 123456789, time.UTC)),
-	}
-	b := appendWALRow(nil, vals)
-	d := &walDecoder{b: b}
-	got := d.row()
-	if d.err != nil {
-		t.Fatalf("decode: %v", d.err)
-	}
-	if len(got) != len(vals) {
-		t.Fatalf("len = %d, want %d", len(got), len(vals))
-	}
-	for i := range vals {
-		if got[i].Key() != vals[i].Key() {
-			t.Fatalf("value %d: %v != %v", i, got[i], vals[i])
-		}
-	}
-}
-
 func TestSchemaRoundTrip(t *testing.T) {
 	s := &Schema{
 		Name: "users",
@@ -90,10 +63,9 @@ func TestSchemaRoundTrip(t *testing.T) {
 			{Column: "org_id", ParentTable: "orgs", OnDelete: Cascade, Name: "users_org_id_fkey"},
 		},
 	}
-	b := appendSchema(nil, s)
-	d := &walDecoder{b: b}
-	got := d.schema()
-	if d.err != nil {
+	d := NewDecoder(appendSchema(nil, s))
+	got := decodeSchema(d)
+	if d.err != nil || len(d.b) != 0 {
 		t.Fatalf("decode: %v", d.err)
 	}
 	if got.Name != s.Name || len(got.Columns) != 3 || len(got.Indexes) != 2 || len(got.ForeignKeys) != 1 {
@@ -111,14 +83,7 @@ func TestSchemaRoundTrip(t *testing.T) {
 }
 
 func TestScanWALStopsAtDamage(t *testing.T) {
-	frame := func(payload []byte) []byte {
-		b := make([]byte, walHeaderSize+len(payload))
-		binary.BigEndian.PutUint32(b[0:4], uint32(len(payload)))
-		binary.BigEndian.PutUint32(b[4:8], crc32.Checksum(payload, crcTable))
-		copy(b[walHeaderSize:], payload)
-		return b
-	}
-	r1, r2 := frame([]byte("alpha")), frame([]byte("beta-record"))
+	r1, r2 := appendFrame(nil, []byte("alpha")), appendFrame(nil, []byte("beta-record"))
 	whole := append(append([]byte{}, r1...), r2...)
 
 	if s := scanWAL(nil); len(s.payloads) != 0 || s.validLen != 0 || s.tornTail != 0 {
@@ -136,7 +101,7 @@ func TestScanWALStopsAtDamage(t *testing.T) {
 	}
 	// Corrupt: flip one payload byte of the second record.
 	bad := append([]byte{}, whole...)
-	bad[len(r1)+walHeaderSize] ^= 0xff
+	bad[len(r1)+frameHeaderSize] ^= 0xff
 	if s := scanWAL(bad); len(s.payloads) != 1 || !s.corrupt {
 		t.Fatalf("corrupt scan: %+v", s)
 	}

@@ -318,10 +318,12 @@ func (c *Client) roundTrip(ctx context.Context, req *request) (*response, error)
 	return resp, nil
 }
 
-// toResult converts a wire response into an executor result.
+// toResult hands a decoded response to the caller as an executor result; its
+// rows are the decoded values themselves.
 func toResult(resp *response) *db.Result {
-	res := &db.Result{
+	return &db.Result{
 		Columns:      resp.Columns,
+		Rows:         resp.Rows,
 		RowsAffected: resp.RowsAffected,
 		LastInsertID: resp.LastInsertID,
 		Trace: obs.StmtTrace{
@@ -330,28 +332,6 @@ func toResult(resp *response) *db.Result {
 			Spans:    resp.Spans,
 		},
 	}
-	if len(resp.Rows) > 0 {
-		res.Rows = make([][]storage.Value, len(resp.Rows))
-		for i, row := range resp.Rows {
-			vals := make([]storage.Value, len(row))
-			for j, w := range row {
-				vals[j] = fromWire(w)
-			}
-			res.Rows[i] = vals
-		}
-	}
-	return res
-}
-
-func toWireArgs(args []storage.Value) []wireValue {
-	if len(args) == 0 {
-		return nil
-	}
-	out := make([]wireValue, len(args))
-	for i, a := range args {
-		out[i] = toWire(a)
-	}
-	return out
 }
 
 // Exec implements db.Conn. Server-side, the statement hits the shared plan
@@ -367,7 +347,7 @@ func (c *Client) Exec(sql string, args ...storage.Value) (*db.Result, error) {
 func (c *Client) ExecContext(ctx context.Context, sql string, args ...storage.Value) (*db.Result, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	resp, err := c.roundTrip(ctx, &request{Type: MsgExec, SQL: sql, Args: toWireArgs(args)})
+	resp, err := c.roundTrip(ctx, &request{Type: MsgExec, SQL: sql, Args: args})
 	if err != nil {
 		return nil, err
 	}
@@ -442,7 +422,7 @@ func (st *clientStmt) ExecContext(ctx context.Context, args ...storage.Value) (*
 	if err := st.refresh(); err != nil {
 		return nil, err
 	}
-	resp, err := st.c.roundTrip(ctx, &request{Type: MsgExecute, Handle: st.handle, Args: toWireArgs(args)})
+	resp, err := st.c.roundTrip(ctx, &request{Type: MsgExecute, Handle: st.handle, Args: args})
 	if err != nil {
 		return nil, err
 	}

@@ -4,214 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
-	"time"
 
 	"feralcc/internal/storage"
 )
-
-// wireValue is the transport form of a storage.Value: a kind tag plus the
-// one field the kind uses. Kept as a struct (rather than encoding
-// storage.Value directly) so the codec round-trip is property-testable in
-// isolation from the storage package's invariants.
-type wireValue struct {
-	K uint8
-	I int64
-	F float64
-	S string
-	B bool
-	T int64 // UnixNano for timestamps
-}
-
-func toWire(v storage.Value) wireValue {
-	w := wireValue{K: uint8(v.Kind)}
-	switch v.Kind {
-	case storage.KindInt:
-		w.I = v.I
-	case storage.KindFloat:
-		w.F = v.F
-	case storage.KindString:
-		w.S = v.S
-	case storage.KindBool:
-		w.B = v.B
-	case storage.KindTime:
-		w.T = v.T.UnixNano()
-	}
-	return w
-}
-
-func fromWire(w wireValue) storage.Value {
-	switch storage.Kind(w.K) {
-	case storage.KindInt:
-		return storage.Int(w.I)
-	case storage.KindFloat:
-		return storage.Float(w.F)
-	case storage.KindString:
-		return storage.Str(w.S)
-	case storage.KindBool:
-		return storage.Bool(w.B)
-	case storage.KindTime:
-		return storage.Time(time.Unix(0, w.T).UTC())
-	default:
-		return storage.Null()
-	}
-}
-
-// --- primitive encoders -------------------------------------------------------
-
-// errTruncated reports a frame body shorter than its own encoding claims.
-var errTruncated = fmt.Errorf("wire: truncated frame body")
-
-func appendUvarint(b []byte, v uint64) []byte {
-	return binary.AppendUvarint(b, v)
-}
-
-func appendVarint(b []byte, v int64) []byte {
-	return binary.AppendVarint(b, v)
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-// decoder walks a frame body with bounds checking. The first decode error
-// sticks; subsequent reads return zero values so call sites can decode a
-// whole message and check once.
-type decoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *decoder) fail() {
-	if d.err == nil {
-		d.err = errTruncated
-	}
-}
-
-func (d *decoder) byte() byte {
-	if d.err != nil || d.off >= len(d.buf) {
-		d.fail()
-		return 0
-	}
-	b := d.buf[d.off]
-	d.off++
-	return b
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *decoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *decoder) string() string {
-	n := d.uvarint()
-	if d.err != nil || uint64(len(d.buf)-d.off) < n {
-		d.fail()
-		return ""
-	}
-	s := string(d.buf[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s
-}
-
-func (d *decoder) float() float64 {
-	if d.err != nil || d.off+8 > len(d.buf) {
-		d.fail()
-		return 0
-	}
-	bits := binary.BigEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return math.Float64frombits(bits)
-}
-
-// --- value codec --------------------------------------------------------------
-
-func appendValue(b []byte, w wireValue) []byte {
-	b = append(b, w.K)
-	switch storage.Kind(w.K) {
-	case storage.KindInt:
-		b = appendVarint(b, w.I)
-	case storage.KindFloat:
-		b = binary.BigEndian.AppendUint64(b, math.Float64bits(w.F))
-	case storage.KindString:
-		b = appendString(b, w.S)
-	case storage.KindBool:
-		if w.B {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-	case storage.KindTime:
-		b = appendVarint(b, w.T)
-	}
-	return b
-}
-
-func (d *decoder) value() wireValue {
-	w := wireValue{K: d.byte()}
-	switch storage.Kind(w.K) {
-	case storage.KindInt:
-		w.I = d.varint()
-	case storage.KindFloat:
-		w.F = d.float()
-	case storage.KindString:
-		w.S = d.string()
-	case storage.KindBool:
-		w.B = d.byte() != 0
-	case storage.KindTime:
-		w.T = d.varint()
-	}
-	return w
-}
-
-func appendValues(b []byte, vals []wireValue) []byte {
-	b = appendUvarint(b, uint64(len(vals)))
-	for _, v := range vals {
-		b = appendValue(b, v)
-	}
-	return b
-}
-
-func (d *decoder) values() []wireValue {
-	n := d.uvarint()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	// Cap the eager allocation: a lying count cannot ask for more entries
-	// than one byte each of remaining body.
-	if n > uint64(len(d.buf)-d.off) {
-		d.fail()
-		return nil
-	}
-	vals := make([]wireValue, n)
-	for i := range vals {
-		vals[i] = d.value()
-	}
-	return vals
-}
 
 // --- message codec ------------------------------------------------------------
 
@@ -219,46 +14,46 @@ func encodeRequest(b []byte, req *request) []byte {
 	b = append(b, byte(req.Type))
 	switch req.Type {
 	case MsgExec:
-		b = appendUvarint(b, uint64(req.DeadlineNanos))
-		b = appendString(b, req.SQL)
-		b = appendValues(b, req.Args)
-		b = appendUvarint(b, req.TraceID)
+		b = binary.AppendUvarint(b, uint64(req.DeadlineNanos))
+		b = storage.AppendString(b, req.SQL)
+		b = storage.AppendRow(b, req.Args)
+		b = binary.AppendUvarint(b, req.TraceID)
 	case MsgPrepare:
-		b = appendString(b, req.SQL)
+		b = storage.AppendString(b, req.SQL)
 	case MsgExecute:
-		b = appendUvarint(b, uint64(req.DeadlineNanos))
-		b = appendUvarint(b, req.Handle)
-		b = appendValues(b, req.Args)
-		b = appendUvarint(b, req.TraceID)
+		b = binary.AppendUvarint(b, uint64(req.DeadlineNanos))
+		b = binary.AppendUvarint(b, req.Handle)
+		b = storage.AppendRow(b, req.Args)
+		b = binary.AppendUvarint(b, req.TraceID)
 	case MsgCloseStmt:
-		b = appendUvarint(b, req.Handle)
+		b = binary.AppendUvarint(b, req.Handle)
 	}
 	return b
 }
 
 func decodeRequest(body []byte) (*request, error) {
-	d := &decoder{buf: body}
-	req := &request{Type: MsgType(d.byte())}
+	d := storage.NewDecoder(body)
+	req := &request{Type: MsgType(d.Byte())}
 	switch req.Type {
 	case MsgExec:
-		req.DeadlineNanos = int64(d.uvarint())
-		req.SQL = d.string()
-		req.Args = d.values()
-		req.TraceID = d.uvarint()
+		req.DeadlineNanos = int64(d.Uvarint())
+		req.SQL = d.Str()
+		req.Args = d.Row()
+		req.TraceID = d.Uvarint()
 	case MsgPrepare:
-		req.SQL = d.string()
+		req.SQL = d.Str()
 	case MsgExecute:
-		req.DeadlineNanos = int64(d.uvarint())
-		req.Handle = d.uvarint()
-		req.Args = d.values()
-		req.TraceID = d.uvarint()
+		req.DeadlineNanos = int64(d.Uvarint())
+		req.Handle = d.Uvarint()
+		req.Args = d.Row()
+		req.TraceID = d.Uvarint()
 	case MsgCloseStmt:
-		req.Handle = d.uvarint()
+		req.Handle = d.Uvarint()
 	default:
 		return nil, fmt.Errorf("wire: unknown message type %d", req.Type)
 	}
-	if d.err != nil {
-		return nil, d.err
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
 	return req, nil
 }
@@ -266,27 +61,23 @@ func decodeRequest(body []byte) (*request, error) {
 func encodeResponse(b []byte, resp *response) []byte {
 	b = append(b, byte(resp.Code))
 	if resp.Code != CodeOK {
-		b = appendString(b, resp.Error)
-		return appendUvarint(b, uint64(resp.RetryAfterNanos))
+		b = storage.AppendString(b, resp.Error)
+		return binary.AppendUvarint(b, uint64(resp.RetryAfterNanos))
 	}
-	b = appendUvarint(b, resp.Handle)
-	b = appendUvarint(b, uint64(resp.NumParams))
-	b = appendUvarint(b, uint64(len(resp.Columns)))
+	b = binary.AppendUvarint(b, resp.Handle)
+	b = binary.AppendUvarint(b, uint64(resp.NumParams))
+	b = binary.AppendUvarint(b, uint64(len(resp.Columns)))
 	for _, c := range resp.Columns {
-		b = appendString(b, c)
+		b = storage.AppendString(b, c)
 	}
-	b = appendUvarint(b, uint64(len(resp.Rows)))
+	b = binary.AppendUvarint(b, uint64(len(resp.Rows)))
 	for _, row := range resp.Rows {
-		b = appendValues(b, row)
+		b = storage.AppendRow(b, row)
 	}
-	b = appendVarint(b, resp.RowsAffected)
-	b = appendVarint(b, resp.LastInsertID)
-	b = appendUvarint(b, resp.TraceID)
-	if resp.CacheHit {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
+	b = binary.AppendVarint(b, resp.RowsAffected)
+	b = binary.AppendVarint(b, resp.LastInsertID)
+	b = binary.AppendUvarint(b, resp.TraceID)
+	b = storage.AppendBool(b, resp.CacheHit)
 	// Spans as (id, nanos) pairs, zeroes omitted: most statements touch only
 	// two or three of the span slots.
 	nz := 0
@@ -295,68 +86,50 @@ func encodeResponse(b []byte, resp *response) []byte {
 			nz++
 		}
 	}
-	b = appendUvarint(b, uint64(nz))
+	b = binary.AppendUvarint(b, uint64(nz))
 	for i, v := range resp.Spans {
 		if v != 0 {
 			b = append(b, byte(i))
-			b = appendVarint(b, v)
+			b = binary.AppendVarint(b, v)
 		}
 	}
 	return b
 }
 
 func decodeResponse(body []byte) (*response, error) {
-	d := &decoder{buf: body}
-	resp := &response{Code: ErrorCode(d.byte())}
-	if d.err == nil && resp.Code != CodeOK {
-		resp.Error = d.string()
-		resp.RetryAfterNanos = int64(d.uvarint())
-		if d.err != nil {
-			return nil, d.err
-		}
-		return resp, nil
-	}
-	resp.Handle = d.uvarint()
-	resp.NumParams = int(d.uvarint())
-	if ncols := d.uvarint(); ncols > 0 {
-		if ncols > uint64(len(d.buf)-d.off) {
-			d.fail()
-		} else {
-			resp.Columns = make([]string, ncols)
+	d := storage.NewDecoder(body)
+	resp := &response{Code: ErrorCode(d.Byte())}
+	if resp.Code != CodeOK {
+		resp.Error = d.Str()
+		resp.RetryAfterNanos = int64(d.Uvarint())
+	} else {
+		resp.Handle = d.Uvarint()
+		resp.NumParams = int(d.Uvarint())
+		if n := d.Count(); n > 0 {
+			resp.Columns = make([]string, n)
 			for i := range resp.Columns {
-				resp.Columns[i] = d.string()
+				resp.Columns[i] = d.Str()
 			}
 		}
-	}
-	if nrows := d.uvarint(); d.err == nil && nrows > 0 {
-		if nrows > uint64(len(d.buf)-d.off) {
-			d.fail()
-		} else {
-			resp.Rows = make([][]wireValue, nrows)
+		if n := d.Count(); n > 0 {
+			resp.Rows = make([][]storage.Value, n)
 			for i := range resp.Rows {
-				resp.Rows[i] = d.values()
+				resp.Rows[i] = d.Row()
+			}
+		}
+		resp.RowsAffected = d.Varint()
+		resp.LastInsertID = d.Varint()
+		resp.TraceID = d.Uvarint()
+		resp.CacheHit = d.Bool()
+		for n := d.Count(); n > 0; n-- {
+			id, v := d.Byte(), d.Varint()
+			if int(id) < len(resp.Spans) {
+				resp.Spans[id] = v
 			}
 		}
 	}
-	resp.RowsAffected = d.varint()
-	resp.LastInsertID = d.varint()
-	resp.TraceID = d.uvarint()
-	resp.CacheHit = d.byte() != 0
-	if nspans := d.uvarint(); d.err == nil && nspans > 0 {
-		if nspans > uint64(len(d.buf)-d.off) {
-			d.fail()
-		} else {
-			for i := uint64(0); i < nspans; i++ {
-				id := d.byte()
-				v := d.varint()
-				if d.err == nil && int(id) < len(resp.Spans) {
-					resp.Spans[id] = v
-				}
-			}
-		}
-	}
-	if d.err != nil {
-		return nil, d.err
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
 	return resp, nil
 }

@@ -4,9 +4,13 @@
 // experiments (Rails workers on one machine, PostgreSQL on another).
 //
 // Framing: a 4-byte big-endian length followed by a binary body. The body's
-// first byte is the message type; the rest is a hand-rolled encoding using
-// unsigned varints for lengths and counts, zig-zag varints for signed
-// integers, and type-tagged values (see codec.go). Each connection is a
+// first byte is the message type; the rest uses unsigned varints for lengths
+// and counts, zig-zag varints for signed integers, and type-tagged values.
+// Strings, values and rows use the storage package's value codec — the bytes
+// the WAL and the snapshot hold — read back through its bounds-checked
+// storage.Decoder, so an unknown value kind or a count beyond the body makes a
+// frame undecodable at either end. Arguments and result rows stay
+// storage.Values from the executor to the socket. Each connection is a
 // session with its own transaction state (and its own prepared-statement
 // handle table); requests on one connection are processed in order, one
 // response per request.
@@ -139,9 +143,9 @@ type request struct {
 	// than an absolute wall-clock instant, so client and server clocks need
 	// not agree; the server reconstitutes its own deadline on receipt.
 	DeadlineNanos int64
-	SQL           string      // MsgExec, MsgPrepare
-	Handle        uint64      // MsgExecute, MsgCloseStmt
-	Args          []wireValue // MsgExec, MsgExecute
+	SQL           string          // MsgExec, MsgPrepare
+	Handle        uint64          // MsgExecute, MsgCloseStmt
+	Args          []storage.Value // MsgExec, MsgExecute
 	// TraceID is the client-minted statement trace ID (MsgExec, MsgExecute;
 	// 0 = let the server mint one). The server threads it through the
 	// executor so spans recorded deep in storage carry the client's ID.
@@ -156,12 +160,12 @@ type response struct {
 	// failures (Code != CodeOK only; 0 = no hint). Clients floor their own
 	// jittered backoff at this value rather than obeying it exactly.
 	RetryAfterNanos int64
-	Handle       uint64 // set for MsgPrepare responses
-	NumParams    int    // set for MsgPrepare responses
-	Columns      []string
-	Rows         [][]wireValue
-	RowsAffected int64
-	LastInsertID int64
+	Handle          uint64 // set for MsgPrepare responses
+	NumParams       int    // set for MsgPrepare responses
+	Columns         []string
+	Rows            [][]storage.Value
+	RowsAffected    int64
+	LastInsertID    int64
 	// Trace echo (CodeOK only): the statement's trace ID, plan-cache
 	// verdict, and the server-side span timings, so the client's Result
 	// carries the same trace the server logged.

@@ -2,8 +2,8 @@ package wire
 
 import (
 	"bufio"
+	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -274,33 +274,8 @@ func (s *Server) handle(conn net.Conn) {
 
 		var resp response
 		switch req.Type {
-		case MsgExec:
-			if fr := s.execFault(session, &resp, req.TraceID); fr {
-				break
-			}
-			if err := s.admit(req.DeadlineNanos); err != nil {
-				// Like any statement error, a shed aborts the session's open
-				// transaction; the client's replay logic sees consistent state.
-				session.Reset()
-				fillResult(&resp, nil, err)
-				break
-			}
-			session.BeginTrace(req.TraceID)
-			ctx, cancel := deadlineCtx(req.DeadlineNanos)
-			args := make([]storage.Value, len(req.Args))
-			for i, a := range req.Args {
-				args[i] = fromWire(a)
-			}
-			var res *sqlexec.Result
-			execStart := time.Now()
-			p, err := s.cache.Get(session, req.SQL)
-			if err == nil {
-				res, err = session.ExecutePreparedContext(ctx, p, args...)
-				s.finishExec(session, req.SQL, &resp, time.Since(execStart))
-			}
-			cancel()
-			s.admitDone(time.Since(execStart))
-			fillResult(&resp, res, err)
+		case MsgExec, MsgExecute:
+			s.execute(session, stmts, req, &resp)
 		case MsgPrepare:
 			p, err := s.cache.Get(session, req.SQL)
 			if err != nil {
@@ -311,43 +286,6 @@ func (s *Server) handle(conn net.Conn) {
 			stmts[nextHandle] = p
 			resp.Handle = nextHandle
 			resp.NumParams = p.NumParams()
-		case MsgExecute:
-			if fr := s.execFault(session, &resp, req.TraceID); fr {
-				break
-			}
-			p, ok := stmts[req.Handle]
-			if !ok {
-				fillResult(&resp, nil, fmt.Errorf("wire: unknown statement handle %d", req.Handle))
-				break
-			}
-			if err := s.admit(req.DeadlineNanos); err != nil {
-				session.Reset()
-				fillResult(&resp, nil, err)
-				break
-			}
-			session.BeginTrace(req.TraceID)
-			ctx, cancel := deadlineCtx(req.DeadlineNanos)
-			// Refresh DDL-invalidated plans in the handle table so the
-			// re-parse happens once, not per execution.
-			if fresh, err := session.Refreshed(p); err != nil {
-				cancel()
-				s.admitDone(0)
-				fillResult(&resp, nil, err)
-				break
-			} else if fresh != p {
-				stmts[req.Handle] = fresh
-				p = fresh
-			}
-			args := make([]storage.Value, len(req.Args))
-			for i, a := range req.Args {
-				args[i] = fromWire(a)
-			}
-			execStart := time.Now()
-			res, err := session.ExecutePreparedContext(ctx, p, args...)
-			s.finishExec(session, p.SQL(), &resp, time.Since(execStart))
-			cancel()
-			s.admitDone(time.Since(execStart))
-			fillResult(&resp, res, err)
 		case MsgCloseStmt:
 			delete(stmts, req.Handle)
 		}
@@ -364,10 +302,9 @@ func (s *Server) handle(conn net.Conn) {
 				// buffered writer) and sever: the client must detect the
 				// mid-frame cut rather than hang or misparse.
 				buf = encodeResponse(buf[:0], &resp)
-				var hdr [4]byte
-				binary.BigEndian.PutUint32(hdr[:], uint32(len(buf)))
-				conn.Write(hdr[:])
-				conn.Write(buf[:len(buf)/2])
+				var frame bytes.Buffer
+				writeFrame(&frame, buf)
+				conn.Write(frame.Bytes()[:frame.Len()/2])
 				s.endStatement(st)
 				return
 			default:
@@ -390,6 +327,55 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 	}
+}
+
+// execute runs one MsgExec or MsgExecute statement: the exec fault point,
+// admission, the statement trace, the deadline, the plan, execution, and the
+// response. A plan that cannot be found never executed, so it releases its
+// admission slot without a service time.
+func (s *Server) execute(session *sqlexec.Session, stmts map[uint64]*sqlexec.Prepared, req *request, resp *response) {
+	if s.execFault(session, resp, req.TraceID) {
+		return
+	}
+	if err := s.admit(req.DeadlineNanos); err != nil {
+		// Like any statement error, a shed aborts the session's open
+		// transaction; the client's replay logic sees consistent state.
+		session.Reset()
+		fillResult(resp, nil, err)
+		return
+	}
+	session.BeginTrace(req.TraceID)
+	ctx, cancel := deadlineCtx(req.DeadlineNanos)
+	defer cancel()
+	start := time.Now()
+	var res *sqlexec.Result
+	var service time.Duration
+	p, err := s.plan(session, stmts, req)
+	if err == nil {
+		res, err = session.ExecutePreparedContext(ctx, p, req.Args...)
+		service = time.Since(start)
+		s.finishExec(session, p.SQL(), resp, service)
+	}
+	s.admitDone(service)
+	fillResult(resp, res, err)
+}
+
+// plan finds the statement a request runs: the shared plan cache for
+// MsgExec, the connection's handle table for MsgExecute — where a plan DDL
+// invalidated is replaced, so the re-parse happens once, not per execution.
+func (s *Server) plan(session *sqlexec.Session, stmts map[uint64]*sqlexec.Prepared, req *request) (*sqlexec.Prepared, error) {
+	if req.Type == MsgExec {
+		return s.cache.Get(session, req.SQL)
+	}
+	p, ok := stmts[req.Handle]
+	if !ok {
+		return nil, fmt.Errorf("wire: unknown statement handle %d", req.Handle)
+	}
+	fresh, err := session.Refreshed(p)
+	if err == nil {
+		stmts[req.Handle] = fresh
+	}
+	return fresh, err
 }
 
 // execFault consults the pre-execution injection point. It reports true when
@@ -458,18 +444,9 @@ func fillResult(resp *response, res *sqlexec.Result, err error) {
 		return
 	}
 	resp.Columns = res.Columns
+	resp.Rows = res.Rows
 	resp.RowsAffected = res.RowsAffected
 	resp.LastInsertID = res.LastInsertID
-	if len(res.Rows) > 0 {
-		resp.Rows = make([][]wireValue, len(res.Rows))
-		for i, row := range res.Rows {
-			wr := make([]wireValue, len(row))
-			for j, v := range row {
-				wr[j] = toWire(v)
-			}
-			resp.Rows[i] = wr
-		}
-	}
 }
 
 func isConnReset(err error) bool {

@@ -229,7 +229,7 @@ func TestWireConnOverloadSuite(t *testing.T) {
 
 func TestFrameCodec(t *testing.T) {
 	var buf bytes.Buffer
-	in := request{Type: MsgExec, SQL: "SELECT 1 FROM t", Args: []wireValue{toWire(storage.Int(7))}}
+	in := request{Type: MsgExec, SQL: "SELECT 1 FROM t", Args: []storage.Value{storage.Int(7)}}
 	if err := writeFrame(&buf, encodeRequest(nil, &in)); err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestFrameCodec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Type != MsgExec || out.SQL != in.SQL || len(out.Args) != 1 || fromWire(out.Args[0]).I != 7 {
+	if out.Type != MsgExec || out.SQL != in.SQL || len(out.Args) != 1 || out.Args[0] != storage.Int(7) {
 		t.Fatalf("round trip: %+v", out)
 	}
 }
@@ -290,9 +290,10 @@ func TestClientSurvivesOversizedRequest(t *testing.T) {
 }
 
 func TestWireValueNullRoundTrip(t *testing.T) {
-	w := toWire(storage.Null())
-	if v := fromWire(w); !v.IsNull() {
-		t.Fatal("NULL did not survive the wire")
+	in := request{Type: MsgExecute, Args: []storage.Value{storage.Null()}}
+	out, err := decodeRequest(encodeRequest(nil, &in))
+	if err != nil || len(out.Args) != 1 || !out.Args[0].IsNull() {
+		t.Fatalf("NULL did not survive the wire: %+v, %v", out, err)
 	}
 }
 

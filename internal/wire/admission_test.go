@@ -106,8 +106,15 @@ func TestAdmissionShedsAtFullQueue(t *testing.T) {
 	blocked := dialT(t, addr)
 	go func() {
 		defer wg.Done()
-		// Parks on the row lock while occupying the admission slot.
-		blocked.Exec("UPDATE kv SET key = 'blocked' WHERE id = 1")
+		// Parks on the row lock while occupying the admission slot. It is
+		// itself shed if it arrives while a probe below holds the slot, so it
+		// retries until admitted.
+		for {
+			_, err := blocked.Exec("UPDATE kv SET key = 'blocked' WHERE id = 1")
+			if !errors.Is(err, storage.ErrOverloaded) {
+				return
+			}
+		}
 	}()
 
 	// Wait until the blocked statement actually holds the slot.

@@ -157,7 +157,7 @@ func TestObsSmoke(t *testing.T) {
 		"feraldb_wire_connections_total",
 		`feraldb_statements_total{kind="insert"}`,
 		// The commit pipeline's group-commit instruments: every autocommit
-		// insert flows through the log writer (sync=always is the default),
+		// insert flows through group commit (sync=always is the default),
 		// so frames, batched transactions, the batch-size histogram, and the
 		// fsyncs-per-commit ratio must all be live after the load.
 		"feraldb_storage_group_commit_frames_total",

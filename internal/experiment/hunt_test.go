@@ -109,6 +109,44 @@ func TestHuntSchedDeterminism(t *testing.T) {
 	}
 }
 
+// TestHuntDurableReplay extends determinism to durable stores: every catalog
+// workload at every level under RandomSchedule seeds 1–8 runs twice, each
+// time against a fresh data directory, and the two runs must render the same
+// huntOracleFile row — history, decision count, task errors and invariant.
+// It holds because the committer leading a group-commit batch is a scheduled
+// task that writes and fsyncs between yield points, so fsync timing cannot
+// move a decision. sync=interval is left out: its background syncer is not a
+// scheduled task.
+func TestHuntDurableReplay(t *testing.T) {
+	for _, pol := range []storage.SyncPolicy{storage.SyncAlways, storage.SyncOff} {
+		differ := 0
+		for _, w := range HuntWorkloads() {
+			for _, level := range huntLevels {
+				for seed := int64(1); seed <= 8; seed++ {
+					sc := sched.RandomSchedule(seed, len(w.Tasks), 20, 3)
+					var rows [2]string
+					for rep := range rows {
+						opts := storage.Options{DataDir: t.TempDir(), SyncPolicy: pol}
+						res, _, err := runHunt(w, level, &sc, opts)
+						if err != nil {
+							t.Fatalf("%s@%v seed %d sync=%s: %v", w.Name, level, seed, pol, err)
+						}
+						rows[rep] = huntOracleRow(t, w.Name, level, sc, res)
+					}
+					if rows[0] != rows[1] {
+						if differ++; differ <= 3 {
+							t.Errorf("sync=%s: durable run did not replay\n  run 1 %s\n  run 2 %s", pol, rows[0], rows[1])
+						}
+					}
+				}
+			}
+		}
+		if differ > 0 {
+			t.Errorf("sync=%s: %d of %d durable runs differ from their replay", pol, differ, 8*len(huntLevels)*len(HuntWorkloads()))
+		}
+	}
+}
+
 // huntOracleFile pins every scheduled catalog run: one line per (workload,
 // level, schedule) holding the history's sha256, the decision count, the task
 // outcomes, the tx-to-task mapping and whether the invariant fired. A change

@@ -18,16 +18,19 @@
 //     declares a deadlock and wakes the lowest-index victim-eligible task
 //     with ErrDeadlockVictim; the engine converts that into its usual
 //     deadlock verdict (ErrLockTimeout).
-//   - ParkExternal(point): the task waits on an *unscheduled* goroutine (the
-//     group-commit log writer's fsync, a background syncer). Such tasks are
-//     always retryable — external progress is invisible to the epoch — with a
-//     tiny sleep when nothing else could run, so the spin is bounded.
+//   - ParkExternal(point): the task waits on an *unscheduled* goroutine (setup
+//     code, a checkpoint or vacuum holding the engine's quiesce gate or a
+//     table latch). Such tasks are always retryable — external progress is
+//     invisible to the epoch — with a tiny sleep when nothing else could run,
+//     so the spin is bounded.
 //
-// Determinism holds for workloads whose waits are all scheduler-visible: an
-// in-memory database under the scheduler produces byte-identical histories
-// for the same (seed, schedule). Durable runs (ParkExternal on real fsyncs)
-// remain schedulable and reproducible in anomaly-class terms, but wall-clock
-// fsync timing can shift which retry observes the completion.
+// Determinism holds for workloads whose waits are all scheduler-visible: the
+// same (seed, schedule) produces byte-identical histories and decision counts
+// on an in-memory database and on a durable one at sync=always or sync=off,
+// because the committer leading a group-commit batch is itself a task and
+// writes and fsyncs the log between yield points. Under sync=interval an
+// unscheduled background syncer consults the engine's fault hook and takes
+// the log lock on its own clock, so replay is not claimed there.
 package sched
 
 import (
@@ -273,10 +276,10 @@ func (s *Scheduler) Park(point string, victim bool) error {
 }
 
 // ParkExternal suspends the task pending progress by an unscheduled
-// goroutine (e.g. the group-commit writer). Such tasks stay retryable even
-// without scheduler-visible progress; when the retry was granted with no
-// progress since parking, a tiny sleep bounds the spin while the external
-// event completes in real time.
+// goroutine (e.g. a checkpoint holding the engine's quiesce gate). Such tasks
+// stay retryable even without scheduler-visible progress; when the retry was
+// granted with no progress since parking, a tiny sleep bounds the spin while
+// the external event completes in real time.
 func (s *Scheduler) ParkExternal(point string) {
 	s.mu.Lock()
 	t := s.selfLocked()

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"errors"
 	"runtime"
 	"sort"
 	"strings"
@@ -12,11 +11,6 @@ import (
 	"feralcc/internal/obs"
 )
 
-// errPipelineClosed aborts commits whose WAL record was still queued when the
-// database shut down; like any WAL-stage failure, nothing was installed and
-// nothing was acknowledged.
-var errPipelineClosed = errors.New("storage: commit pipeline closed")
-
 // The commit pipeline runs every writing commit through three stages:
 //
 //	validate ──▶ group-commit WAL ──▶ ordered install
@@ -25,12 +19,13 @@ var errPipelineClosed = errors.New("storage: commit pipeline closed")
 // component of the transaction's write tables), so commits touching disjoint
 // table groups validate concurrently. A transaction that validates cleanly
 // registers a commit intent stamped with the next commit sequence number
-// (CSN); its WAL record is handed to a dedicated log-writer goroutine that
-// batches whatever is queued into one multi-transaction frame and amortizes a
-// single fsync over the batch. Finally versions are installed strictly in CSN
-// order — the clock publishes CSNs densely, so readers, histcheck's
-// install-order serialization graph, and recovery's committed-prefix replay
-// observe exactly the history one-commit-at-a-time execution would produce.
+// (CSN); its WAL record joins the writer queue, and the committer at the head
+// of the queue writes everything queued behind it as one multi-transaction
+// frame, amortizing a single fsync over the batch. Finally versions are
+// installed strictly in CSN order — the clock publishes CSNs densely, so
+// readers, histcheck's install-order serialization graph, and recovery's
+// committed-prefix replay observe exactly the history one-commit-at-a-time
+// execution would produce.
 //
 // Lock ordering: gate ≺ catalogMu ≺ registry mu ≺ activeMu, and table latches
 // are acquired in sorted name order.
@@ -56,16 +51,18 @@ type commitPipeline struct {
 	installed uint64
 	pending   map[uint64]*commitIntent
 
-	// Group-commit writer plumbing; unused (nil subCh) without a WAL.
-	subCh  chan *walSubmission
-	stopCh chan struct{}
-	doneCh chan struct{}
+	// The writer queue; unused without a WAL. queue holds every submitted
+	// record not yet written, in arrival order; its head is the leader, the
+	// one committer writing a batch. qcond is broadcast when a batch is done.
+	qmu   sync.Mutex
+	qcond *sync.Cond
+	queue []*walSubmission
 
 	// Fsync-amortization bookkeeping for the fsyncs-per-commit gauge.
 	groupFsyncs uint64 // atomic
 	groupTxns   uint64 // atomic
 
-	// queueDepth counts submissions handed to the writer and not yet durable
+	// queueDepth counts submissions queued and not yet taken into a batch
 	// (mirrors mCommitQueueDepth as a readable value); submit sheds against
 	// Options.CommitQueueBound using it.
 	queueDepth int64 // atomic
@@ -81,12 +78,15 @@ type commitIntent struct {
 	done    chan struct{} // closed once installed or aborted
 }
 
-// walSubmission is one commit record queued for the group-commit writer.
+// walSubmission is one commit record in the writer queue. The leader that
+// writes it sets err, then done under qmu; its committer reads err only after
+// seeing done.
 type walSubmission struct {
 	payload  []byte
 	tr       *obs.StmtTrace
 	enqueued time.Time
-	res      chan error // buffered(1); one send per submission
+	err      error
+	done     bool
 }
 
 func newCommitPipeline(db *Database) *commitPipeline {
@@ -96,6 +96,7 @@ func newCommitPipeline(db *Database) *commitPipeline {
 		pending: make(map[uint64]*commitIntent),
 	}
 	p.cond = sync.NewCond(&p.mu)
+	p.qcond = sync.NewCond(&p.qmu)
 	return p
 }
 
@@ -106,23 +107,6 @@ func (p *commitPipeline) setBase(clock uint64) {
 	p.csn = clock
 	p.installed = clock
 	p.mu.Unlock()
-}
-
-// startWriter launches the group-commit log writer goroutine.
-func (p *commitPipeline) startWriter(w *wal) {
-	p.subCh = make(chan *walSubmission, 256)
-	p.stopCh = make(chan struct{})
-	p.doneCh = make(chan struct{})
-	go p.writerLoop(w)
-}
-
-// stopWriter shuts the writer down, failing any queued submissions.
-func (p *commitPipeline) stopWriter() {
-	if p.subCh == nil {
-		return
-	}
-	close(p.stopCh)
-	<-p.doneCh
 }
 
 // latchFor returns the sorted latch set for a commit: the transaction's write
@@ -335,13 +319,23 @@ func (p *commitPipeline) abortIntent(in *commitIntent) {
 	p.finish(in)
 }
 
-// submit hands a commit record to the group-commit writer and blocks until
-// the record's batch is durable per the sync policy. With a CommitQueueBound
-// set, a submission that would push the queue past the bound is shed with
-// ErrOverloaded instead of enqueued: the caller's commit fails exactly like a
-// WAL-stage fault (nothing installed, nothing acknowledged, CSN turn
-// consumed by abortIntent), and the retry-after hint scales with the depth
-// the queue had reached.
+// maxGroupBatch bounds transactions per group-commit frame, keeping frames
+// comfortably under walMaxRecord and p99 fsync-wait latency bounded.
+const maxGroupBatch = 128
+
+// submit queues a commit record and blocks until the record's batch is
+// durable per the sync policy. The committer at the head of the queue is the
+// leader: it writes up to maxGroupBatch queued records — its own and whatever
+// queued behind it — as one frame, marks them done, and hands the head to the
+// next record. The others wait until their record is done or they reach the
+// head, so a lone committer writes its own frame with no handoff, and records
+// that queue during a leader's fsync share the next one.
+//
+// With a CommitQueueBound set, a submission that would push the queue past the
+// bound is shed with ErrOverloaded instead of enqueued: the caller's commit
+// fails exactly like a WAL-stage fault (nothing installed, nothing
+// acknowledged, CSN turn consumed by abortIntent), and the retry-after hint
+// scales with the depth the queue had reached.
 func (p *commitPipeline) submit(payload []byte, tr *obs.StmtTrace) error {
 	depth := atomic.AddInt64(&p.queueDepth, 1)
 	if b := p.db.opts.CommitQueueBound; b != 0 && (b < 0 || depth > int64(b)) {
@@ -352,93 +346,59 @@ func (p *commitPipeline) submit(payload []byte, tr *obs.StmtTrace) error {
 			RetryAfter: overloadRetryAfter(time.Duration(depth) * 100 * time.Microsecond),
 		}
 	}
-	s := &walSubmission{payload: payload, tr: tr, enqueued: time.Now(), res: make(chan error, 1)}
+	s := &walSubmission{payload: payload, tr: tr, enqueued: time.Now()}
 	mCommitQueueDepth.Inc()
-	select {
-	case p.subCh <- s:
-	case <-p.stopCh:
-		mCommitQueueDepth.Dec()
-		atomic.AddInt64(&p.queueDepth, -1)
-		return errPipelineClosed
-	}
-	if y := p.db.opts.Yielder; y != nil {
-		// The group-commit writer is an unscheduled goroutine; park externally
-		// between polls so it gets real CPU time to drain the batch.
-		for {
-			select {
-			case err := <-s.res:
-				return err
-			default:
-				y.ParkExternal(ParkFsyncWait)
-			}
+	p.qmu.Lock()
+	p.queue = append(p.queue, s)
+	for !s.done && p.queue[0] != s {
+		if y := p.db.opts.Yielder; y != nil {
+			// Scheduler mode: the leader is a scheduled task too, so park until
+			// it makes progress instead of blocking the baton on the cond.
+			p.qmu.Unlock()
+			_ = y.Park(ParkFsyncWait, false)
+			p.qmu.Lock()
+		} else {
+			p.qcond.Wait()
 		}
 	}
-	return <-s.res
-}
-
-// writerLoop is the dedicated log writer: it drains whatever submissions are
-// queued into one batch, writes them as a single frame, fsyncs once, and
-// releases the whole batch.
-func (p *commitPipeline) writerLoop(w *wal) {
-	defer close(p.doneCh)
-	for {
-		select {
-		case s := <-p.subCh:
-			p.writeBatch(w, p.drainBatch(s))
-		case <-p.stopCh:
-			for {
-				select {
-				case s := <-p.subCh:
-					mCommitQueueDepth.Dec()
-					atomic.AddInt64(&p.queueDepth, -1)
-					s.res <- errPipelineClosed
-				default:
-					return
-				}
-			}
-		}
+	if s.done {
+		p.qmu.Unlock()
+		return s.err
 	}
-}
+	// s leads. Its write ends in a syscall that keeps this goroutine's P, and
+	// committers readied on that P — often the batch this committer just
+	// released as the previous leader — would sit out the fsync before they
+	// could install, holding up every later CSN's install turn. One yield
+	// lets them run first; without it p99 commit latency roughly doubled at
+	// 8–16 committers. Records queued during the yield join the batch.
+	p.qmu.Unlock()
+	runtime.Gosched()
+	p.qmu.Lock()
+	// Records queued after this point wait for the next leader; appends write
+	// only past the batch's slots, so batch stays valid without the lock.
+	batch := p.queue[:min(len(p.queue), maxGroupBatch)]
+	p.qmu.Unlock()
 
-// maxGroupBatch bounds transactions per group-commit frame, keeping frames
-// comfortably under walMaxRecord and p99 fsync-wait latency bounded.
-const maxGroupBatch = 128
+	p.writeBatch(batch)
 
-// drainBatch collects the first submission plus everything else already
-// queued, up to the batch cap. Before paying for the fsync it lingers
-// briefly: committers that have validated but not yet reached their submit
-// call are one scheduler pass away, so yielding and re-draining (until two
-// consecutive yields harvest nothing) folds them into this frame instead of
-// forcing the next batch to start with a near-empty queue. The linger costs
-// scheduler passes, not timers, so a lone committer waits only two Gosched
-// calls — noise next to the fsync it is about to pay for.
-func (p *commitPipeline) drainBatch(first *walSubmission) []*walSubmission {
-	batch := append(make([]*walSubmission, 0, 8), first)
-	emptyYields := 0
-	for len(batch) < maxGroupBatch && emptyYields < 2 {
-		select {
-		case s := <-p.subCh:
-			batch = append(batch, s)
-			emptyYields = 0
-		default:
-			runtime.Gosched()
-			select {
-			case s := <-p.subCh:
-				batch = append(batch, s)
-				emptyYields = 0
-			default:
-				emptyYields++
-			}
-		}
+	p.qmu.Lock()
+	for _, b := range batch {
+		b.done = true
 	}
-	return batch
+	n := len(batch)
+	clear(p.queue[:n])
+	p.queue = p.queue[n:]
+	p.qcond.Broadcast()
+	p.qmu.Unlock()
+	return s.err
 }
 
-// writeBatch appends one batch as a single WAL frame and releases every
-// submission with its outcome. Queue-depth accounting and the enqueue and
-// fsync-wait spans are settled here, before the release sends, so the
-// receiving committers observe fully written traces.
-func (p *commitPipeline) writeBatch(w *wal, batch []*walSubmission) {
+// writeBatch appends one batch as a single WAL frame and records every
+// submission's outcome in its err. Queue-depth accounting and the enqueue and
+// fsync-wait spans are settled here, before the batch is marked done, so the
+// released committers observe fully written traces.
+func (p *commitPipeline) writeBatch(batch []*walSubmission) {
+	w := p.db.wal
 	now := time.Now()
 	for _, s := range batch {
 		mCommitQueueDepth.Dec()
@@ -464,7 +424,7 @@ func (p *commitPipeline) writeBatch(w *wal, batch []*walSubmission) {
 		mFsyncsPerCommitMilli.Set(int64(fsyncs * 1000 / txns))
 	}
 	for _, s := range survivors {
-		s.res <- err
+		s.err = err
 	}
 }
 

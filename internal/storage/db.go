@@ -35,7 +35,7 @@ type Database struct {
 	schemaEpoch uint64 // atomic
 
 	// pipe is the staged commit pipeline: per-table validation latches, the
-	// commit-intent registry, the group-commit log writer, and the quiesce
+	// commit-intent registry, the group-commit writer queue, and the quiesce
 	// gate that Checkpoint/Vacuum/DDL take exclusively.
 	pipe *commitPipeline
 
@@ -137,9 +137,9 @@ func (db *Database) yield(point string) {
 }
 
 // point is the engine's one probe for the program points FaultHook and
-// Yielder share (lock, commit, wal.append, wal.fsync): the fault hook is
-// consulted first, and a fault that fails the operation suppresses the yield.
-// Two nil checks when neither is attached.
+// Yielder share (lock, commit, wal.append, wal.fsync, wal.checkpoint,
+// wal.recover): the fault hook is consulted first, and a fault that fails the
+// operation suppresses the yield. Two nil checks when neither is attached.
 func (db *Database) point(name string) error {
 	if hook := db.opts.FaultHook; hook != nil {
 		if err := hook(name); err != nil {
@@ -150,11 +150,10 @@ func (db *Database) point(name string) error {
 	return nil
 }
 
-// Close stops the live anomaly watcher (draining its ring) and the
-// group-commit log writer, then flushes and closes the write-ahead log.
-// In-memory databases (no DataDir) have no log to release. The caller must
-// have quiesced transactions; commits racing Close may fail with a write
-// error. Idempotent.
+// Close stops the live anomaly watcher (draining its ring), then flushes and
+// closes the write-ahead log. In-memory databases (no DataDir) have no log to
+// release. A commit or DDL statement that reaches a closed log fails with
+// ErrClosed, whether it started before Close or after. Idempotent.
 func (db *Database) Close() error {
 	if db.watch != nil {
 		db.watch.Stop()
@@ -162,7 +161,6 @@ func (db *Database) Close() error {
 	if db.wal == nil {
 		return nil
 	}
-	db.pipe.stopWriter()
 	return db.wal.close()
 }
 

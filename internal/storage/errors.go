@@ -42,4 +42,7 @@ var (
 	ErrStmtDeadline = errors.New("storage: statement deadline exceeded")
 	// ErrReadOnly reports a write inside a read-only transaction.
 	ErrReadOnly = errors.New("storage: read-only transaction")
+	// ErrClosed reports a commit or DDL statement that needed the write-ahead
+	// log after Database.Close closed it.
+	ErrClosed = errors.New("storage: database closed")
 )

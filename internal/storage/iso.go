@@ -145,9 +145,9 @@ type Options struct {
 	// waiting entirely: any acquisition that cannot be granted on the spot is
 	// shed — the fully deterministic setting the overload contract tests use.
 	LockQueueBound int
-	// CommitQueueBound bounds the group-commit submission queue the same way:
-	// 0 = unbounded (default), N > 0 sheds commits once N records are queued
-	// for the log writer and not yet durable, negative sheds any commit that
+	// CommitQueueBound bounds the group-commit writer queue the same way:
+	// 0 = unbounded (default), N > 0 sheds commits once N records wait in the
+	// queue for a batch leader to take them, negative sheds any commit that
 	// would queue at all. A shed commit fails with ErrOverloaded before
 	// anything is installed or acknowledged, exactly like a WAL-stage fault.
 	CommitQueueBound int
@@ -170,13 +170,14 @@ type Options struct {
 	// Yielder, when non-nil, puts the engine under a deterministic scheduler
 	// (internal/sched) for directed concurrency testing: the engine calls
 	// Yield at the Yield* progress points below and replaces its blocking
-	// waits (lock queues, commit-intent conflicts, CSN turns, pipeline
-	// latches, the quiesce gate) with try-then-Park retry loops, so which
-	// goroutine progresses between any two points is the scheduler's decision
-	// rather than the runtime's. At every site shared with FaultHook the
-	// fault hook is consulted first — a fault that aborts an operation
-	// suppresses its yield (Database.point is the one place both are called).
-	// Production paths carry one nil check per point and nothing else.
+	// waits (lock queues, commit-intent conflicts, the writer queue, CSN
+	// turns, pipeline latches, the quiesce gate) with try-then-Park retry
+	// loops, so which goroutine progresses between any two points is the
+	// scheduler's decision rather than the runtime's. At every site shared
+	// with FaultHook the fault hook is consulted first — a fault that aborts
+	// an operation suppresses its yield (Database.point is the one place both
+	// are called). Production paths carry one nil check per point and nothing
+	// else.
 	Yielder Yielder
 }
 
@@ -195,25 +196,28 @@ type Yielder interface {
 	// abandon the wait.
 	Park(point string, victim bool) error
 	// ParkExternal suspends pending progress by an unscheduled goroutine
-	// (e.g. the group-commit log writer).
+	// (e.g. setup code, Checkpoint or Vacuum holding the quiesce gate or a
+	// table latch).
 	ParkExternal(point string)
 }
 
 // Yield-point names passed to Options.Yielder.Yield. Together they are the
 // scheduler's yield catalog: begin, snapshot/item read, lock acquire/release,
 // commit entry, commit-intent enqueue, install, and the WAL seams. At the
-// sites shared with FaultHook (lock, commit, wal.append, wal.fsync) the same
+// sites shared with FaultHook (lock, commit and the wal.* points) the same
 // constant is the op the fault hook receives.
 const (
-	YieldBegin       = "begin"
-	YieldRead        = "read"
-	YieldLock        = "lock"
-	YieldLockRelease = "lock.release"
-	YieldCommit      = "commit"
-	YieldEnqueue     = "commit.enqueue"
-	YieldInstall     = "commit.install"
-	YieldWALAppend   = "wal.append"
-	YieldWALFsync    = "wal.fsync"
+	YieldBegin         = "begin"
+	YieldRead          = "read"
+	YieldLock          = "lock"
+	YieldLockRelease   = "lock.release"
+	YieldCommit        = "commit"
+	YieldEnqueue       = "commit.enqueue"
+	YieldInstall       = "commit.install"
+	YieldWALAppend     = "wal.append"
+	YieldWALFsync      = "wal.fsync"
+	YieldWALCheckpoint = "wal.checkpoint"
+	YieldWALRecover    = "wal.recover"
 )
 
 // Park-point names passed to Options.Yielder.Park/ParkExternal, identifying

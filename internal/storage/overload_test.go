@@ -2,6 +2,7 @@ package storage
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -112,26 +113,49 @@ func TestCommitQueueBoundSheds(t *testing.T) {
 	reader.Rollback()
 }
 
-// TestCommitQueueBoundAllowsWithinBound: a generous bound must admit a
-// serial workload untouched — the bound only bites when the writer backs up.
+// TestCommitQueueBoundAllowsWithinBound: each committer has at most one
+// record in the writer queue, so a bound as large as the number of concurrent
+// committers can never shed, however the batches fall; once they finish the
+// queue-depth gauge is back at zero.
 func TestCommitQueueBoundAllowsWithinBound(t *testing.T) {
-	db := Open(Options{CommitQueueBound: 64})
+	const committers, perCommitter = 8, 10
+	db, err := OpenDir(Options{DataDir: t.TempDir(), CommitQueueBound: committers})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer db.Close()
 	if err := db.CreateTable(kvSchema("kv")); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 20; i++ {
-		tx := db.BeginDefault()
-		if _, _, err := tx.Insert("kv", map[string]Value{"key": Str(string(rune('a' + i)))}); err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
-			t.Fatalf("commit %d under bound failed: %v", i, err)
-		}
+	sheds := mCommitSheds.Value()
+	var wg sync.WaitGroup
+	for c := 0; c < committers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perCommitter; i++ {
+				tx := db.BeginDefault()
+				if _, _, err := tx.Insert("kv", map[string]Value{"key": Str(fmt.Sprintf("c%d-%d", c, i))}); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := tx.Commit(); err != nil {
+					t.Errorf("committer %d commit %d under bound failed: %v", c, i, err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if got := mCommitSheds.Value() - sheds; got != 0 {
+		t.Errorf("%d commits shed under a bound of %d committers", got, committers)
+	}
+	if d := mCommitQueueDepth.Value(); d != 0 {
+		t.Errorf("queue-depth gauge reads %d after every commit returned", d)
 	}
 	reader := db.Begin(SnapshotIsolation)
-	if n := scanCount(reader, "kv", nil); n != 20 {
-		t.Fatalf("expected 20 rows, got %d", n)
+	if n := scanCount(reader, "kv", nil); n != committers*perCommitter {
+		t.Fatalf("expected %d rows, got %d", committers*perCommitter, n)
 	}
 	reader.Rollback()
 }

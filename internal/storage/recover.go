@@ -45,11 +45,8 @@ func OpenDir(opts Options) (*Database, error) {
 		return db, nil
 	}
 	recoverStart := time.Now()
-	hook := o.FaultHook
-	if hook != nil {
-		if err := hook("wal.recover"); err != nil {
-			return nil, err
-		}
+	if err := db.point(YieldWALRecover); err != nil {
+		return nil, err
 	}
 	if err := os.MkdirAll(o.DataDir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: open %s: %w", o.DataDir, err)
@@ -80,10 +77,8 @@ func OpenDir(opts Options) (*Database, error) {
 	db.recovery.CorruptTail = scan.corrupt
 	off := int64(0)
 	for _, payload := range scan.payloads {
-		if hook != nil {
-			if err := hook("wal.recover"); err != nil {
-				return nil, err
-			}
+		if err := db.point(YieldWALRecover); err != nil {
+			return nil, err
 		}
 		if err := db.replayRecord(payload); err != nil {
 			// An undecodable record that passed its checksum means the bytes
@@ -106,10 +101,8 @@ func OpenDir(opts Options) (*Database, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storage: open wal for append: %w", err)
 	}
-	// Continue the CSN sequence from the recovered clock and start the
-	// group-commit log writer now that the log accepts appends.
+	// Continue the CSN sequence from the recovered clock.
 	db.pipe.setBase(atomic.LoadUint64(&db.clock))
-	db.pipe.startWriter(db.wal)
 	mRecoverySeconds.Observe(time.Since(recoverStart))
 	mRecoveryRecords.Add(uint64(db.recovery.RecordsReplayed))
 	return db, nil

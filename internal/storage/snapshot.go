@@ -42,10 +42,8 @@ func (db *Database) Checkpoint() (CheckpointStats, error) {
 	if db.wal == nil {
 		return stats, nil
 	}
-	if hook := db.opts.FaultHook; hook != nil {
-		if err := hook("wal.checkpoint"); err != nil {
-			return stats, err
-		}
+	if err := db.point(YieldWALCheckpoint); err != nil {
+		return stats, err
 	}
 	start := time.Now()
 	db.pipe.gate.Lock()

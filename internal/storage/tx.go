@@ -737,9 +737,10 @@ func isConflictAbort(err error) bool {
 // original write set; a serializable certification conflict aborts; otherwise
 // the intent is admitted with the next CSN.
 //
-// Stage 2 — group-commit WAL: the encoded record is handed to the log writer
-// goroutine and the committer parks until its batch is durable. A log failure
-// aborts the commit, consuming its CSN turn so later commits never stall.
+// Stage 2 — group-commit WAL: the encoded record joins the writer queue; the
+// committer at its head writes the queued records as one frame, and the others
+// wait until their batch is durable. A log failure aborts the commit,
+// consuming its CSN turn so later commits never stall.
 //
 // Stage 3 — ordered install: strictly in CSN order, install versions under
 // the write tables' latches, emit history events, publish the clock, and

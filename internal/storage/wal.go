@@ -13,11 +13,11 @@ import (
 
 // The write-ahead log is a single append-only file of records living in
 // Options.DataDir. Every record is one checksummed frame (appendFrame) whose
-// payload's first byte is a record type. Commit records are appended by the
-// group-commit log writer after validation and before install, so a record
-// reaches the log if and only if the commit will be acknowledged; DDL
-// records are appended under catalogMu before the catalog mutation becomes
-// visible. Recovery scans the log until the first torn or
+// payload's first byte is a record type. Commit records are appended by
+// whichever committer leads their group-commit batch, after validation and
+// before install, so a record reaches the log if and only if the commit will
+// be acknowledged; DDL records are appended under catalogMu before the catalog
+// mutation becomes visible. Recovery scans the log until the first torn or
 // checksum-corrupt record, replays the valid prefix, and truncates the rest —
 // so the recovered state is always exactly a committed prefix, never a
 // half-applied transaction.
@@ -217,12 +217,12 @@ func (w *wal) syncFileLocked() (time.Duration, error) {
 //
 // Fault-point semantics stay per-transaction: the wal.append point is passed
 // for every submission (a failure drops just that submission from the frame
-// with its error delivered immediately), and writeFrame passes wal.fsync once
-// per surviving submission before the single real fsync. A frame failure is
+// and records its error in its err), and writeFrame passes wal.fsync once per
+// surviving submission before the single real fsync. A frame failure is
 // returned for every survivor.
 //
 // The returned slice holds the submissions whose outcome is the returned
-// error; submissions rejected at the append point have already received their
+// error; submissions rejected at the append point already carry their
 // individual errors.
 func (w *wal) appendGroup(batch []*walSubmission) ([]*walSubmission, error) {
 	start := time.Now()
@@ -234,7 +234,7 @@ func (w *wal) appendGroup(batch []*walSubmission) ([]*walSubmission, error) {
 	survivors := make([]*walSubmission, 0, len(batch))
 	for _, s := range batch {
 		if err := w.point(YieldWALAppend); err != nil {
-			s.res <- err
+			s.err = err
 			continue
 		}
 		survivors = append(survivors, s)
@@ -311,17 +311,23 @@ func (w *wal) syncLoop() {
 	}
 }
 
-// close flushes and closes the log file, stopping the interval syncer first.
+// close flushes and closes the log file and stops the interval syncer. Every
+// later append fails with ErrClosed; closing again is a no-op.
 func (w *wal) close() error {
-	if w.stop != nil {
-		close(w.stop)
-		<-w.done
-	}
 	w.mu.Lock()
-	defer w.mu.Unlock()
+	if w.broken == ErrClosed {
+		w.mu.Unlock()
+		return nil
+	}
 	err := w.fsyncLocked()
 	if cerr := w.f.Close(); err == nil {
 		err = cerr
+	}
+	w.broken = ErrClosed
+	w.mu.Unlock()
+	if w.stop != nil {
+		close(w.stop)
+		<-w.done
 	}
 	return err
 }

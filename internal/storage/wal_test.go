@@ -244,6 +244,43 @@ func TestSyncIntervalPolicy(t *testing.T) {
 	}
 }
 
+// TestCommitAfterCloseFails: once Close has closed the log, a commit returns
+// promptly with ErrClosed instead of waiting on a batch nobody writes, the
+// error is sticky rather than the poisoned state a write to the closed file
+// would leave, DDL is refused the same way, and closing again is a no-op.
+// Twenty rounds, because a wrong close path fails only some of the time.
+func TestCommitAfterCloseFails(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		db := durableDB(t, t.TempDir(), Options{})
+		mustCreate(t, db, kvSchema("kv"))
+		if err := db.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		for attempt := 0; attempt < 2; attempt++ {
+			tx := db.BeginDefault()
+			if _, _, err := tx.Insert("kv", map[string]Value{"key": Str("x")}); err != nil {
+				t.Fatalf("insert: %v", err)
+			}
+			done := make(chan error, 1)
+			go func() { done <- tx.Commit() }()
+			select {
+			case err := <-done:
+				if !errors.Is(err, ErrClosed) {
+					t.Fatalf("round %d attempt %d: commit after Close = %v, want ErrClosed", round, attempt, err)
+				}
+			case <-time.After(500 * time.Millisecond):
+				t.Fatalf("round %d attempt %d: commit after Close still blocked after 500ms", round, attempt)
+			}
+		}
+		if err := db.CreateTable(kvSchema("other")); !errors.Is(err, ErrClosed) {
+			t.Fatalf("round %d: DDL after Close = %v, want ErrClosed", round, err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatalf("round %d: second close: %v", round, err)
+		}
+	}
+}
+
 func TestInMemoryStaysInMemory(t *testing.T) {
 	db := Open(Options{})
 	defer db.Close()

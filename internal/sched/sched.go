@@ -248,9 +248,10 @@ func (s *Scheduler) Yield(point string) {
 }
 
 // Park suspends the task until peer progress makes a retry worthwhile. The
-// caller loops: try the operation, Park on failure, try again. victim marks
-// the wait as abortable (lock waits are; commit-order waits are not). A
-// non-nil return is ErrDeadlockVictim: the caller must abandon the wait.
+// caller loops: check whether it can proceed (its lock granted, its commit
+// turn come), Park if not, check again. victim marks the wait as abortable
+// (lock waits are; commit-order waits are not). A non-nil return is
+// ErrDeadlockVictim: the caller must abandon the wait.
 // Unregistered goroutines sleep briefly and return nil, degrading to a
 // bounded spin.
 func (s *Scheduler) Park(point string, victim bool) error {

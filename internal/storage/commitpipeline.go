@@ -276,25 +276,28 @@ func intentConflicts(in *commitIntent, rows, readRows, probes, readPreds map[str
 	return false
 }
 
+// wait waits once on c, whose lock the caller holds, for the caller's loop to
+// re-check its condition. Under the deterministic scheduler it parks at point
+// instead, unlocking around the park: the task that will make the progress is
+// scheduled too, and blocking on the cond would keep the baton from it. Such
+// waits are not victim-eligible, because the awaited progress (an earlier
+// CSN's turn, the batch leader's write) always comes.
+func (p *commitPipeline) wait(c *sync.Cond, point string) {
+	y := p.db.opts.Yielder
+	if y == nil {
+		c.Wait()
+		return
+	}
+	c.L.Unlock()
+	_ = y.Park(point, false)
+	c.L.Lock()
+}
+
 // awaitTurn blocks until every earlier CSN has installed or aborted.
 func (p *commitPipeline) awaitTurn(csn uint64) {
-	if y := p.db.opts.Yielder; y != nil {
-		// Scheduler mode: poll-and-park instead of cond.Wait, so the earlier
-		// CSN's holder can be granted the baton to take its turn. Not
-		// victim-eligible — an assigned CSN always resolves.
-		for {
-			p.mu.Lock()
-			ready := p.installed == csn-1
-			p.mu.Unlock()
-			if ready {
-				return
-			}
-			_ = y.Park(ParkTurn, false)
-		}
-	}
 	p.mu.Lock()
 	for p.installed != csn-1 {
-		p.cond.Wait()
+		p.wait(p.cond, ParkTurn)
 	}
 	p.mu.Unlock()
 }
@@ -351,15 +354,7 @@ func (p *commitPipeline) submit(payload []byte, tr *obs.StmtTrace) error {
 	p.qmu.Lock()
 	p.queue = append(p.queue, s)
 	for !s.done && p.queue[0] != s {
-		if y := p.db.opts.Yielder; y != nil {
-			// Scheduler mode: the leader is a scheduled task too, so park until
-			// it makes progress instead of blocking the baton on the cond.
-			p.qmu.Unlock()
-			_ = y.Park(ParkFsyncWait, false)
-			p.qmu.Lock()
-		} else {
-			p.qcond.Wait()
-		}
+		p.wait(p.qcond, ParkFsyncWait)
 	}
 	if s.done {
 		p.qmu.Unlock()

@@ -378,29 +378,10 @@ func (db *Database) AddForeignKey(tableName, column, parentTable string, onDelet
 	}
 	pkPos := parent.schema.ColumnIndex(pkCol)
 
-	// Validate existing rows against the live parent set.
-	parentKeys := make(map[string]struct{})
-	parent.mu.RLock()
-	for _, chain := range parent.rows {
-		if v := chain.live(); v != nil {
-			parentKeys[v.vals[pkPos].Key()] = struct{}{}
-		}
+	if orphan, ok := findOrphan(child, pos, parent, pkPos); ok {
+		return fmt.Errorf("%w: existing %s.%s = %s has no parent in %s",
+			ErrForeignKeyViolation, tableName, column, orphan.Format(), parentTable)
 	}
-	parent.mu.RUnlock()
-	child.mu.RLock()
-	for _, chain := range child.rows {
-		v := chain.live()
-		if v == nil || v.vals[pos].IsNull() {
-			continue
-		}
-		if _, ok := parentKeys[v.vals[pos].Key()]; !ok {
-			child.mu.RUnlock()
-			return fmt.Errorf("%w: existing %s.%s = %s has no parent in %s",
-				ErrForeignKeyViolation, tableName, column, v.vals[pos].Format(), parentTable)
-		}
-	}
-	child.mu.RUnlock()
-
 	if err := db.walAppend(encodeAddForeignKey(tableName, column, parentTable, onDelete)); err != nil {
 		return err
 	}
@@ -416,6 +397,33 @@ func (db *Database) AddForeignKey(tableName, column, parentTable string, onDelet
 		fkEdge{childTable: strings.ToLower(child.schema.Name), fk: fk})
 	db.bumpSchemaEpoch()
 	return nil
+}
+
+// findOrphan returns the first non-NULL value in child's column pos that
+// matches no live parent row's column pkPos: the foreign-key check over live
+// state that AddForeignKey and CheckIntegrity share. Caller holds the
+// exclusive pipeline gate.
+func findOrphan(child *table, pos int, parent *table, pkPos int) (Value, bool) {
+	parentKeys := make(map[string]struct{})
+	parent.mu.RLock()
+	for _, chain := range parent.rows {
+		if v := chain.live(); v != nil {
+			parentKeys[v.vals[pkPos].Key()] = struct{}{}
+		}
+	}
+	parent.mu.RUnlock()
+	child.mu.RLock()
+	defer child.mu.RUnlock()
+	for _, chain := range child.rows {
+		v := chain.live()
+		if v == nil || v.vals[pos].IsNull() {
+			continue
+		}
+		if _, ok := parentKeys[v.vals[pos].Key()]; !ok {
+			return v.vals[pos], true
+		}
+	}
+	return Value{}, false
 }
 
 // lookupTable resolves a table by name.

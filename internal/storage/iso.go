@@ -169,11 +169,13 @@ type Options struct {
 	LiveCheck *anomalywatch.Config
 	// Yielder, when non-nil, puts the engine under a deterministic scheduler
 	// (internal/sched) for directed concurrency testing: the engine calls
-	// Yield at the Yield* progress points below and replaces its blocking
-	// waits (lock queues, commit-intent conflicts, the writer queue, CSN
-	// turns, pipeline latches, the quiesce gate) with try-then-Park retry
-	// loops, so which goroutine progresses between any two points is the
-	// scheduler's decision rather than the runtime's. At every site shared
+	// Yield at the Yield* progress points below and parks on the scheduler
+	// where it would otherwise block (lock waits, commit-intent conflicts,
+	// the writer queue, CSN turns, pipeline latches, the quiesce gate), so
+	// which goroutine progresses between any two points is the scheduler's
+	// decision rather than the runtime's. The state waited on is shared with
+	// production: a lock waiter joins the same FIFO queue and is granted by
+	// the same promotion, and only its wait parks. At every site shared
 	// with FaultHook the fault hook is consulted first — a fault that aborts
 	// an operation suppresses its yield (Database.point is the one place both
 	// are called). Production paths carry one nil check per point and nothing
@@ -190,10 +192,10 @@ type Yielder interface {
 	// Yield marks arrival at a named progress point and lets the scheduler
 	// pick who runs next.
 	Yield(point string)
-	// Park suspends until peer progress warrants a retry of whatever
-	// operation just failed. victim marks the wait abortable; a non-nil
-	// return means this task was nominated to break a deadlock and must
-	// abandon the wait.
+	// Park suspends until peer progress warrants re-checking the condition
+	// the caller waits on (a lock grant, an earlier CSN's turn). victim
+	// marks the wait abortable; a non-nil return means this task was
+	// nominated to break a deadlock and must abandon the wait.
 	Park(point string, victim bool) error
 	// ParkExternal suspends pending progress by an unscheduled goroutine
 	// (e.g. setup code, Checkpoint or Vacuum holding the quiesce gate or a
@@ -221,7 +223,7 @@ const (
 )
 
 // Park-point names passed to Options.Yielder.Park/ParkExternal, identifying
-// which blocking wait was replaced by a scheduler-visible retry loop.
+// which blocking wait parks on the scheduler instead.
 const (
 	ParkLockWait  = "lock.wait"
 	ParkLatch     = "commit.latch"

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -90,9 +91,6 @@ type lockWaiter struct {
 type lockEntry struct {
 	holders map[uint64]LockMode
 	queue   []*lockWaiter
-	// parked counts waiters in the scheduler-mode try-then-Park loop, which
-	// has no queue slice; the queue bound applies to it all the same.
-	parked int
 }
 
 // lockManager provides blocking row and predicate locks with FIFO queuing
@@ -106,8 +104,8 @@ type lockManager struct {
 	// queueBound is Options.LockQueueBound: 0 unbounded, N>0 at most N
 	// waiters per resource, negative no waiting at all (immediate shed).
 	queueBound int
-	// yielder, when non-nil, replaces queue-and-block waits with
-	// try-then-Park retry loops under the deterministic scheduler.
+	// yielder, when non-nil, is the deterministic scheduler: waiters queue as
+	// in production, and only the wait parks instead of blocking.
 	yielder Yielder
 }
 
@@ -122,21 +120,12 @@ func (lm *lockManager) Acquire(owner uint64, key string, mode LockMode) error {
 	return lm.acquire(owner, key, mode, time.Time{}, nil)
 }
 
-// AcquireUntil is Acquire with a statement deadline layered on the default
-// lock timeout: whichever bound is nearer wins, and deadline expiry returns
-// ErrStmtDeadline (the caller's budget ran out) rather than ErrLockTimeout
-// (the engine's deadlock verdict).
-func (lm *lockManager) AcquireUntil(owner uint64, key string, mode LockMode, deadline time.Time) error {
-	return lm.acquire(owner, key, mode, deadline, nil)
-}
-
-// acquire is the full-fat entry point: tr, when non-nil, accumulates queued
-// wait time into the statement's lock_wait span. Fast-path grants (the vast
-// majority) record nothing.
+// acquire is the one acquire path. A non-zero deadline is layered on the lock
+// timeout: the nearer bound wins, and deadline expiry returns ErrStmtDeadline
+// (the caller's budget ran out) rather than ErrLockTimeout (the engine's
+// deadlock verdict). tr, when non-nil, accumulates queued wait time into the
+// statement's lock_wait span; fast-path grants record nothing.
 func (lm *lockManager) acquire(owner uint64, key string, mode LockMode, deadline time.Time, tr *obs.StmtTrace) error {
-	if lm.yielder != nil {
-		return lm.acquireSched(owner, key, mode)
-	}
 	wait, timeoutErr := lm.timeout, ErrLockTimeout
 	if !deadline.IsZero() {
 		if until := time.Until(deadline); until < wait {
@@ -152,7 +141,8 @@ func (lm *lockManager) acquire(owner uint64, key string, mode LockMode, deadline
 		e = &lockEntry{holders: make(map[uint64]LockMode, 1)}
 		lm.entries[key] = e
 	}
-	if held, ok := e.holders[owner]; ok {
+	held, holding := e.holders[owner]
+	if holding {
 		if lockSubsumes[held][mode] {
 			lm.mu.Unlock()
 			return nil
@@ -170,11 +160,18 @@ func (lm *lockManager) acquire(owner uint64, key string, mode LockMode, deadline
 		return &OverloadError{Reason: "lock wait queue full", RetryAfter: overloadRetryAfter(lm.timeout / 4)}
 	}
 	w := &lockWaiter{owner: owner, mode: mode, granted: make(chan struct{})}
-	// Upgrades jump the queue: a holder waiting behind strangers who in turn
-	// wait on it is an instant deadlock; granting upgrades first is the
-	// standard mitigation (true upgrade deadlocks still resolve by timeout).
-	if _, holding := e.holders[owner]; holding {
+	if holding {
+		// Upgrades jump the queue: a holder waiting behind strangers who in
+		// turn wait on it is an instant deadlock; granting upgrades first is
+		// the standard mitigation (true upgrade deadlocks still resolve by
+		// timeout). No release will promote an upgrade already grantable at
+		// the head (a sole S holder behind a queued X waiter), so promote now.
 		e.queue = append([]*lockWaiter{w}, e.queue...)
+		e.promoteLocked()
+		if w.done {
+			lm.mu.Unlock()
+			return nil
+		}
 	} else {
 		e.queue = append(e.queue, w)
 	}
@@ -182,89 +179,57 @@ func (lm *lockManager) acquire(owner uint64, key string, mode LockMode, deadline
 
 	waitStart := time.Now()
 	mLockWaits.Inc()
-	timer := time.NewTimer(wait)
+	err := lm.wait(w, wait, timeoutErr)
+	waited := time.Since(waitStart)
+	mLockWaitSeconds.Observe(waited)
+	tr.Add(obs.SpanLockWait, waited)
+	if err != nil {
+		return lm.abandon(e, w, err)
+	}
+	return nil
+}
+
+// wait blocks until w is granted (nil) or gives up: after d with timeoutErr,
+// or, under the scheduler, where time plays no part, with ErrLockTimeout when
+// the task is nominated a deadlock victim.
+func (lm *lockManager) wait(w *lockWaiter, d time.Duration, timeoutErr error) error {
+	if y := lm.yielder; y != nil {
+		lm.mu.Lock()
+		defer lm.mu.Unlock()
+		for !w.done {
+			lm.mu.Unlock()
+			err := y.Park(ParkLockWait, true)
+			lm.mu.Lock()
+			if err != nil {
+				return ErrLockTimeout
+			}
+		}
+		return nil
+	}
+	timer := time.NewTimer(d)
 	defer timer.Stop()
 	select {
 	case <-w.granted:
-		waited := time.Since(waitStart)
-		mLockWaitSeconds.Observe(waited)
-		tr.Add(obs.SpanLockWait, waited)
 		return nil
 	case <-timer.C:
-		lm.mu.Lock()
-		defer lm.mu.Unlock()
-		waited := time.Since(waitStart)
-		mLockWaitSeconds.Observe(waited)
-		tr.Add(obs.SpanLockWait, waited)
-		if w.done { // granted while the timer fired
-			return nil
-		}
-		w.done = true
-		for i, q := range e.queue {
-			if q == w {
-				e.queue = append(e.queue[:i], e.queue[i+1:]...)
-				break
-			}
-		}
-		lm.promoteLocked(key, e)
-		mLockTimeouts.Inc()
 		return timeoutErr
 	}
 }
 
-// acquireSched is the deterministic-scheduler acquire path: no FIFO queue,
-// no timers. The caller's task tries the grant on its own scheduled turns and
-// Parks between attempts, so who wins a contended lock is the scheduler's
-// decision, and wait cycles are broken by victim nomination instead of
-// wall-clock timeout (the verdict is the same ErrLockTimeout). Upgrades fold
-// into the same loop: the combined mode is re-tried until compatible.
-func (lm *lockManager) acquireSched(owner uint64, key string, mode LockMode) error {
-	waited := false
-	for {
-		lm.mu.Lock()
-		e := lm.entries[key]
-		if e == nil {
-			e = &lockEntry{holders: make(map[uint64]LockMode, 1)}
-			lm.entries[key] = e
-		}
-		m := mode
-		if held, ok := e.holders[owner]; ok {
-			if lockSubsumes[held][m] {
-				if waited {
-					e.parked--
-				}
-				lm.mu.Unlock()
-				return nil
-			}
-			m = combineLockModes(held, m)
-		}
-		if e.grantable(owner, m) {
-			e.holders[owner] = m
-			if waited {
-				e.parked--
-			}
-			lm.mu.Unlock()
-			return nil
-		}
-		if !waited {
-			if b := lm.queueBound; b != 0 && (b < 0 || e.parked >= b) {
-				lm.mu.Unlock()
-				mLockSheds.Inc()
-				return &OverloadError{Reason: "lock wait queue full", RetryAfter: overloadRetryAfter(lm.timeout / 4)}
-			}
-			waited = true
-			e.parked++
-			mLockWaits.Inc()
-		}
-		lm.mu.Unlock()
-		if err := lm.yielder.Park(ParkLockWait, true); err != nil {
-			lm.mu.Lock()
-			e.parked--
-			lm.mu.Unlock()
-			mLockTimeouts.Inc()
-			return ErrLockTimeout
-		}
+// abandon ends a wait that gave up: the waiter leaves the queue, whoever it
+// blocked is promoted, and err is returned. A grant that raced the give-up
+// wins: the lock is held and abandon returns nil.
+func (lm *lockManager) abandon(e *lockEntry, w *lockWaiter, err error) error {
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
+	if w.done {
+		return nil
 	}
+	w.done = true
+	e.queue = slices.DeleteFunc(e.queue, func(q *lockWaiter) bool { return q == w })
+	e.promoteLocked()
+	mLockTimeouts.Inc()
+	return err
 }
 
 // ReleaseAll drops every lock held or requested by owner and wakes any
@@ -288,9 +253,9 @@ func (lm *lockManager) ReleaseAll(owner uint64) {
 			i++
 		}
 		if changed {
-			lm.promoteLocked(key, e)
+			e.promoteLocked()
 		}
-		if len(e.holders) == 0 && len(e.queue) == 0 && e.parked == 0 {
+		if len(e.holders) == 0 && len(e.queue) == 0 {
 			delete(lm.entries, key)
 		}
 	}
@@ -334,7 +299,8 @@ func (e *lockEntry) hasBlockedStrangers(owner uint64) bool {
 
 // promoteLocked grants queued requests that have become compatible, in FIFO
 // order, stopping at the first ungrantable waiter to preserve fairness.
-func (lm *lockManager) promoteLocked(key string, e *lockEntry) {
+// Caller holds lm.mu.
+func (e *lockEntry) promoteLocked() {
 	for len(e.queue) > 0 {
 		w := e.queue[0]
 		if w.done {
@@ -353,7 +319,6 @@ func (lm *lockManager) promoteLocked(key string, e *lockEntry) {
 		close(w.granted)
 		e.queue = e.queue[1:]
 	}
-	_ = key
 }
 
 // lock key construction ------------------------------------------------------

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -180,6 +181,141 @@ func TestLockNewRequestQueuesBehindWaiters(t *testing.T) {
 	<-writerDone
 	lm.ReleaseAll(2)
 	<-readerDone
+	lm.ReleaseAll(3)
+}
+
+// TestLockUpgradeBehindQueuedWaiter pins the contended upgrade: a sole S
+// holder upgrading to X behind a queued X waiter heads the queue and is
+// grantable, so it must be granted at once, not after the waiter's timeout
+// (which also failed the waiter with a spurious ErrLockTimeout).
+func TestLockUpgradeBehindQueuedWaiter(t *testing.T) {
+	lm := newLockManager(500*time.Millisecond, 0, nil)
+	if err := lm.Acquire(1, "k", LockS); err != nil {
+		t.Fatal(err)
+	}
+	waiter := acquireAsync(lm, 2, "k", LockX)
+	for queued := 0; queued == 0; {
+		lm.mu.Lock()
+		queued = len(lm.entries["k"].queue)
+		lm.mu.Unlock()
+		runtime.Gosched()
+	}
+	start := time.Now()
+	if err := lm.Acquire(1, "k", LockX); err != nil {
+		t.Fatalf("upgrade failed: %v", err)
+	}
+	if waited := time.Since(start); waited > 100*time.Millisecond {
+		t.Fatalf("upgrade took %v; a grantable upgrade at the queue head must not wait", waited)
+	}
+	select {
+	case err := <-waiter:
+		t.Fatalf("queued X waiter returned %v while the upgraded holder holds X", err)
+	default:
+	}
+	lm.ReleaseAll(1)
+	if err := <-waiter; err != nil {
+		t.Fatalf("queued waiter should be granted once the holder releases: %v", err)
+	}
+	lm.ReleaseAll(2)
+}
+
+// gateYielder is a Yielder whose Park blocks until the test answers it: each
+// Park hands the test a fresh wake channel and returns what the test sends on
+// it. The test thereby decides which parked waiter wakes, in which order, and
+// whether it wakes as a deadlock victim, with no sleeps.
+type gateYielder struct{ parks chan chan error }
+
+func (y *gateYielder) Yield(string)        {}
+func (y *gateYielder) ParkExternal(string) {}
+func (y *gateYielder) Park(string, bool) error {
+	wake := make(chan error)
+	y.parks <- wake
+	return <-wake
+}
+
+// parked returns the wake channel of the next Park, failing the test if the
+// waiter whose result arrives on res returns instead of parking.
+func (y *gateYielder) parked(t *testing.T, res <-chan error) chan<- error {
+	t.Helper()
+	select {
+	case wake := <-y.parks:
+		return wake
+	case err := <-res:
+		t.Fatalf("waiter returned %v instead of parking", err)
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiter never parked")
+	}
+	return nil
+}
+
+func acquireAsync(lm *lockManager, owner uint64, key string, mode LockMode) <-chan error {
+	res := make(chan error, 1)
+	go func() { res <- lm.Acquire(owner, key, mode) }()
+	return res
+}
+
+// TestLockSchedGrantsInQueueOrder drives the scheduler's wait: after the
+// holder releases, the first-queued waiter holds the lock even when the
+// second is woken first, and a waiter nominated as deadlock victim leaves the
+// queue with ErrLockTimeout, exactly as a timed-out one does.
+func TestLockSchedGrantsInQueueOrder(t *testing.T) {
+	y := &gateYielder{parks: make(chan chan error)}
+	lm := newLockManager(time.Second, 0, y)
+	if err := lm.Acquire(1, "k", LockX); err != nil {
+		t.Fatal(err)
+	}
+	first := acquireAsync(lm, 2, "k", LockX)
+	wakeFirst := y.parked(t, first)
+	second := acquireAsync(lm, 3, "k", LockX)
+	wakeSecond := y.parked(t, second)
+	lm.ReleaseAll(1)
+	wakeSecond <- nil
+	wakeSecond = y.parked(t, second)
+	wakeFirst <- nil
+	if err := <-first; err != nil {
+		t.Fatalf("first-queued waiter: %v", err)
+	}
+	if !lm.Holds(2, "k", LockX) || lm.Holds(3, "k", LockX) {
+		t.Fatal("lock not granted to the first-queued waiter alone")
+	}
+	wakeSecond <- errors.New("deadlock victim")
+	if err := <-second; !errors.Is(err, ErrLockTimeout) {
+		t.Fatalf("victim's acquire = %v, want ErrLockTimeout", err)
+	}
+	lm.ReleaseAll(2)
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
+	if n := len(lm.entries); n != 0 {
+		t.Fatalf("abandoned waiter left %d entries behind", n)
+	}
+}
+
+// TestLockSchedNoBargingPastParkedWaiter: under the scheduler, as in
+// production, a new S request compatible with the S holder still queues
+// behind a parked X waiter instead of starving it.
+func TestLockSchedNoBargingPastParkedWaiter(t *testing.T) {
+	y := &gateYielder{parks: make(chan chan error)}
+	lm := newLockManager(time.Second, 0, y)
+	if err := lm.Acquire(1, "k", LockS); err != nil {
+		t.Fatal(err)
+	}
+	writer := acquireAsync(lm, 2, "k", LockX)
+	wakeWriter := y.parked(t, writer)
+	reader := acquireAsync(lm, 3, "k", LockS)
+	wakeReader := y.parked(t, reader)
+	lm.ReleaseAll(1)
+	wakeWriter <- nil
+	if err := <-writer; err != nil {
+		t.Fatalf("parked X waiter: %v", err)
+	}
+	lm.ReleaseAll(2)
+	wakeReader <- nil
+	if err := <-reader; err != nil {
+		t.Fatalf("queued S request: %v", err)
+	}
+	if !lm.Holds(3, "k", LockS) {
+		t.Fatal("S request not granted after the writer released")
+	}
 	lm.ReleaseAll(3)
 }
 

@@ -271,14 +271,6 @@ func (db *Database) CheckIntegrity() error {
 		if pkPos < 0 {
 			continue
 		}
-		parentKeys := make(map[string]struct{})
-		parent.mu.RLock()
-		for _, chain := range parent.rows {
-			if v := chain.live(); v != nil {
-				parentKeys[v.vals[pkPos].Key()] = struct{}{}
-			}
-		}
-		parent.mu.RUnlock()
 		for _, e := range edges {
 			child := db.tables[e.childTable]
 			if child == nil {
@@ -288,20 +280,11 @@ func (db *Database) CheckIntegrity() error {
 			if pos < 0 {
 				continue
 			}
-			child.mu.RLock()
-			for _, chain := range child.rows {
-				v := chain.live()
-				if v == nil || v.vals[pos].IsNull() {
-					continue
-				}
-				if _, ok := parentKeys[v.vals[pos].Key()]; !ok {
-					child.mu.RUnlock()
-					return fmt.Errorf("%w: %s.%s = %s has no parent in %s",
-						ErrForeignKeyViolation, child.schema.Name, e.fk.Column,
-						v.vals[pos].Format(), parent.schema.Name)
-				}
+			if orphan, ok := findOrphan(child, pos, parent, pkPos); ok {
+				return fmt.Errorf("%w: %s.%s = %s has no parent in %s",
+					ErrForeignKeyViolation, child.schema.Name, e.fk.Column,
+					orphan.Format(), parent.schema.Name)
 			}
-			child.mu.RUnlock()
 		}
 	}
 	return nil

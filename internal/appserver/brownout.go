@@ -52,6 +52,10 @@ type Brownout struct {
 	cooldown  time.Duration
 	now       func() time.Time
 	enteredAt time.Time
+	// cache holds the last value written or read for each model/key, the
+	// degraded-mode answer. It lives here so that a server without a
+	// controller keeps no state between requests.
+	cache sync.Map
 }
 
 // NewBrownout builds a controller. engage is the windowed shed rate that

@@ -1,6 +1,9 @@
 package appserver
 
 import (
+	"io"
+	"net/http"
+	"strings"
 	"testing"
 	"time"
 )
@@ -103,5 +106,68 @@ func TestBrownoutIgnoresThinSamples(t *testing.T) {
 	}
 	if b.State() != BrownoutNormal {
 		t.Fatal("5 samples must be below the minimum for engagement")
+	}
+}
+
+// TestBrownoutServesStaleReads drives an installed controller into degraded
+// mode and checks that a read of a written key is answered from the cache,
+// flagged X-Degraded: stale, while an uncached key still reads through.
+func TestBrownoutServesStaleReads(t *testing.T) {
+	reg, err := UniquenessModels()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, pool := newStack(t, reg, 2)
+	srv := NewServer(pool)
+	clk := &brownoutClock{t: time.Unix(5000, 0)}
+	b := NewBrownout(0.25, 0.05, time.Second, clk.now)
+	srv.EnableBrownout(b)
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	base := "http://" + srv.Addr()
+
+	resp, err := http.Post(base+"/entries", "application/json",
+		strings.NewReader(`{"model":"ValidatedKeyValue","key":"a","value":"1"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("create = %d", resp.StatusCode)
+	}
+	for i := 0; i < 30; i++ {
+		b.Observe(true)
+	}
+	if b.State() != BrownoutDegraded {
+		t.Fatal("brownout did not engage")
+	}
+	// Move the database on behind the cache's back: a read that reached it
+	// would see "2", and the key "b" exists only there.
+	conn := d.Connect()
+	defer conn.Close()
+	if _, err := conn.Exec("UPDATE validated_key_values SET value = '2' WHERE key = 'a'"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Exec("INSERT INTO validated_key_values (key, value) VALUES ('b', '3')"); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ key, reply, degraded string }{
+		{"a", "{\"key\":\"a\",\"value\":\"1\"}\n", "stale"},
+		{"b", "{\"key\":\"b\",\"value\":\"3\"}\n", ""},
+	} {
+		resp, err := http.Get(base + "/entries/" + c.key + "?model=ValidatedKeyValue")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || string(body) != c.reply {
+			t.Errorf("GET %s = %d %q, want 200 %q", c.key, resp.StatusCode, body, c.reply)
+		}
+		if got := resp.Header.Get("X-Degraded"); got != c.degraded {
+			t.Errorf("GET %s: X-Degraded = %q, want %q", c.key, got, c.degraded)
+		}
 	}
 }

@@ -8,8 +8,6 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"strings"
-	"sync"
 	"time"
 
 	"feralcc/internal/db"
@@ -22,56 +20,33 @@ import (
 // Unicorn handoff).
 type Server struct {
 	pool *Pool
-	mux  *http.ServeMux
 	http *http.Server
 	ln   net.Listener
-	// Timeout bounds each request end to end — the wait for a free worker
-	// plus every statement the worker issues (the deadline propagates from
-	// here through the ORM session and db connection into the engine's lock
-	// waits). Zero disables the bound. Set before Listen.
-	Timeout time.Duration
 	// brownout, when set via EnableBrownout, watches the shed rate and
-	// switches reads to the stale cache under sustained overload.
+	// switches reads to its stale cache under sustained overload.
 	brownout *Brownout
-	// readCache holds the last value served for each model/key read, the
-	// degraded-mode answer when the database is shedding.
-	readCache sync.Map
 }
 
 // EnableBrownout installs a brownout controller (see Brownout). Call before
-// Listen; without it the server never degrades, the pre-existing behavior.
+// Listen; without it the server never degrades and keeps no state between
+// requests.
 func (s *Server) EnableBrownout(b *Brownout) { s.brownout = b }
 
-// observe feeds one request outcome to the brownout controller: load-shed
-// failures (saturated pool, overloaded database) count toward the rate that
-// trips degraded mode; everything else counts as served.
-func (s *Server) observe(err error) {
-	if s.brownout == nil {
-		return
-	}
-	shed := err != nil && (errors.Is(err, ErrPoolSaturated) || errors.Is(err, storage.ErrOverloaded))
-	s.brownout.Observe(shed)
-}
-
-// NewServer builds the front end over a worker pool, exposing the two
-// experiment applications:
-//
-//	POST   /entries            {"model": "...", "key": k, "value": v}
-//	GET    /entries/{key}?model=...
-//	POST   /users              {"model": "...", "department_id": n}
-//	POST   /departments        {"model": "...", "id": n, "name": s}
-//	DELETE /departments/{id}?model=...
-//	GET    /healthz
+// NewServer builds the front end over a worker pool, routing the two
+// experiment applications' requests (each handler's body struct is its JSON
+// contract). The mux answers a known path with the wrong method 405.
 func NewServer(pool *Pool) *Server {
-	s := &Server{pool: pool, mux: http.NewServeMux()}
-	s.mux.HandleFunc("/entries", s.createEntry)
-	s.mux.HandleFunc("/entries/", s.readEntry)
-	s.mux.HandleFunc("/users", s.createUser)
-	s.mux.HandleFunc("/departments", s.createDepartment)
-	s.mux.HandleFunc("/departments/", s.deleteDepartment)
-	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+	s := &Server{pool: pool}
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /entries", s.createEntry)
+	mux.HandleFunc("GET /entries/{key}", s.readEntry)
+	mux.HandleFunc("POST /users", s.createUser)
+	mux.HandleFunc("POST /departments", s.createDepartment)
+	mux.HandleFunc("DELETE /departments/{id}", s.deleteDepartment)
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
+	s.http = &http.Server{Handler: mux}
 	return s
 }
 
@@ -82,7 +57,6 @@ func (s *Server) Listen(addr string) error {
 		return err
 	}
 	s.ln = ln
-	s.http = &http.Server{Handler: s.mux}
 	go s.http.Serve(ln)
 	return nil
 }
@@ -96,250 +70,189 @@ func (s *Server) Addr() string {
 }
 
 // Close shuts the listener down.
-func (s *Server) Close() {
-	if s.http != nil {
-		s.http.Close()
-	}
-}
+func (s *Server) Close() { s.http.Close() }
 
-// apiError maps handler failures onto HTTP statuses the way a Rails app
-// would: validation failures are 422, conflicts/serialization 409, a full
-// worker pool or an overloaded database 503 (overload responses carry a
-// Retry-After header with the backoff hint, rounded up to whole seconds), a
-// spent request deadline 504, the rest 500.
-func apiError(w http.ResponseWriter, err error) {
-	status := http.StatusInternalServerError
-	switch {
-	case errors.Is(err, orm.ErrRecordInvalid):
-		status = http.StatusUnprocessableEntity
-	case errors.Is(err, storage.ErrUniqueViolation),
-		errors.Is(err, storage.ErrForeignKeyViolation),
-		errors.Is(err, storage.ErrSerialization),
-		errors.Is(err, orm.ErrStaleObject):
-		status = http.StatusConflict
-	case errors.Is(err, orm.ErrRecordNotFound):
-		status = http.StatusNotFound
-	case errors.Is(err, storage.ErrOverloaded):
-		status = http.StatusServiceUnavailable
-		secs := int64(1)
-		if hint, ok := db.RetryAfter(err); ok && hint > 0 {
-			secs = int64((hint + time.Second - 1) / time.Second)
+// respond writes reply as JSON, or maps err onto an HTTP status the way a
+// Rails app would: validation failures are 422, conflicts/serialization
+// 409, a full worker pool or an overloaded database 503 (overload responses
+// carry a Retry-After header with the backoff hint, rounded up to whole
+// seconds), a spent request deadline 504, the rest 500.
+func respond(w http.ResponseWriter, reply any, err error) {
+	if err != nil {
+		status := http.StatusInternalServerError
+		switch {
+		case errors.Is(err, orm.ErrRecordInvalid):
+			status = http.StatusUnprocessableEntity
+		case errors.Is(err, storage.ErrUniqueViolation),
+			errors.Is(err, storage.ErrForeignKeyViolation),
+			errors.Is(err, storage.ErrSerialization),
+			errors.Is(err, orm.ErrStaleObject):
+			status = http.StatusConflict
+		case errors.Is(err, orm.ErrRecordNotFound):
+			status = http.StatusNotFound
+		case errors.Is(err, storage.ErrOverloaded):
+			status = http.StatusServiceUnavailable
+			secs := int64(1)
+			if hint, ok := db.RetryAfter(err); ok && hint > 0 {
+				secs = int64((hint + time.Second - 1) / time.Second)
+			}
+			w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
+		case errors.Is(err, ErrPoolSaturated):
+			status = http.StatusServiceUnavailable
+		case errors.Is(err, storage.ErrStmtDeadline),
+			errors.Is(err, context.DeadlineExceeded):
+			status = http.StatusGatewayTimeout
 		}
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	case errors.Is(err, ErrPoolSaturated):
-		status = http.StatusServiceUnavailable
-	case errors.Is(err, storage.ErrStmtDeadline),
-		errors.Is(err, context.DeadlineExceeded):
-		status = http.StatusGatewayTimeout
+		w.WriteHeader(status)
+		reply = map[string]string{"error": err.Error()}
 	}
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+	_ = json.NewEncoder(w).Encode(reply)
 }
 
-// requestCtx derives the handler context: the client's own cancellation plus
-// the server's per-request timeout, if configured.
-func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFunc) {
-	if s.Timeout > 0 {
-		return context.WithTimeout(r.Context(), s.Timeout)
-	}
-	return r.Context(), func() {}
+// shed reports whether err is a load-shed refusal from the layers below: a
+// saturated pool or an overloaded database.
+func shed(err error) bool {
+	return errors.Is(err, ErrPoolSaturated) || errors.Is(err, storage.ErrOverloaded)
 }
 
-func decodeBody(r *http.Request, into any) error {
-	defer r.Body.Close()
-	return json.NewDecoder(r.Body).Decode(into)
+// do runs fn on a pooled worker under the request's context and reports the
+// outcome to the brownout controller, if one is installed.
+func (s *Server) do(r *http.Request, fn func(*Worker) (any, error)) (any, error) {
+	var reply any
+	err := s.pool.DoContext(r.Context(), func(wk *Worker) (err error) {
+		reply, err = fn(wk)
+		return err
+	})
+	if s.brownout != nil {
+		s.brownout.Observe(shed(err))
+	}
+	return reply, err
+}
+
+// serve is the request path every worker-backed handler shares: decode the
+// JSON request body into body (nil for none; one that does not parse is a
+// 400), run fn on a worker, and reply with its result or its mapped error.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, body any, fn func(*Worker) (any, error)) {
+	if body != nil {
+		if err := json.NewDecoder(r.Body).Decode(body); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+	}
+	reply, err := s.do(r, fn)
+	respond(w, reply, err)
+}
+
+// created is the reply to a create: the new record's id.
+func created(rec *orm.Record, err error) (any, error) {
+	if err != nil {
+		return nil, err
+	}
+	return map[string]int64{"id": rec.ID()}, nil
 }
 
 func (s *Server) createEntry(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	var body struct {
 		Model string `json:"model"`
 		Key   string `json:"key"`
 		Value string `json:"value"`
 	}
-	if err := decodeBody(r, &body); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	var id int64
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-	err := s.pool.DoContext(ctx, func(wk *Worker) error {
+	s.serve(w, r, &body, func(wk *Worker) (any, error) {
 		rec, err := wk.Session.Create(body.Model, map[string]storage.Value{
 			"key":   storage.Str(body.Key),
 			"value": storage.Str(body.Value),
 		})
-		if err != nil {
-			return err
+		if err == nil && s.brownout != nil {
+			s.brownout.cache.Store(body.Model+"/"+body.Key, body.Value)
 		}
-		id = rec.ID()
-		return nil
+		return created(rec, err)
 	})
-	s.observe(err)
-	if err != nil {
-		apiError(w, err)
-		return
-	}
-	// A successful write refreshes the degraded-read cache: the freshest
-	// value we could possibly serve stale is the one just written.
-	s.readCache.Store(body.Model+"/"+body.Key, body.Value)
-	_ = json.NewEncoder(w).Encode(map[string]int64{"id": id})
 }
 
-// readEntry serves GET /entries/{key}?model=... — the stack's only read
-// endpoint, and the traffic brownout mode degrades. In normal mode it reads
-// through the database and refreshes the stale cache; in degraded mode (or
-// when the database sheds this particular read) it answers from the cache
-// with an X-Degraded: stale header, spending no database capacity at all.
+// readEntry serves GET /entries/{key}?model=..., the stack's only read and
+// the traffic brownout degrades. With a controller installed, a cached key
+// is answered from its cache, flagged X-Degraded: stale, when the
+// controller is degraded (spending no database capacity at all) or the
+// layers below shed the read; any other successful read refreshes the cache.
 func (s *Server) readEntry(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	key := strings.TrimPrefix(r.URL.Path, "/entries/")
-	model := r.URL.Query().Get("model")
-	cacheKey := model + "/" + key
-	if s.brownout != nil && s.brownout.State() == BrownoutDegraded {
-		if v, ok := s.readCache.Load(cacheKey); ok {
-			mDegradedReads.Inc()
-			w.Header().Set("X-Degraded", "stale")
-			_ = json.NewEncoder(w).Encode(map[string]string{"key": key, "value": v.(string)})
-			return
-		}
-		// Cache miss: fall through to the database — a degraded mode that
-		// turns every uncached read into an error would be worse than none.
-	}
-	var value string
-	var found bool
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-	err := s.pool.DoContext(ctx, func(wk *Worker) error {
+	key, model := r.PathValue("key"), r.URL.Query().Get("model")
+	read := func(wk *Worker) (any, error) {
 		recs, err := wk.Session.Where(model, "key", storage.Str(key))
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if len(recs) > 0 {
-			value = recs[0].GetString("value")
-			found = true
+		if len(recs) == 0 {
+			return nil, fmt.Errorf("%w: %s/%s", orm.ErrRecordNotFound, model, key)
 		}
-		return nil
-	})
-	s.observe(err)
-	if err != nil {
-		if errors.Is(err, storage.ErrOverloaded) || errors.Is(err, ErrPoolSaturated) {
-			if v, ok := s.readCache.Load(cacheKey); ok {
-				mDegradedReads.Inc()
-				w.Header().Set("X-Degraded", "stale")
-				_ = json.NewEncoder(w).Encode(map[string]string{"key": key, "value": v.(string)})
-				return
-			}
-		}
-		apiError(w, err)
+		return map[string]string{"key": key, "value": recs[0].GetString("value")}, nil
+	}
+	b := s.brownout
+	if b == nil {
+		s.serve(w, r, nil, read)
 		return
 	}
-	if !found {
-		apiError(w, fmt.Errorf("%w: %s/%s", orm.ErrRecordNotFound, model, key))
-		return
+	cacheKey := model + "/" + key
+	stale, cached := b.cache.Load(cacheKey)
+	// A miss reads through even when degraded: a degraded mode that turns
+	// every uncached read into an error would be worse than none.
+	degraded := cached && b.State() == BrownoutDegraded
+	var reply any
+	var err error
+	if !degraded {
+		reply, err = s.do(r, read)
 	}
-	s.readCache.Store(cacheKey, value)
-	_ = json.NewEncoder(w).Encode(map[string]string{"key": key, "value": value})
+	switch {
+	case cached && (degraded || shed(err)):
+		mDegradedReads.Inc()
+		w.Header().Set("X-Degraded", "stale")
+		reply, err = map[string]string{"key": key, "value": stale.(string)}, nil
+	case err == nil:
+		b.cache.Store(cacheKey, reply.(map[string]string)["value"])
+	}
+	respond(w, reply, err)
 }
 
 func (s *Server) createUser(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	var body struct {
 		Model        string `json:"model"`
 		DepartmentID int64  `json:"department_id"`
 		FKAttr       string `json:"fk_attr"`
 	}
-	if err := decodeBody(r, &body); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	var id int64
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-	err := s.pool.DoContext(ctx, func(wk *Worker) error {
-		rec, err := wk.Session.Create(body.Model, map[string]storage.Value{
+	s.serve(w, r, &body, func(wk *Worker) (any, error) {
+		return created(wk.Session.Create(body.Model, map[string]storage.Value{
 			body.FKAttr: storage.Int(body.DepartmentID),
-		})
-		if err != nil {
-			return err
-		}
-		id = rec.ID()
-		return nil
+		}))
 	})
-	s.observe(err)
-	if err != nil {
-		apiError(w, err)
-		return
-	}
-	_ = json.NewEncoder(w).Encode(map[string]int64{"id": id})
 }
 
 func (s *Server) createDepartment(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	var body struct {
 		Model string `json:"model"`
 		ID    int64  `json:"id"`
 		Name  string `json:"name"`
 	}
-	if err := decodeBody(r, &body); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-	err := s.pool.DoContext(ctx, func(wk *Worker) error {
+	s.serve(w, r, &body, func(wk *Worker) (any, error) {
 		attrs := map[string]storage.Value{"name": storage.Str(body.Name)}
 		if body.ID > 0 {
 			attrs["id"] = storage.Int(body.ID)
 		}
 		_, err := wk.Session.Create(body.Model, attrs)
-		return err
+		return map[string]string{"status": "created"}, err
 	})
-	s.observe(err)
-	if err != nil {
-		apiError(w, err)
-		return
-	}
-	_ = json.NewEncoder(w).Encode(map[string]string{"status": "created"})
 }
 
 func (s *Server) deleteDepartment(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodDelete {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	idStr := strings.TrimPrefix(r.URL.Path, "/departments/")
-	id, err := strconv.ParseInt(idStr, 10, 64)
+	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
 	if err != nil {
 		http.Error(w, "bad id", http.StatusBadRequest)
 		return
 	}
 	model := r.URL.Query().Get("model")
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-	err = s.pool.DoContext(ctx, func(wk *Worker) error {
+	s.serve(w, r, nil, func(wk *Worker) (any, error) {
 		rec, err := wk.Session.Find(model, id)
-		if err != nil {
-			return err
+		if err == nil {
+			err = wk.Session.Destroy(rec)
 		}
-		return wk.Session.Destroy(rec)
+		return map[string]string{"status": "deleted"}, err
 	})
-	s.observe(err)
-	if err != nil {
-		apiError(w, err)
-		return
-	}
-	_ = json.NewEncoder(w).Encode(map[string]string{"status": "deleted"})
 }

@@ -1,19 +1,18 @@
 // Package appserver reproduces the deployment architecture of Section 2.2:
 // a pool of P single-threaded application workers (the Unicorn model), each
 // owning one database connection and one ORM session, behind an HTTP front
-// end (the Nginx role). Workers share no state; the database is their only
-// rendezvous — which is precisely the condition under which the paper's
-// feral validations race.
+// end (the Nginx role). Workers share no state, and the front end keeps
+// none between requests unless a brownout controller is installed; the
+// database is their only rendezvous — which is precisely the condition under
+// which the paper's feral validations race.
 package appserver
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"feralcc/internal/db"
-	"feralcc/internal/faultinject"
 	"feralcc/internal/obs"
 	"feralcc/internal/orm"
 )
@@ -52,7 +51,6 @@ type Pool struct {
 	workers chan *Worker
 	size    int
 	conns   []db.Conn
-	inj     *faultinject.Injector
 }
 
 // NewPool builds a pool of size workers; each gets its own connection from
@@ -71,9 +69,6 @@ func NewPool(size int, registry *orm.Registry, connect func() db.Conn) (*Pool, e
 	return p, nil
 }
 
-// Size returns the number of workers.
-func (p *Pool) Size() int { return p.size }
-
 // Configure applies fn to every worker while the pool is quiescent (e.g. to
 // set the sessions' simulated think time).
 func (p *Pool) Configure(fn func(*Worker)) {
@@ -87,10 +82,6 @@ func (p *Pool) Configure(fn func(*Worker)) {
 	}
 }
 
-// SetInjector installs a fault injector consulted at worker checkout
-// (faultinject.PointWorker). Call while the pool is quiescent.
-func (p *Pool) SetInjector(in *faultinject.Injector) { p.inj = in }
-
 // Do checks out a worker, runs fn on it, and returns it. Blocks while all
 // workers are busy, exactly as a Unicorn master queues requests. The error
 // is fn's error.
@@ -103,13 +94,6 @@ func (p *Pool) Do(fn func(*Worker) error) error {
 // worker's session inherits ctx for the duration of fn, so the request's
 // deadline rides every statement down to the engine's lock waits.
 func (p *Pool) DoContext(ctx context.Context, fn func(*Worker) error) error {
-	if f := p.inj.Eval(faultinject.PointWorker); f != nil {
-		if f.Kind == faultinject.KindLatency {
-			time.Sleep(f.Latency)
-		} else if err := f.Error(); err != nil {
-			return err
-		}
-	}
 	var w *Worker
 	mPoolWaiting.Inc()
 	if ctx == nil {

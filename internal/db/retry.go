@@ -174,14 +174,32 @@ func (p RetryPolicy) Backoff(attempt int) time.Duration {
 
 // BackoffFor is Backoff floored by err's retry-after hint: when the server
 // shed the work with "not before then", sleeping any less just gets shed
-// again. Hand-rolled retry loops above this package (the ORM's transaction
-// wrapper) use it so overload hints are honored at every tier.
+// again.
 func (p RetryPolicy) BackoffFor(attempt int, err error) time.Duration {
 	d := p.Backoff(attempt)
 	if hint, ok := RetryAfter(err); ok && hint > d {
 		d = hint
 	}
 	return d
+}
+
+// Next is the retry gate every retry loop shares. Retry attempt (1-based)
+// follows a failure with err; Next reports whether to make it and the
+// backoff to sleep first. The gates run in order: err must be retryable and
+// the policy must have retries left; the backoff, floored by any
+// retry-after hint, must fit in ctx's remaining deadline (a nil ctx has
+// none), so an attempt that cannot start in time surfaces the real error
+// instead of a guaranteed expiry; only then does the budget grant a token,
+// so a retry refused on its deadline spends none.
+func (p RetryPolicy) Next(ctx context.Context, attempt int, err error) (time.Duration, bool) {
+	if !Retryable(err) || attempt > p.MaxRetries {
+		return 0, false
+	}
+	backoff := p.BackoffFor(attempt, err)
+	if !sleepAllowed(ctx, backoff) || !p.Budget.Allow() {
+		return 0, false
+	}
+	return backoff, true
 }
 
 // sleepAllowed reports whether a backoff sleep of d fits inside ctx's
@@ -284,11 +302,12 @@ func (r *reliableConn) Prepare(sql string) (Stmt, error) {
 	st, err := r.conn.Prepare(sql)
 	// Preparing is read-only, so a retryable failure (a dropped connection,
 	// an injected abort) is always safe to re-attempt — budget permitting.
-	for attempt := 1; err != nil && Retryable(err) && r.policy.Enabled() && attempt <= r.policy.MaxRetries; attempt++ {
-		if !r.policy.Budget.Allow() {
+	for attempt := 1; err != nil; attempt++ {
+		backoff, ok := r.policy.Next(nil, attempt, err)
+		if !ok {
 			break
 		}
-		time.Sleep(r.policy.BackoffFor(attempt, err))
+		time.Sleep(backoff)
 		atomic.AddUint64(&r.retries, 1)
 		mRetries.Inc()
 		st, err = r.conn.Prepare(sql)
@@ -371,27 +390,20 @@ func (r *reliableConn) exec(ctx context.Context, sql string, args []storage.Valu
 	r.policy.Budget.OnAttempt()
 	res, err := r.doExec(ctx, sql, args)
 
-	// Retry loop. Inside a transaction a bare re-execution is wrong (the
-	// transaction is aborted), so each attempt is a full replay instead.
-	// Before every retry, three gates in order: the backoff sleep (floored by
-	// any retry-after hint) must fit in the remaining context deadline — an
-	// attempt that cannot start in time surfaces the real error instead of a
-	// guaranteed expiry; then the retry budget must grant a token, so retry
-	// traffic stays a bounded fraction of first attempts under overload.
-	for attempt := 1; err != nil && Retryable(err) && r.policy.Enabled() && attempt <= r.policy.MaxRetries; attempt++ {
-		if kind == kindRollback {
-			// The transaction is gone either way; a rollback that failed
-			// retryably (e.g. the connection dropped) has still achieved its
-			// goal, since a lost session's transaction is rolled back by the
-			// server and a serialization abort already ended it.
-			r.txLog, r.overflow = nil, false
-			return &Result{}, nil
-		}
-		backoff := r.policy.BackoffFor(attempt, err)
-		if !sleepAllowed(ctx, backoff) {
-			break
-		}
-		if !r.policy.Budget.Allow() {
+	if kind == kindRollback && Retryable(err) && r.policy.Enabled() {
+		// The transaction is gone either way; a rollback that failed
+		// retryably (e.g. the connection dropped) has still achieved its
+		// goal, since a lost session's transaction is rolled back by the
+		// server and a serialization abort already ended it.
+		r.txLog, r.overflow = nil, false
+		return &Result{}, nil
+	}
+	// Retry loop, gated by Next. Inside a transaction a bare re-execution is
+	// wrong (the transaction is aborted), so each attempt is a full replay
+	// instead.
+	for attempt := 1; err != nil; attempt++ {
+		backoff, ok := r.policy.Next(ctx, attempt, err)
+		if !ok {
 			break
 		}
 		time.Sleep(backoff)

@@ -239,8 +239,11 @@ func runOverloadRequest(cfg OverloadConfig, addr string, budget *db.RetryBudget,
 		BaseDelay:  2 * time.Millisecond,
 		MaxDelay:   50 * time.Millisecond,
 		Seed:       h | 1,
+		Budget:     budget,
 	}
 	budget.OnAttempt()
+	ctx, cancel := context.WithDeadline(context.Background(), start.Add(cfg.Deadline))
+	defer cancel()
 
 	var err error
 	for attempt := 1; ; attempt++ {
@@ -255,14 +258,11 @@ func runOverloadRequest(cfg OverloadConfig, addr string, budget *db.RetryBudget,
 			return
 		}
 		if cfg.Protected {
-			// Budgeted discipline: only retryable failures, only while the
-			// budget grants, and never with a backoff the deadline cannot
-			// absorb.
-			if attempt > policy.MaxRetries || !db.Retryable(err) || !budget.Allow() {
-				break
-			}
-			backoff := policy.BackoffFor(attempt, err)
-			if time.Since(start)+backoff >= cfg.Deadline {
+			// Budgeted discipline: only retryable failures, never with a
+			// backoff the deadline cannot absorb, and only while the budget
+			// grants.
+			backoff, ok := policy.Next(ctx, attempt, err)
+			if !ok {
 				break
 			}
 			time.Sleep(backoff)

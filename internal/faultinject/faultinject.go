@@ -74,9 +74,15 @@ const (
 	// PointWALRecover fires at the start of OpenDir recovery and again before
 	// each replayed record, so chaos suites can kill recovery mid-replay.
 	PointWALRecover = "storage.wal.recover"
-	// PointWorker fires when an application-server worker is checked out.
-	PointWorker = "appserver.worker"
 )
+
+// points is the set of standard point names a Spec may arm.
+var points = map[string]bool{
+	PointClientSend: true, PointClientRecv: true,
+	PointServerRead: true, PointServerExec: true, PointServerWrite: true,
+	PointDBExec: true, PointStorageCommit: true, PointStorageLock: true,
+	PointWALAppend: true, PointWALFsync: true, PointWALCheckpoint: true, PointWALRecover: true,
+}
 
 // Kind enumerates the fault classes the injector can produce.
 type Kind uint8

@@ -181,7 +181,8 @@ func TestParseSpecRoundTrip(t *testing.T) {
 			t.Fatalf("%q: %+v %v", empty, spec, err)
 		}
 	}
-	for _, bad := range []string{"drop", "explode=0.5", "drop=2", "drop=-0.1", "latency=xyz", "latency=1ms@nope"} {
+	for _, bad := range []string{"drop", "explode=0.5", "drop=2", "drop=-0.1", "latency=xyz", "latency=1ms@nope",
+		"wire.clent.send:drop=0.1", "appserver.worker:drop=0.1"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Fatalf("%q parsed without error", bad)
 		}

@@ -24,7 +24,8 @@ import (
 // db.exec point, which Wrap applies in front of any connection — embedded
 // or wire — so one spec means the same thing for both deployment shapes.
 // Explicit points (e.g. wire.client.send:drop=0.05) arm the named seam
-// directly for layer-targeted scripts.
+// directly for layer-targeted scripts; a point must be one of the package's
+// Point* names.
 type Spec struct {
 	Entries []SpecEntry
 }
@@ -90,6 +91,9 @@ func parseEntry(part string) (SpecEntry, error) {
 		if colon := strings.LastIndex(body[:eq], ":"); colon >= 0 {
 			e.Point = strings.TrimSpace(body[:colon])
 			body = body[colon+1:]
+			if !points[e.Point] {
+				return e, fmt.Errorf("faultinject: unknown fault point %q in %q", e.Point, part)
+			}
 		}
 	}
 	kv := strings.SplitN(body, "=", 2)

@@ -343,27 +343,19 @@ func (s *Session) TransactionAt(level string, fn func() error) error {
 // and writes of a save share one transaction either way). When the session
 // opened the transaction itself and it fails retryably, the whole body is
 // re-run under the Retry policy — safe because Save and Destroy restore
-// their record's pre-attempt state at the top of fn. A transaction the
-// caller opened is never retried here: only the caller can re-run its body.
+// their record's pre-attempt state at the top of fn. Each transaction the
+// session opens is one first attempt to the policy's budget. A transaction
+// the caller opened is never retried here: only the caller can re-run its
+// body.
 func (s *Session) withTx(fn func() error) error {
 	if s.inTx {
 		return fn()
 	}
+	s.Retry.Budget.OnAttempt()
 	err := s.Transaction(fn)
-	for attempt := 1; err != nil && db.Retryable(err) && s.Retry.Enabled() && attempt <= s.Retry.MaxRetries; attempt++ {
-		// Same gates as db.Reliable: the backoff (floored by any overload
-		// retry-after hint) must fit in the remaining deadline, and the retry
-		// budget must grant a token.
-		backoff := s.Retry.BackoffFor(attempt, err)
-		if s.ctx != nil {
-			if s.ctx.Err() != nil {
-				break
-			}
-			if dl, ok := s.ctx.Deadline(); ok && time.Until(dl) <= backoff {
-				break
-			}
-		}
-		if !s.Retry.Budget.Allow() {
+	for attempt := 1; err != nil; attempt++ {
+		backoff, ok := s.Retry.Next(s.ctx, attempt, err)
+		if !ok {
 			break
 		}
 		time.Sleep(backoff)

@@ -642,3 +642,57 @@ func TestDefaultsAppliedOnNew(t *testing.T) {
 		t.Fatalf("default not applied: %q", got.GetString("state"))
 	}
 }
+
+// flakyCommitConn fails every other COMMIT with a serialization abort,
+// rolling the transaction back first as the engine would, so each
+// transaction commits on its second attempt.
+type flakyCommitConn struct {
+	db.Conn
+	commits int
+}
+
+func (c *flakyCommitConn) Prepare(sql string) (db.Stmt, error) {
+	st, err := c.Conn.Prepare(sql)
+	if err != nil || sql != "COMMIT" {
+		return st, err
+	}
+	return &flakyCommitStmt{Stmt: st, conn: c}, nil
+}
+
+type flakyCommitStmt struct {
+	db.Stmt
+	conn *flakyCommitConn
+}
+
+func (st *flakyCommitStmt) Exec(args ...storage.Value) (*db.Result, error) {
+	st.conn.commits++
+	if st.conn.commits%2 == 1 {
+		if _, err := st.conn.Conn.Exec("ROLLBACK"); err != nil {
+			return nil, err
+		}
+		return nil, storage.ErrSerialization
+	}
+	return st.Stmt.Exec(args...)
+}
+
+// TestRetryBudgetFedByTransactions: each transaction the session opens is a
+// first attempt to its retry budget, so a budget the session does not share
+// with a db.Reliable connection keeps granting retries after its first
+// burst is spent. With one token and no deposits, the second transaction's
+// retry would be denied.
+func TestRetryBudgetFedByTransactions(t *testing.T) {
+	d, r, _ := testStack(t, kvModel(false))
+	s := NewSession(r, &flakyCommitConn{Conn: d.Connect()})
+	s.Retry = db.RetryPolicy{MaxRetries: 1, BaseDelay: time.Microsecond, Budget: db.NewRetryBudget(1, 1)}
+	for _, key := range []string{"first", "second", "third"} {
+		if _, err := s.Create("Entry", attrs("key", key, "value", "v")); err != nil {
+			t.Fatalf("create %s: %v", key, err)
+		}
+	}
+	if s.Retries() != 3 {
+		t.Fatalf("retries = %d, want 3", s.Retries())
+	}
+	if st := s.Retry.Budget.Stats(); st.Denied != 0 || st.Retries != 3 || st.FirstAttempts != 3 {
+		t.Fatalf("budget stats = %+v, want 3 first attempts, 3 retries, 0 denied", st)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"feralcc/internal/db"
+	"feralcc/internal/sqlexec"
 	"feralcc/internal/storage"
 )
 
@@ -491,8 +492,9 @@ func (v *Exclusion) Validate(ctx *ValidationContext) (string, error) {
 
 // --- validates_format_of ---------------------------------------------------------
 
-// Format requires the value to match a SQL-LIKE-style pattern (% and _
-// wildcards), the engine's stand-in for Rails's regexp formats. I-confluent.
+// Format requires the value to match a SQL LIKE pattern (% and _ wildcards,
+// matched by the executor's own sqlexec.LikeMatch), the engine's stand-in for
+// Rails's regexp formats. I-confluent.
 type Format struct {
 	Attr string
 	// Like is the pattern the value must match.
@@ -517,49 +519,10 @@ func (v *Format) Validate(ctx *ValidationContext) (string, error) {
 	if val.IsNull() {
 		return "", nil
 	}
-	if !likeMatch(val.Format(), v.Like) {
+	if !sqlexec.LikeMatch(val.Format(), v.Like) {
 		return fmt.Sprintf("%s is invalid", v.Attr), nil
 	}
 	return "", nil
-}
-
-// likeMatch implements the % / _ wildcard match (same semantics as the SQL
-// executor's LIKE).
-func likeMatch(s, pattern string) bool {
-	var match func(si, pi int) bool
-	match = func(si, pi int) bool {
-		for pi < len(pattern) {
-			switch pattern[pi] {
-			case '%':
-				for pi < len(pattern) && pattern[pi] == '%' {
-					pi++
-				}
-				if pi == len(pattern) {
-					return true
-				}
-				for k := si; k <= len(s); k++ {
-					if match(k, pi) {
-						return true
-					}
-				}
-				return false
-			case '_':
-				if si >= len(s) {
-					return false
-				}
-				si++
-				pi++
-			default:
-				if si >= len(s) || s[si] != pattern[pi] {
-					return false
-				}
-				si++
-				pi++
-			}
-		}
-		return si == len(s)
-	}
-	return match(0, 0)
 }
 
 // --- custom (user-defined) validations --------------------------------------------

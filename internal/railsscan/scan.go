@@ -11,7 +11,6 @@
 package railsscan
 
 import (
-	"bufio"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -153,12 +152,16 @@ func scanFile(c *Counts, path, content string) {
 	}
 }
 
+// readLines splits content into lines as bufio.ScanLines would — no empty
+// final line after a trailing newline, and a trailing '\r' trimmed from each
+// line — but with no limit on a line's length.
 func readLines(content string) []string {
-	var lines []string
-	sc := bufio.NewScanner(strings.NewReader(content))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		lines = append(lines, sc.Text())
+	lines := strings.Split(content, "\n")
+	if lines[len(lines)-1] == "" {
+		lines = lines[:len(lines)-1]
+	}
+	for i, l := range lines {
+		lines[i] = strings.TrimSuffix(l, "\r")
 	}
 	return lines
 }

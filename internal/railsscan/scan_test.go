@@ -1,9 +1,12 @@
 package railsscan
 
 import (
+	"bufio"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"feralcc/internal/corpus"
@@ -297,6 +300,39 @@ func TestBodyReadsDatabase(t *testing.T) {
 	for line, want := range cases {
 		if got := bodyReadsDatabase(line); got != want {
 			t.Errorf("bodyReadsDatabase(%q) = %v, want %v", line, got, want)
+		}
+	}
+}
+
+// TestScanSurvivesLongLine: a line longer than any fixed scan buffer (here
+// over 1 MiB, a minified asset or a long string literal) must not cut the
+// rest of its file from the scan.
+func TestScanSurvivesLongLine(t *testing.T) {
+	src := map[string]string{
+		"app/models/user.rb": "# " + strings.Repeat("x", 1<<20+1) + "\r\n" +
+			"class User < ActiveRecord::Base\r\n" +
+			"  validates_uniqueness_of :email\r\n" +
+			"end\r\n",
+	}
+	c := Scan("test", src)
+	if c.Models != 1 || c.Validations != 1 {
+		t.Fatalf("models = %d, validations = %d, want 1 and 1", c.Models, c.Validations)
+	}
+}
+
+// TestReadLinesMatchesScanLines: readLines splits exactly as
+// bufio.ScanLines does on lines that fit its buffer.
+func TestReadLinesMatchesScanLines(t *testing.T) {
+	for _, content := range []string{
+		"", "\n", "a", "a\n", "a\n\n", "a\r\nb", "a\r\nb\r\n", "\r", "a\rb\n", "\n\na\n",
+	} {
+		var want []string
+		sc := bufio.NewScanner(strings.NewReader(content))
+		for sc.Scan() {
+			want = append(want, sc.Text())
+		}
+		if got := readLines(content); !slices.Equal(got, want) {
+			t.Errorf("readLines(%q) = %q, want %q", content, got, want)
 		}
 	}
 }

@@ -176,7 +176,7 @@ func (e *env) eval(x sqlfront.Expr) (storage.Value, error) {
 		if v.Kind != storage.KindString || p.Kind != storage.KindString {
 			return storage.Value{}, fmt.Errorf("sqlexec: LIKE requires strings")
 		}
-		return storage.Bool(likeMatch(v.S, p.S) != t.Negate), nil
+		return storage.Bool(LikeMatch(v.S, p.S) != t.Negate), nil
 	case *sqlfront.FuncExpr:
 		if e.aggs != nil {
 			if v, ok := e.aggs[renderExpr(t)]; ok {
@@ -351,43 +351,34 @@ func truthy(v storage.Value) bool {
 	return v.Kind == storage.KindBool && v.B
 }
 
-// likeMatch implements SQL LIKE with % (any run) and _ (any single byte),
-// by simple backtracking.
-func likeMatch(s, pattern string) bool {
-	var match func(si, pi int) bool
-	match = func(si, pi int) bool {
-		for pi < len(pattern) {
-			switch pattern[pi] {
-			case '%':
-				for pi < len(pattern) && pattern[pi] == '%' {
-					pi++
-				}
-				if pi == len(pattern) {
-					return true
-				}
-				for k := si; k <= len(s); k++ {
-					if match(k, pi) {
-						return true
-					}
-				}
-				return false
-			case '_':
-				if si >= len(s) {
-					return false
-				}
-				si++
-				pi++
-			default:
-				if si >= len(s) || s[si] != pattern[pi] {
-					return false
-				}
-				si++
-				pi++
-			}
+// LikeMatch reports whether s matches the SQL LIKE pattern, where % matches
+// any run of bytes (none included) and _ any single byte. It is the greedy
+// match with one backtrack point: on a mismatch it returns to the latest %
+// and lets it absorb one more byte of s. A later % subsumes every earlier
+// one, so no other point is ever needed, and the match takes
+// O(len(s)·len(pattern)) steps whatever the pattern.
+func LikeMatch(s, pattern string) bool {
+	si, pi := 0, 0
+	star, mark := -1, 0 // the latest % in pattern, and where its run in s ends
+	for si < len(s) {
+		switch {
+		case pi < len(pattern) && pattern[pi] == '%':
+			star, mark = pi, si
+			pi++
+		case pi < len(pattern) && (pattern[pi] == '_' || pattern[pi] == s[si]):
+			si++
+			pi++
+		case star >= 0:
+			mark++
+			si, pi = mark, star+1
+		default:
+			return false
 		}
-		return si == len(s)
 	}
-	return match(0, 0)
+	for pi < len(pattern) && pattern[pi] == '%' {
+		pi++
+	}
+	return pi == len(pattern)
 }
 
 // renderExpr produces a canonical string for an expression, used to match

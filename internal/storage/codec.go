@@ -213,9 +213,19 @@ var (
 
 // appendFrame appends payload as one frame.
 func appendFrame(b, payload []byte) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(len(payload)))
-	b = binary.BigEndian.AppendUint32(b, crc32.Checksum(payload, crcTable))
-	return append(b, payload...)
+	start := len(b)
+	b = append(b, make([]byte, frameHeaderSize)...)
+	b = append(b, payload...)
+	sealFrame(b[start:])
+	return b
+}
+
+// sealFrame fills in the header of frame: a header-sized placeholder followed
+// by the payload.
+func sealFrame(frame []byte) {
+	payload := frame[frameHeaderSize:]
+	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.BigEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
 }
 
 // cutFrame splits the first frame off data, returning its payload (aliasing

@@ -102,9 +102,8 @@ func formatSequence(t *testing.T, dir string, policy SyncPolicy) (walBytes, snap
 		must(tx.Delete("orgs", acme))
 	})
 
-	walBytes, err := os.ReadFile(filepath.Join(dir, walFileName))
-	must(err)
-	_, err = db.Checkpoint()
+	walBytes = walLog(t, dir)
+	_, err := db.Checkpoint()
 	must(err)
 	snapBytes, err = os.ReadFile(filepath.Join(dir, snapFileName))
 	must(err)

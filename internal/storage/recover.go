@@ -23,6 +23,7 @@ type RecoveryStats struct {
 	// TornTailBytes is how many trailing log bytes were discarded because the
 	// final record never completely reached the disk; CorruptTail is set when
 	// the discarded tail failed its checksum rather than merely being short.
+	// Zeros reserved past the log's end are a clean end, not a torn tail.
 	TornTailBytes int64
 	CorruptTail   bool
 }
@@ -36,8 +37,9 @@ func (db *Database) Recovery() RecoveryStats { return db.recovery }
 // directory is created if needed, the latest snapshot checkpoint is loaded,
 // the write-ahead log's valid prefix is replayed (commits reinstall their
 // versions and rebuild indexes and FK edges; DDL records re-run their catalog
-// mutations), any torn or corrupt tail is truncated away, and the log is
-// reopened for appending — all before the first transaction can start.
+// mutations), any torn or corrupt tail (or reserved zeros) is truncated away,
+// and the log is reopened for appending — all before the first transaction
+// can start.
 func OpenDir(opts Options) (*Database, error) {
 	o := opts.withDefaults()
 	db := newDatabase(o)
@@ -73,7 +75,9 @@ func OpenDir(opts Options) (*Database, error) {
 		return nil, fmt.Errorf("storage: open wal: %w", err)
 	}
 	scan := scanWAL(raw)
-	db.recovery.TornTailBytes = scan.tornTail
+	if !scan.zeroTail {
+		db.recovery.TornTailBytes = scan.tornTail
+	}
 	db.recovery.CorruptTail = scan.corrupt
 	off := int64(0)
 	for _, payload := range scan.payloads {

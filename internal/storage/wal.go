@@ -2,6 +2,7 @@ package storage
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"sort"
@@ -21,6 +22,9 @@ import (
 // checksum-corrupt record, replays the valid prefix, and truncates the rest —
 // so the recovered state is always exactly a committed prefix, never a
 // half-applied transaction.
+//
+// The file may run past the log: appends reserve zeroed space ahead of the
+// tail (wal.reserve), and a zero length field ends the log (scanWAL).
 const (
 	walFileName  = "wal.log"
 	snapFileName = "snapshot.db"
@@ -28,6 +32,10 @@ const (
 	// walMaxRecord bounds a single record; a length field beyond it is treated
 	// as a corrupt tail rather than an allocation request.
 	walMaxRecord = 64 << 20
+
+	// walReserveStep is the granularity of the space reserved ahead of the
+	// log's tail, and the largest frame buffer a wal keeps between appends.
+	walReserveStep = 64 << 10
 )
 
 // WAL record types (first payload byte).
@@ -96,19 +104,22 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 }
 
 // wal owns the append side of the log. Appends take wal.mu (innermost lock:
-// callers hold catalogMu above it, never the reverse), write the frame with
-// WriteAt at a self-tracked offset, and fsync per policy. A failed fsync or
-// short write rolls the file back to the pre-append offset so an aborted
-// commit can never be replayed; if even the rollback fails the log is
-// poisoned and every later append fails rather than diverging from memory.
+// callers hold catalogMu above it, never the reverse), build the frame in buf,
+// write it with WriteAt at a self-tracked offset, and fsync per policy. A
+// failed fsync or short write rolls the file back to the pre-append offset so
+// an aborted commit can never be replayed; if even the rollback fails the log
+// is poisoned and every later append fails rather than diverging from memory.
 type wal struct {
-	mu     sync.Mutex
-	f      *os.File
-	size   int64
-	policy SyncPolicy
-	point  func(name string) error // Database.point, passed at the wal.* points
-	dirty  bool                    // bytes written since the last fsync
-	broken error                   // sticky poison after an unrecoverable failure
+	mu        sync.Mutex
+	f         *os.File
+	size      int64  // the log's length: the end of its last frame
+	fileSize  int64  // the file's length: size plus the space reserved past it
+	noReserve bool   // the file system cannot reserve space: frames grow the file
+	buf       []byte // the frame being built (frameBuf), kept if small
+	policy    SyncPolicy
+	point     func(name string) error // Database.point, passed at the wal.* points
+	dirty     bool                    // bytes written since the last fsync
+	broken    error                   // sticky poison after an unrecoverable failure
 
 	stop chan struct{} // closes the interval syncer
 	done chan struct{}
@@ -121,7 +132,7 @@ func openWAL(path string, size int64, policy SyncPolicy, point func(string) erro
 	if err != nil {
 		return nil, err
 	}
-	w := &wal{f: f, size: size, policy: policy, point: point}
+	w := &wal{f: f, size: size, fileSize: size, policy: policy, point: point}
 	if policy == SyncInterval {
 		w.stop = make(chan struct{})
 		w.done = make(chan struct{})
@@ -143,7 +154,7 @@ func (w *wal) append(payload []byte) error {
 	if err := w.point(YieldWALAppend); err != nil {
 		return err
 	}
-	if _, err := w.writeFrame(payload, 1); err != nil {
+	if _, err := w.writeFrame(append(w.frameBuf(), payload...), 1); err != nil {
 		return err
 	}
 	mWALAppends.Inc()
@@ -151,21 +162,33 @@ func (w *wal) append(payload []byte) error {
 	return nil
 }
 
-// writeFrame writes payload as one checksummed frame at the log tail and,
-// under SyncAlways, fsyncs it, passing the wal.fsync point once per record
-// the frame carries first — so chaos suites keep per-transaction coverage
-// while a batch is synced once. Any write, fault or fsync failure rolls the
-// file back to the pre-frame offset: nothing in the frame was acknowledged,
-// nothing will be replayed. Returns the time spent in the fsync itself (zero
-// when the policy defers it). Caller holds w.mu.
-func (w *wal) writeFrame(payload []byte, records int) (time.Duration, error) {
-	frame := appendFrame(make([]byte, 0, frameHeaderSize+len(payload)), payload)
+// frameBuf returns w.buf emptied down to a frame header placeholder, for the
+// payload to be appended to and writeFrame to seal. Caller holds w.mu.
+func (w *wal) frameBuf() []byte {
+	return append(w.buf[:0], make([]byte, frameHeaderSize)...)
+}
+
+// writeFrame seals frame (built on frameBuf) and writes it at the log tail
+// and, under SyncAlways, fsyncs it, passing the wal.fsync point once per
+// record the frame carries first — so chaos suites keep per-transaction
+// coverage while a batch is synced once. Any write, fault or fsync failure
+// rolls the file back to the pre-frame offset: nothing in the frame was
+// acknowledged, nothing will be replayed. Returns the time spent in the fsync
+// itself (zero when the policy defers it). Caller holds w.mu.
+func (w *wal) writeFrame(frame []byte, records int) (time.Duration, error) {
+	sealFrame(frame)
+	if cap(frame) <= walReserveStep {
+		w.buf = frame[:0]
+	}
 	off := w.size
+	end := off + int64(len(frame))
+	w.reserve(end)
 	if _, err := w.f.WriteAt(frame, off); err != nil {
 		w.rollbackTo(off)
 		return 0, fmt.Errorf("storage: wal append: %w", err)
 	}
-	w.size = off + int64(len(frame))
+	w.size = end
+	w.fileSize = max(w.fileSize, end)
 	w.dirty = true
 	if w.policy != SyncAlways {
 		return 0, nil
@@ -181,6 +204,25 @@ func (w *wal) writeFrame(payload []byte, records int) (time.Duration, error) {
 		w.rollbackTo(off)
 	}
 	return fd, err
+}
+
+// reserve readies the file for a write that ends at end: if end lies past the
+// file, the file is extended to the next multiple of walReserveStep with
+// zeros (reserveFile). A frame written inside the reserved space changes no file
+// size, so its fsync flushes data instead of journaling a size change on every
+// commit. If the reservation fails the write extends the file itself, as it
+// would without one; a file system that cannot reserve at all is not asked
+// again. Caller holds w.mu.
+func (w *wal) reserve(end int64) {
+	if end <= w.fileSize || w.noReserve {
+		return
+	}
+	to := (end + walReserveStep - 1) / walReserveStep * walReserveStep
+	if err := reserveFile(w.f, w.fileSize, to-w.fileSize); err != nil {
+		w.noReserve = errors.Is(err, errors.ErrUnsupported)
+		return
+	}
+	w.fileSize = to
 }
 
 // fsyncLocked flushes written records to stable storage on behalf of the
@@ -242,16 +284,18 @@ func (w *wal) appendGroup(batch []*walSubmission) ([]*walSubmission, error) {
 	if len(survivors) == 0 {
 		return nil, nil
 	}
-	payload := survivors[0].payload
-	if len(survivors) > 1 {
-		payload = []byte{recGroupCommit}
-		payload = binary.AppendUvarint(payload, uint64(len(survivors)))
+	frame := w.frameBuf()
+	if len(survivors) == 1 {
+		frame = append(frame, survivors[0].payload...)
+	} else {
+		frame = append(frame, recGroupCommit)
+		frame = binary.AppendUvarint(frame, uint64(len(survivors)))
 		for _, s := range survivors {
-			payload = binary.AppendUvarint(payload, uint64(len(s.payload)))
-			payload = append(payload, s.payload...)
+			frame = binary.AppendUvarint(frame, uint64(len(s.payload)))
+			frame = append(frame, s.payload...)
 		}
 	}
-	fd, err := w.writeFrame(payload, len(survivors))
+	fd, err := w.writeFrame(frame, len(survivors))
 	if err != nil {
 		return survivors, err
 	}
@@ -265,15 +309,16 @@ func (w *wal) appendGroup(batch []*walSubmission) ([]*walSubmission, error) {
 	return survivors, nil
 }
 
-// rollbackTo truncates the file back to off after a failed append or fsync.
-// Failure to roll back poisons the log: memory and disk would disagree about
-// the aborted record, so no further append may succeed.
+// rollbackTo truncates the file back to off after a failed append or fsync,
+// dropping any reservation with the bytes. Failure to roll back poisons the
+// log: memory and disk would disagree about the aborted record, so no further
+// append may succeed.
 func (w *wal) rollbackTo(off int64) {
 	if err := w.f.Truncate(off); err != nil {
 		w.broken = fmt.Errorf("storage: wal unrecoverable (rollback failed): %w", err)
 		return
 	}
-	w.size = off
+	w.size, w.fileSize = off, off
 }
 
 // truncateAll resets the log after a checkpoint made its contents redundant.
@@ -288,7 +333,7 @@ func (w *wal) truncateAll() error {
 	if err := w.f.Truncate(0); err != nil {
 		return fmt.Errorf("storage: wal truncate: %w", err)
 	}
-	w.size = 0
+	w.size, w.fileSize = 0, 0
 	w.dirty = false
 	return w.f.Sync()
 }
@@ -311,15 +356,24 @@ func (w *wal) syncLoop() {
 	}
 }
 
-// close flushes and closes the log file and stops the interval syncer. Every
-// later append fails with ErrClosed; closing again is a no-op.
+// close trims the reservation, flushes and closes the log file and stops the
+// interval syncer, so a cleanly closed log file holds exactly its frames.
+// Every later append fails with ErrClosed; closing again is a no-op.
 func (w *wal) close() error {
 	w.mu.Lock()
 	if w.broken == ErrClosed {
 		w.mu.Unlock()
 		return nil
 	}
-	err := w.fsyncLocked()
+	var err error
+	if w.fileSize > w.size {
+		if err = w.f.Truncate(w.size); err != nil {
+			err = fmt.Errorf("storage: wal trim: %w", err)
+		}
+	}
+	if ferr := w.fsyncLocked(); err == nil {
+		err = ferr
+	}
 	if cerr := w.f.Close(); err == nil {
 		err = cerr
 	}
@@ -496,6 +550,7 @@ type walScan struct {
 	payloads [][]byte
 	validLen int64
 	tornTail int64 // bytes beyond the valid prefix (0 = clean EOF)
+	zeroTail bool  // those bytes are all zero: reserved space, a clean end
 	corrupt  bool  // tail failed its checksum (vs merely being cut short)
 }
 
@@ -504,10 +559,15 @@ type walScan struct {
 // crash-during-append); an intact-length record whose checksum fails is
 // "corrupt" (bit rot or a torn sector inside the payload). Either way
 // everything before it is trusted and everything from it on is discarded.
+//
+// A zero length field (as much of it as the data holds) ends the log: no
+// frame is empty, since every payload starts with its record type, so zeros
+// there are reserved space that no frame reached. An all-zero remainder is a
+// clean end; anything non-zero after the zero length field is a torn tail.
 func scanWAL(data []byte) walScan {
 	var s walScan
 	rest := data
-	for len(rest) > 0 {
+	for len(rest) > 0 && !allZero(rest[:min(len(rest), 4)]) {
 		payload, next, err := cutFrame(rest, walMaxRecord)
 		if err != nil {
 			s.corrupt = err == errFrameCorrupt
@@ -518,5 +578,16 @@ func scanWAL(data []byte) walScan {
 	}
 	s.validLen = int64(len(data) - len(rest))
 	s.tornTail = int64(len(rest))
+	s.zeroTail = len(rest) > 0 && allZero(rest)
 	return s
+}
+
+// allZero reports whether every byte of b is zero.
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }

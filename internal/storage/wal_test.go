@@ -22,13 +22,24 @@ func durableDB(t *testing.T, dir string, opts Options) *Database {
 	return db
 }
 
+// walLog returns the log in dir: the file up to the end of its last frame.
+// Every byte past that must be zero, space reserved ahead of the tail.
+func walLog(t *testing.T, dir string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, walFileName))
+	if err != nil {
+		t.Fatalf("read wal: %v", err)
+	}
+	n := scanWAL(raw).validLen
+	if !allZero(raw[n:]) {
+		t.Fatalf("wal has non-zero bytes past its last frame (%d of %d bytes)", n, len(raw))
+	}
+	return raw[:n]
+}
+
 func walSize(t *testing.T, dir string) int64 {
 	t.Helper()
-	fi, err := os.Stat(filepath.Join(dir, walFileName))
-	if err != nil {
-		t.Fatalf("stat wal: %v", err)
-	}
-	return fi.Size()
+	return int64(len(walLog(t, dir)))
 }
 
 func TestSyncPolicyParse(t *testing.T) {

@@ -13,7 +13,6 @@ import (
 	"feralcc/internal/corpus"
 	"feralcc/internal/db"
 	"feralcc/internal/experiment"
-	"feralcc/internal/frameworks"
 	"feralcc/internal/iconfluence"
 	"feralcc/internal/railsscan"
 	"feralcc/internal/sqlexec"
@@ -161,20 +160,11 @@ func BenchmarkFig7Authorship(b *testing.B) {
 	}
 }
 
-// --- Footnote 8 and Section 6 -------------------------------------------------
+// --- Footnote 8 --------------------------------------------------------------
 
 func BenchmarkSSIBug(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := experiment.RunSSIBug(experiment.CellEnv{ThinkTime: time.Millisecond}, 8, 10, 16); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFrameworkSurvey(b *testing.B) {
-	profile := frameworks.Survey()[0] // Rails
-	for i := 0; i < b.N; i++ {
-		if _, err := frameworks.RunSusceptibility(profile, 5, 8, 200*time.Microsecond); err != nil {
 			b.Fatal(err)
 		}
 	}

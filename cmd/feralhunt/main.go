@@ -41,6 +41,20 @@ import (
 	"feralcc/internal/storage"
 )
 
+// hunt is the search, shared with the Section 6 framework survey.
+var hunt = experiment.Hunt
+
+// certificate is the no-anomaly verdict for a bounded exploration.
+type certificate struct {
+	Workload  string `json:"workload"`
+	Level     string `json:"level"`
+	Verdict   string `json:"verdict"`
+	Schedules int    `json:"schedules"`
+	Directed  int    `json:"directed"`
+	Seed      int64  `json:"seed"`
+	Target    string `json:"target"`
+}
+
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -144,7 +158,7 @@ func run(args []string, out, errw io.Writer) int {
 	}
 
 	if *baseline > 0 {
-		runs, err := stressBaseline(w, level, *baseline, *target)
+		runs, err := experiment.HuntBaseline(w, level, *baseline, *target)
 		if err != nil {
 			fmt.Fprintf(errw, "feralhunt: baseline: %v\n", err)
 			return 2
@@ -163,7 +177,7 @@ func run(args []string, out, errw io.Writer) int {
 
 // writeWitness writes the minimized witness JSONL (with provenance header) to
 // path, or to out when path is empty.
-func writeWitness(path string, out io.Writer, w experiment.HuntWorkload, level storage.IsolationLevel, res *outcome) error {
+func writeWitness(path string, out io.Writer, w experiment.HuntWorkload, level storage.IsolationLevel, res *experiment.HuntOutcome) error {
 	dst := out
 	if path != "" {
 		f, err := os.Create(path)

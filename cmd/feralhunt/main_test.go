@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -168,6 +169,37 @@ task
 	}
 }
 
+// TestDSLAutocommitUniqueness drives the DSL's autocommit tasks and unique
+// flag through feralhunt -dsl: when the feral probe and the insert commit
+// separately, SERIALIZABLE cannot stop the duplicate, and only the
+// in-database unique index certifies the race clean.
+func TestDSLAutocommitUniqueness(t *testing.T) {
+	const src = `
+table users id:int:pk email:%s
+invariant unique users email
+task autocommit
+  insert-unless users email=dup@example.com
+task autocommit
+  insert-unless users email=dup@example.com
+`
+	for _, tc := range []struct{ kind, want string }{
+		{"string", "found invariant after 2 schedules (1 directed)"},
+		{"string:unique", "no anomaly in 30 schedules"},
+	} {
+		path := filepath.Join(t.TempDir(), "uniq.hunt")
+		if err := os.WriteFile(path, []byte(fmt.Sprintf(src, tc.kind)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out, errw bytes.Buffer
+		if code := run([]string{"-dsl", path, "-level", "SERIALIZABLE", "-target", "invariant", "-budget", "30"}, &out, &errw); code != 0 {
+			t.Fatalf("email:%s: exit %d, stderr: %s", tc.kind, code, errw.String())
+		}
+		if !strings.Contains(out.String(), tc.want) {
+			t.Errorf("email:%s: output lacks %q:\n%s", tc.kind, tc.want, out.String())
+		}
+	}
+}
+
 // TestDSLOverloadShed pins the DSL's lock-queue-bound directive: with
 // lock-queue-bound -1 the engine refuses lock waits, so holding task 0's
 // commit open while task 1 runs forces task 1's conflicting write to shed
@@ -220,6 +252,11 @@ func TestDSLErrors(t *testing.T) {
 		{"bad kind", "table t id:float\n", "unknown kind"},
 		{"bad statement", "tabel t id:int\n", "unknown statement"},
 		{"removed directive", "commit-queue-bound 8\n", "unknown statement"},
+		{"bad flag", "table t id:int:pk email:string:uniq\n", `unknown flag "uniq"`},
+		{"ref undeclared", "table t id:int:pk p:int:ref=nope\n", `undeclared table "nope"`},
+		{"ref declared later", "table c id:int:pk p:int:ref=parents\ntable parents id:int:pk\n", `dsl line 1: column "p:int:ref=parents": undeclared table "parents"`},
+		{"ref without pk", "table p name:string\ntable c id:int:pk p:int:ref=p\n", "table p has no pk column"},
+		{"task argument", "table t id:int:pk\ntask serial\n", "dsl line 2: want task [autocommit]"},
 	}
 	// Names must be declared, and add must build on a read of its own cell;
 	// each case is line 4 of an otherwise valid two-task workload.

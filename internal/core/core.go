@@ -14,6 +14,7 @@ import (
 	"feralcc/internal/faultinject"
 	"feralcc/internal/frameworks"
 	"feralcc/internal/railsscan"
+	"feralcc/internal/storage"
 )
 
 // Study orchestrates the full reproduction.
@@ -185,20 +186,37 @@ func (s *Study) RunIsolationSweep() ([]experiment.IsolationSweepPoint, error) {
 	return experiment.RunIsolationSweep(cfg)
 }
 
-// RunFrameworkSurvey runs Section 6's susceptibility harness over every
-// surveyed framework profile.
-func (s *Study) RunFrameworkSurvey() ([]frameworks.Susceptibility, error) {
-	rounds, concurrency := 50, 16
-	if s.Quick {
-		rounds, concurrency = 15, 8
-	}
-	var out []frameworks.Susceptibility
+// FrameworkVerdict is the hunt's decision on one Section 6 cell: one
+// profile's race at one isolation level.
+type FrameworkVerdict struct {
+	Profile frameworks.Profile
+	// Race is the workload name: "uniqueness" or "association".
+	Race    string
+	Level   storage.IsolationLevel
+	Outcome *experiment.HuntOutcome
+}
+
+// frameworkSurveyBudget is the schedules hunted per survey cell before it
+// reads "not found".
+const frameworkSurveyBudget = 50
+
+// RunFrameworkSurvey decides Section 6: every surveyed profile's two feral
+// races (frameworks.Races), hunted for a broken invariant at READ COMMITTED,
+// the paper's default, and at SERIALIZABLE, which rescues exactly the
+// profiles that share a transaction between validation and write. Random
+// schedules are seeded from the study's Seed.
+func (s *Study) RunFrameworkSurvey() ([]FrameworkVerdict, error) {
+	var out []FrameworkVerdict
 	for _, p := range frameworks.Survey() {
-		res, err := frameworks.RunSusceptibility(p, rounds, concurrency, s.ThinkTime)
-		if err != nil {
-			return nil, err
+		for _, w := range frameworks.Races(p) {
+			for _, level := range []storage.IsolationLevel{storage.ReadCommitted, storage.Serializable} {
+				o, err := experiment.Hunt(w, level, frameworkSurveyBudget, s.Seed, "invariant")
+				if err != nil {
+					return nil, err
+				}
+				out = append(out, FrameworkVerdict{Profile: p, Race: w.Name, Level: level, Outcome: o})
+			}
 		}
-		out = append(out, res)
 	}
 	return out, nil
 }

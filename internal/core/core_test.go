@@ -10,6 +10,7 @@ import (
 	"feralcc/internal/db"
 	"feralcc/internal/experiment"
 	"feralcc/internal/faultinject"
+	"feralcc/internal/storage"
 )
 
 func quickStudy() *Study {
@@ -93,19 +94,66 @@ func TestQuickHistoryAndAuthorship(t *testing.T) {
 }
 
 func TestQuickFrameworkSurvey(t *testing.T) {
+	// want[framework] lists, per race and level, whether the hunt admits the
+	// race's anomaly: duplicates at RC, orphans at RC, duplicates at
+	// SERIALIZABLE, orphans at SERIALIZABLE. READ COMMITTED admits what no
+	// in-database constraint stops; SERIALIZABLE stops it too wherever the
+	// framework wraps validate-then-save in a transaction.
+	want := map[string][4]bool{
+		"Rails":     {true, true, false, false},
+		"JPA":       {false, true, false, false},
+		"Hibernate": {false, true, false, false},
+		"CakePHP":   {true, true, true, true},
+		"Laravel":   {true, true, true, true},
+		"Django":    {false, false, false, false},
+		"Waterline": {false, false, false, false},
+	}
 	s := quickStudy()
-	results, err := s.RunFrameworkSurvey()
+	verdicts, err := s.RunFrameworkSurvey()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 7 {
-		t.Fatalf("framework results = %d", len(results))
+	if len(verdicts) != 4*len(want) {
+		t.Fatalf("framework verdicts = %d, want %d", len(verdicts), 4*len(want))
 	}
-	var buf bytes.Buffer
-	RenderFrameworkSurvey(&buf, results)
-	for _, want := range []string{"Rails", "Django", "Waterline", "CakePHP"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("survey output missing %s", want)
+	got := map[string][4]bool{}
+	for _, v := range verdicts {
+		cell := map[string]int{"uniqueness": 0, "association": 1}[v.Race]
+		if v.Level == storage.Serializable {
+			cell += 2
+		}
+		row := got[v.Profile.Name]
+		row[cell] = v.Outcome.Found
+		got[v.Profile.Name] = row
+		if v.Outcome.EngineBug {
+			t.Errorf("%s %s@%v: the engine broke its isolation contract", v.Profile.Name, v.Race, v.Level)
+		}
+		if !v.Outcome.Found && v.Outcome.Schedules != frameworkSurveyBudget {
+			t.Errorf("%s %s@%v: not found after %d schedules, want the full budget %d",
+				v.Profile.Name, v.Race, v.Level, v.Outcome.Schedules, frameworkSurveyBudget)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("verdicts (dup RC, orphan RC, dup SER, orphan SER):\n got  %v\n want %v", got, want)
+	}
+
+	var first, second bytes.Buffer
+	RenderFrameworkSurvey(&first, verdicts)
+	again, err := s.RunFrameworkSurvey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	RenderFrameworkSurvey(&second, again)
+	if first.String() != second.String() {
+		t.Errorf("two survey runs rendered differently:\n%s\n---\n%s", first.String(), second.String())
+	}
+	for _, line := range []string{
+		"Rails      uniqueness   READ COMMITTED  admitted (schedule ",
+		"Rails      uniqueness   SERIALIZABLE    not found in 50 schedules",
+		"CakePHP    association  SERIALIZABLE    admitted (schedule ",
+	} {
+		if !strings.Contains(first.String(), line) {
+			t.Errorf("survey output missing %q:\n%s", line, first.String())
 		}
 	}
 }

@@ -151,20 +151,23 @@ func RenderSSIBug(w io.Writer, res experiment.SSIBugResult) {
 	fmt.Fprintf(w, "%-42s %10d\n", "Read Committed (for comparison):", res.DuplicatesReadCommitted)
 }
 
-// RenderFrameworkSurvey prints the Section 6 survey and measured
-// susceptibility.
-func RenderFrameworkSurvey(w io.Writer, results []frameworks.Susceptibility) {
+// RenderFrameworkSurvey prints the Section 6 survey: each profile's
+// semantics, then the hunt's verdict on every (framework, race, level) cell.
+func RenderFrameworkSurvey(w io.Writer, verdicts []FrameworkVerdict) {
 	fmt.Fprintln(w, "Section 6: Feral validation support and susceptibility across frameworks")
-	fmt.Fprintf(w, "%-10s %-8s %-9s %-7s %-7s %-7s %12s %10s\n",
-		"Framework", "Version", "Stack", "TxnVal", "DBUniq", "DBFK", "DupAnomalies", "FKOrphans")
-	for _, r := range results {
-		p := r.Profile
-		fmt.Fprintf(w, "%-10s %-8s %-9s %-7s %-7s %-7s %12d %10d\n",
-			p.Name, p.Version, p.Stack,
-			yn(p.ValidationsInTransaction),
-			yn(p.DeclaredUniqueBecomesConstraint),
-			yn(p.DeclaredFKBecomesConstraint),
-			r.UniquenessAnomalies, r.FKAnomalies)
+	fmt.Fprintf(w, "%-10s %-8s %-9s %-7s %-7s %s\n", "Framework", "Version", "Stack", "TxnVal", "DBUniq", "DBFK")
+	for _, p := range frameworks.Survey() {
+		fmt.Fprintf(w, "%-10s %-8s %-9s %-7s %-7s %s\n", p.Name, p.Version, p.Stack,
+			yn(p.ValidationsInTransaction), yn(p.DeclaredUniqueBecomesConstraint), yn(p.DeclaredFKBecomesConstraint))
+	}
+	fmt.Fprintln(w, "\nDuplicates (uniqueness race) and orphans (association race), decided by the hunt:")
+	fmt.Fprintf(w, "%-10s %-12s %-15s %s\n", "Framework", "Race", "Level", "Verdict")
+	for _, v := range verdicts {
+		verdict := fmt.Sprintf("not found in %d schedules", v.Outcome.Schedules)
+		if v.Outcome.Found {
+			verdict = fmt.Sprintf("admitted (schedule %s)", v.Outcome.Schedule)
+		}
+		fmt.Fprintf(w, "%-10s %-12s %-15s %s\n", v.Profile.Name, v.Race, v.Level, verdict)
 	}
 }
 

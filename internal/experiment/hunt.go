@@ -37,6 +37,9 @@ type HuntWorkload struct {
 	// Tasks holds one transaction template per scheduler task, in task-index
 	// order of the schedule's priority vector.
 	Tasks [][]HuntOp
+	// Autocommit has one entry per task: true when each of the task's ops
+	// commits as its own transaction (an ORM that wraps nothing in one).
+	Autocommit []bool
 	// Invariants (verbs unique, no-orphans, one-of) check the
 	// application-level integrity condition after all tasks finish
 	// (duplicate keys, orphaned children, leaked writes). Predicate-only
@@ -67,7 +70,8 @@ type HuntOp struct {
 type HuntResult struct {
 	Events []histcheck.Event
 	Report *histcheck.Report
-	// TxTask maps transaction ids in Events to the task index that ran them.
+	// TxTask maps transaction ids in Events to the task index that ran them;
+	// an autocommit task maps every transaction it ran.
 	TxTask map[uint64]int
 	// TaskErrs holds each task's transaction outcome (nil = committed).
 	TaskErrs []error
@@ -145,14 +149,27 @@ func runHunt(w HuntWorkload, level storage.IsolationLevel, sc *sched.Schedule, o
 	var mu sync.Mutex
 	bodies := make([]func(), len(w.Tasks))
 	for i, ops := range w.Tasks {
-		bodies[i] = func() {
-			id, _, err := w.exec(db, level, ops)
-			mu.Lock()
-			if id != 0 {
-				res.TxTask[id] = i
+		txs := [][]HuntOp{ops}
+		if w.Autocommit[i] {
+			txs = nil
+			for j := range ops {
+				txs = append(txs, ops[j:j+1])
 			}
-			res.TaskErrs[i] = err
-			mu.Unlock()
+		}
+		bodies[i] = func() {
+			read := map[huntCell]int64{}
+			for _, tx := range txs {
+				id, refused, err := w.exec(db, level, tx, read)
+				mu.Lock()
+				if id != 0 {
+					res.TxTask[id] = i
+				}
+				res.TaskErrs[i] = err
+				mu.Unlock()
+				if refused != "" || err != nil {
+					return
+				}
+			}
 		}
 	}
 	if s != nil {
@@ -187,7 +204,7 @@ func (w *HuntWorkload) setup(db *storage.Database) error {
 	if len(w.Seed) == 0 {
 		return nil
 	}
-	_, _, err := w.exec(db, storage.ReadCommitted, w.Seed)
+	_, _, err := w.exec(db, storage.ReadCommitted, w.Seed, nil)
 	return err
 }
 
@@ -199,14 +216,15 @@ type huntCell struct {
 }
 
 // exec is the hunt interpreter, the one place hunt ops become storage calls:
-// it runs ops as one transaction at level — a task, the seed rows, or the
-// invariants as one read-only check — and commits after the last op. An op
-// that refuses rolls the transaction back and says why, with no error: for a
-// task that is the workload's own validation saying no, for an invariant it
-// is the violation. Engine errors roll back and are returned.
-func (w *HuntWorkload) exec(db *storage.Database, level storage.IsolationLevel, ops []HuntOp) (id uint64, refused string, err error) {
+// it runs ops as one transaction at level — a task, one op of an autocommit
+// task, the seed rows, or the invariants as one read-only check — and commits
+// after the last op. read holds the values the task has read so far (nil
+// where ops hold no read). An op that refuses rolls the transaction back and
+// says why, with no error: for a task that is the workload's own validation
+// saying no, for an invariant it is the violation. Engine errors roll back
+// and are returned.
+func (w *HuntWorkload) exec(db *storage.Database, level storage.IsolationLevel, ops []HuntOp, read map[huntCell]int64) (id uint64, refused string, err error) {
 	tx := db.Begin(level)
-	read := map[huntCell]int64{}
 	for _, op := range ops {
 		at := func(vals []storage.Value) storage.Value { return vals[w.schema(op.Table).ColumnIndex(op.Col)] }
 		switch op.Verb {
@@ -307,7 +325,7 @@ func (w *HuntWorkload) violation(db *storage.Database) string {
 	if len(w.Invariants) == 0 {
 		return ""
 	}
-	_, refused, err := w.exec(db, storage.ReadCommitted, w.Invariants)
+	_, refused, err := w.exec(db, storage.ReadCommitted, w.Invariants, nil)
 	if err != nil {
 		return "invariant check failed: " + err.Error()
 	}

@@ -28,7 +28,13 @@ import (
 //
 // Statements:
 //
-//	table <name> <col>:<kind>[:pk] ...    kinds: int, string
+//	table <name> <col>:<kind>[:<flag>]... ...
+//	                                      kinds: int, string; flags: pk (the
+//	                                      row id column), unique (an
+//	                                      in-database unique index), ref=<t>
+//	                                      (an in-database foreign key to
+//	                                      earlier-declared table t's row id,
+//	                                      ON DELETE CASCADE)
 //	row <table> [<col>=<value> ...]       seed row, inserted at setup
 //	lock-queue-bound <n>                  engine lock-wait queue bound: 0 =
 //	                                      unbounded (default), n>0 = at most n
@@ -40,7 +46,11 @@ import (
 //	                                      of a live parent row
 //	invariant one-of <table> <rowid> <col> <value> ...
 //	                                      the row's col holds one of the values
-//	task                                  starts the next transaction template
+//	task [autocommit]                     starts the next transaction
+//	                                      template; with autocommit each op
+//	                                      commits as its own transaction (an
+//	                                      insert-unless's probe and insert are
+//	                                      two), and a refusal stops the task
 //	  read <table> <rowid> <col>          Get; remembers the value under
 //	                                      (table, rowid, col); an absent row
 //	                                      refuses the task
@@ -58,7 +68,8 @@ import (
 //
 // A refusal rolls the task back with no error: the workload's own validation
 // said no. Otherwise every task commits after its last op, and engine aborts
-// surface as that task's outcome. After the tasks finish, the invariants are
+// (a unique index or foreign key refusing the commit among them) surface as
+// that task's outcome. After the tasks finish, the invariants are
 // checked in order against the committed state; the first complaint is the
 // run's InvariantViolation. Values parse as int64 first, strings otherwise.
 // Row ids are the engine's dense allocation order, starting at 1 per table:
@@ -119,17 +130,35 @@ func (w *HuntWorkload) parseStatement(f []string, reads map[huntCell]bool) error
 		s := &storage.Schema{Name: f[1]}
 		for _, spec := range f[2:] {
 			parts := strings.Split(spec, ":")
-			if len(parts) < 2 || len(parts) > 3 {
-				return fmt.Errorf("column %q: want name:kind[:pk]", spec)
+			if len(parts) < 2 {
+				return fmt.Errorf("column %q: want name:kind[:flag]...", spec)
 			}
 			kind, ok := map[string]storage.Kind{"int": storage.KindInt, "string": storage.KindString}[parts[1]]
 			if !ok {
 				return fmt.Errorf("column %q: unknown kind %q", spec, parts[1])
 			}
-			if len(parts) == 3 && parts[2] != "pk" {
-				return fmt.Errorf("column %q: unknown flag %q", spec, parts[2])
+			col := storage.Column{Name: parts[0], Kind: kind}
+			for _, flag := range parts[2:] {
+				parent, isRef := strings.CutPrefix(flag, "ref=")
+				switch {
+				case flag == "pk":
+					col.PrimaryKey = true
+				case flag == "unique":
+					s.Indexes = append(s.Indexes, storage.IndexSpec{Column: col.Name, Unique: true})
+				case isRef:
+					table, err := w.resolve(parent, "")
+					if err == nil && w.schema(table).PrimaryKey() == "" {
+						err = fmt.Errorf("table %s has no pk column", table)
+					}
+					if err != nil {
+						return fmt.Errorf("column %q: %v", spec, err)
+					}
+					s.ForeignKeys = append(s.ForeignKeys, storage.ForeignKey{Column: col.Name, ParentTable: table, OnDelete: storage.Cascade})
+				default:
+					return fmt.Errorf("column %q: unknown flag %q", spec, flag)
+				}
 			}
-			s.Columns = append(s.Columns, storage.Column{Name: parts[0], Kind: kind, PrimaryKey: len(parts) == 3})
+			s.Columns = append(s.Columns, col)
 		}
 		w.Tables = append(w.Tables, s)
 	case "row":
@@ -149,7 +178,11 @@ func (w *HuntWorkload) parseStatement(f []string, reads map[huntCell]bool) error
 		w.Invariants = append(w.Invariants, op)
 		return err
 	case "task":
+		if len(f) > 2 || len(f) == 2 && f[1] != "autocommit" {
+			return errors.New("want task [autocommit]")
+		}
 		w.Tasks = append(w.Tasks, nil)
+		w.Autocommit = append(w.Autocommit, len(f) == 2)
 		clear(reads)
 	default:
 		if huntOps[f[0]] == "" {

@@ -1,17 +1,16 @@
 // Package frameworks reproduces the Section 6 survey: the validation
 // semantics of seven ORM frameworks, encoded as profiles (does the framework
 // wrap validations in a transaction? does a declared uniqueness or foreign
-// key constraint reach the database?), plus an executable susceptibility
-// harness that runs the same feral races through each profile's semantics.
+// key constraint reach the database?), and each profile's two feral races
+// rendered as hunt workloads, so the deterministic hunt decides which
+// frameworks admit duplicates and orphans at a given isolation level.
 package frameworks
 
 import (
 	"fmt"
-	"sync"
-	"time"
+	"strings"
 
-	"feralcc/internal/db"
-	"feralcc/internal/storage"
+	"feralcc/internal/experiment"
 )
 
 // Profile captures one framework's integrity semantics as surveyed in
@@ -91,193 +90,54 @@ func Survey() []Profile {
 	}
 }
 
-// Susceptibility is the outcome of running the feral races under one
-// profile's semantics.
-type Susceptibility struct {
-	Profile             Profile
-	UniquenessAnomalies int64
-	FKAnomalies         int64
-}
-
-// RunSusceptibility executes the uniqueness race (concurrent validate-then-
-// insert of one value) and the association race (concurrent child insert vs
-// parent delete) under the profile's semantics: declared constraints reach
-// the database iff the profile says so, and the validation probe and write
-// share a transaction iff the profile wraps them.
-func RunSusceptibility(p Profile, rounds, concurrency int, think time.Duration) (Susceptibility, error) {
-	out := Susceptibility{Profile: p}
-	uniq, err := uniquenessRace(p, rounds, concurrency, think)
-	if err != nil {
-		return out, err
+// Races renders p's two feral races as hunt workloads, in the shapes of the
+// hunt catalog's uniqueness and association workloads: "uniqueness" (two
+// validate-then-insert saves of one email; duplicates break its invariant)
+// and "association" (a child insert after a parent-existence check racing a
+// parent delete after a no-children check; orphans break its invariant). A
+// profile that wraps validations in a transaction runs each save as one
+// transaction; one that does not runs every statement as its own
+// (task autocommit). A declared uniqueness or association that becomes a
+// database constraint adds a unique index or an ON DELETE CASCADE foreign
+// key to the schema.
+func Races(p Profile) []experiment.HuntWorkload {
+	task, email, dept := "task", "email:string", "dept_id:int"
+	if !p.ValidationsInTransaction {
+		task = "task autocommit"
 	}
-	out.UniquenessAnomalies = uniq
-	fk, err := fkRace(p, rounds, concurrency, think)
-	if err != nil {
-		return out, err
-	}
-	out.FKAnomalies = fk
-	return out, nil
-}
-
-// uniquenessRace returns the duplicate count after `rounds` keys are each
-// inserted by `concurrency` concurrent clients running the framework's
-// validate-then-insert sequence.
-func uniquenessRace(p Profile, rounds, concurrency int, think time.Duration) (int64, error) {
-	d := db.Open(storage.Options{DefaultIsolation: storage.ReadCommitted, LockTimeout: 2 * time.Second})
-	schema := "CREATE TABLE accounts (id BIGINT PRIMARY KEY, email TEXT"
 	if p.DeclaredUniqueBecomesConstraint {
-		schema += " UNIQUE"
+		email += ":unique"
 	}
-	schema += ")"
-	if err := d.ExecScript(schema); err != nil {
-		return 0, err
-	}
-	for r := 0; r < rounds; r++ {
-		email := fmt.Sprintf("user%d@example.com", r)
-		var wg sync.WaitGroup
-		wg.Add(concurrency)
-		for c := 0; c < concurrency; c++ {
-			go func() {
-				defer wg.Done()
-				conn := d.Connect()
-				defer conn.Close()
-				_ = saveWithValidation(conn, p, email, think)
-			}()
-		}
-		wg.Wait()
-	}
-	conn := d.Connect()
-	defer conn.Close()
-	res, err := conn.Exec(
-		"SELECT email, COUNT(email)-1 FROM accounts GROUP BY email HAVING COUNT(email) > 1")
-	if err != nil {
-		return 0, err
-	}
-	var dups int64
-	for _, row := range res.Rows {
-		dups += row[1].I
-	}
-	return dups, nil
-}
-
-// saveWithValidation performs the framework's uniqueness-validated save.
-func saveWithValidation(conn db.Conn, p Profile, email string, think time.Duration) error {
-	if p.ValidationsInTransaction {
-		if _, err := conn.Exec("BEGIN"); err != nil {
-			return err
-		}
-	}
-	res, err := conn.Exec("SELECT 1 FROM accounts WHERE email = ? LIMIT 1", storage.Str(email))
-	if err != nil {
-		return abortIf(conn, p, err)
-	}
-	if len(res.Rows) > 0 {
-		if p.ValidationsInTransaction {
-			_, _ = conn.Exec("ROLLBACK")
-		}
-		return nil // validation failed: duplicate detected
-	}
-	if think > 0 {
-		time.Sleep(think)
-	}
-	if _, err := conn.Exec("INSERT INTO accounts (email) VALUES (?)", storage.Str(email)); err != nil {
-		return abortIf(conn, p, err)
-	}
-	if p.ValidationsInTransaction {
-		_, err = conn.Exec("COMMIT")
-	}
-	return err
-}
-
-// fkRace returns the orphan count after parent deletions race child inserts
-// under the framework's semantics.
-func fkRace(p Profile, rounds, concurrency int, think time.Duration) (int64, error) {
-	d := db.Open(storage.Options{DefaultIsolation: storage.ReadCommitted, LockTimeout: 2 * time.Second})
-	if err := d.ExecScript("CREATE TABLE parents (id BIGINT PRIMARY KEY, name TEXT)"); err != nil {
-		return 0, err
-	}
-	childSchema := "CREATE TABLE children (id BIGINT PRIMARY KEY, parent_id BIGINT"
 	if p.DeclaredFKBecomesConstraint {
-		childSchema += " REFERENCES parents ON DELETE CASCADE"
+		dept += ":ref=departments"
 	}
-	childSchema += ")"
-	if err := d.ExecScript(childSchema); err != nil {
-		return 0, err
+	races := []struct{ name, source string }{
+		{"uniqueness", fmt.Sprintf(`
+table users id:int:pk %s
+invariant unique users email
+%[2]s
+  insert-unless users email=dup@example.com
+%[2]s
+  insert-unless users email=dup@example.com`, email, task)},
+		{"association", fmt.Sprintf(`
+table departments id:int:pk
+table employees id:int:pk %s
+row departments
+invariant no-orphans employees dept_id departments
+%[2]s
+  read departments 1 id
+  insert employees dept_id=1
+%[2]s
+  absent employees dept_id=1
+  delete departments 1`, dept, task)},
 	}
-	setup := d.Connect()
-	for r := 1; r <= rounds; r++ {
-		if _, err := setup.Exec("INSERT INTO parents (id, name) VALUES (?, ?)",
-			storage.Int(int64(r)), storage.Str("p")); err != nil {
-			setup.Close()
-			return 0, err
+	out := make([]experiment.HuntWorkload, len(races))
+	for i, r := range races {
+		w, err := experiment.ParseHuntWorkload(strings.NewReader(r.source), r.name)
+		if err != nil {
+			panic(fmt.Sprintf("frameworks: %s %s race: %v", p.Name, r.name, err))
 		}
+		out[i] = w
 	}
-	setup.Close()
-
-	for r := 1; r <= rounds; r++ {
-		parent := int64(r)
-		var wg sync.WaitGroup
-		wg.Add(concurrency + 1)
-		go func() {
-			defer wg.Done()
-			conn := d.Connect()
-			defer conn.Close()
-			// Application-level cascade: find children, delete them, delete
-			// the parent (inside a transaction iff the framework wraps).
-			if p.ValidationsInTransaction {
-				_, _ = conn.Exec("BEGIN")
-			}
-			_, _ = conn.Exec("DELETE FROM children WHERE parent_id = ?", storage.Int(parent))
-			if think > 0 {
-				time.Sleep(think)
-			}
-			_, _ = conn.Exec("DELETE FROM parents WHERE id = ?", storage.Int(parent))
-			if p.ValidationsInTransaction {
-				_, _ = conn.Exec("COMMIT")
-			}
-		}()
-		for c := 0; c < concurrency; c++ {
-			go func() {
-				defer wg.Done()
-				conn := d.Connect()
-				defer conn.Close()
-				if p.ValidationsInTransaction {
-					_, _ = conn.Exec("BEGIN")
-				}
-				res, err := conn.Exec("SELECT 1 FROM parents WHERE id = ? LIMIT 1", storage.Int(parent))
-				if err != nil || len(res.Rows) == 0 {
-					if p.ValidationsInTransaction {
-						_, _ = conn.Exec("ROLLBACK")
-					}
-					return
-				}
-				if think > 0 {
-					time.Sleep(think)
-				}
-				_, _ = conn.Exec("INSERT INTO children (parent_id) VALUES (?)", storage.Int(parent))
-				if p.ValidationsInTransaction {
-					_, _ = conn.Exec("COMMIT")
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	conn := d.Connect()
-	defer conn.Close()
-	res, err := conn.Exec(`SELECT COUNT(*) FROM children AS C
-		LEFT OUTER JOIN parents AS P ON C.parent_id = P.id
-		WHERE P.id IS NULL`)
-	if err != nil {
-		return 0, err
-	}
-	return res.Rows[0][0].I, nil
-}
-
-// abortIf rolls back an open transaction after a statement failure and
-// returns the original error (constraint violations are expected outcomes).
-func abortIf(conn db.Conn, p Profile, err error) error {
-	if p.ValidationsInTransaction {
-		_, _ = conn.Exec("ROLLBACK")
-	}
-	return err
+	return out
 }

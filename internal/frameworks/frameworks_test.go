@@ -2,7 +2,9 @@ package frameworks
 
 import (
 	"testing"
-	"time"
+
+	"feralcc/internal/experiment"
+	"feralcc/internal/storage"
 )
 
 func TestSurveyCoversSectionSix(t *testing.T) {
@@ -49,51 +51,74 @@ func profileByName(t *testing.T, name string) Profile {
 	return Profile{}
 }
 
-func TestRailsProfileIsSusceptibleToBothRaces(t *testing.T) {
-	s, err := RunSusceptibility(profileByName(t, "Rails"), 15, 8, 2*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
+// admitted hunts the named profile's two races at level and reports which
+// broke their invariant: duplicates (the uniqueness race) and orphans (the
+// association race).
+func admitted(t *testing.T, name string, level storage.IsolationLevel) (duplicates, orphans bool) {
+	t.Helper()
+	races := Races(profileByName(t, name))
+	if len(races) != 2 || races[0].Name != "uniqueness" || races[1].Name != "association" {
+		t.Fatalf("%s: races = %v, want uniqueness and association", name, races)
 	}
-	if s.UniquenessAnomalies == 0 {
+	found := make([]bool, len(races))
+	for i, w := range races {
+		o, err := experiment.Hunt(w, level, 50, 1, "invariant")
+		if err != nil {
+			t.Fatalf("%s %s@%v: %v", name, w.Name, level, err)
+		}
+		if o.EngineBug {
+			t.Fatalf("%s %s@%v: the engine broke its isolation contract:\n%s", name, w.Name, level, o.Report)
+		}
+		found[i] = o.Found
+	}
+	return found[0], found[1]
+}
+
+func TestRailsProfileIsSusceptibleToBothRaces(t *testing.T) {
+	dups, orphans := admitted(t, "Rails", storage.ReadCommitted)
+	if !dups {
 		t.Error("Rails profile admitted no duplicates; the feral race should fire")
 	}
-	if s.FKAnomalies == 0 {
+	if !orphans {
 		t.Error("Rails profile admitted no orphans; the feral cascade race should fire")
 	}
 }
 
 func TestDjangoProfileConstraintsHold(t *testing.T) {
-	s, err := RunSusceptibility(profileByName(t, "Django"), 15, 8, 2*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
+	dups, orphans := admitted(t, "Django", storage.ReadCommitted)
+	if dups {
+		t.Error("Django's DB-backed uniqueness admitted duplicates")
 	}
-	if s.UniquenessAnomalies != 0 {
-		t.Errorf("Django's DB-backed uniqueness admitted %d duplicates", s.UniquenessAnomalies)
-	}
-	if s.FKAnomalies != 0 {
-		t.Errorf("Django's DB-backed FK admitted %d orphans", s.FKAnomalies)
+	if orphans {
+		t.Error("Django's DB-backed FK admitted orphans")
 	}
 }
 
 func TestJPAUniquenessHeldButFKNot(t *testing.T) {
-	s, err := RunSusceptibility(profileByName(t, "JPA"), 15, 8, 2*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
+	dups, orphans := admitted(t, "JPA", storage.ReadCommitted)
+	if dups {
+		t.Error("JPA unique constraint admitted duplicates")
 	}
-	if s.UniquenessAnomalies != 0 {
-		t.Errorf("JPA unique constraint admitted %d duplicates", s.UniquenessAnomalies)
-	}
-	if s.FKAnomalies == 0 {
+	if !orphans {
 		t.Error("JPA profile (no declared FK constraint here) should orphan under the race")
 	}
 }
 
 func TestCakePHPFullySusceptible(t *testing.T) {
-	s, err := RunSusceptibility(profileByName(t, "CakePHP"), 15, 8, 2*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
+	if dups, orphans := admitted(t, "CakePHP", storage.ReadCommitted); !dups || !orphans {
+		t.Errorf("CakePHP profile should be susceptible to both races: duplicates=%v orphans=%v", dups, orphans)
 	}
-	if s.UniquenessAnomalies == 0 || s.FKAnomalies == 0 {
-		t.Errorf("CakePHP profile should be susceptible to both races: %+v", s)
+}
+
+// TestSerializableRescuesOnlyTransactionWrappedProfiles pins the survey's
+// distinction that READ COMMITTED cannot show: Rails wraps validate-then-save
+// in a transaction, so SERIALIZABLE closes both races; CakePHP runs every
+// statement as its own transaction, so no isolation level can.
+func TestSerializableRescuesOnlyTransactionWrappedProfiles(t *testing.T) {
+	if dups, orphans := admitted(t, "Rails", storage.Serializable); dups || orphans {
+		t.Errorf("Rails at SERIALIZABLE: duplicates=%v orphans=%v, want neither", dups, orphans)
+	}
+	if dups, orphans := admitted(t, "CakePHP", storage.Serializable); !dups || !orphans {
+		t.Errorf("CakePHP at SERIALIZABLE: duplicates=%v orphans=%v, want both", dups, orphans)
 	}
 }

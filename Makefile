@@ -21,13 +21,12 @@ check:
 	$(GO) vet ./...
 	$(GO) test -race ./...
 
-# gates runs what `check` cannot: the two feralbench runs that drive whole
-# experiments from the command line — a quick isolation sweep with every
+# gates runs what `check` cannot: the feralbench run that drives a whole
+# experiment from the command line — a quick isolation sweep with every
 # recorded history gated through the offline Adya checker (histories that fail
-# are saved under $(WITNESS_DIR); CI uploads them) and a quick live open-loop
-# overload spike against a real wire server — after one deliberate rerun, the
-# histcheck TestGate suite under -v, whose output is the cycle witnesses for
-# the seeded lost-update and write-skew shapes. Last comes a fuzz budget of
+# are saved under $(WITNESS_DIR); CI uploads them) — after one deliberate
+# rerun, the histcheck TestGate suite under -v, whose output is the cycle
+# witnesses for the seeded lost-update and write-skew shapes. Last comes a fuzz budget of
 # 30 s each for the wire decoder, the WAL scanner and the incremental
 # serialization graph; `check` only replays their checked-in corpora. A
 # failing input is written under the package's testdata/fuzz and reproduces
@@ -36,7 +35,6 @@ WITNESS_DIR ?= witnesses
 gates:
 	$(GO) test -count=1 -v -run TestGate ./internal/histcheck
 	HISTCHECK_WITNESS_DIR=$(WITNESS_DIR) $(GO) run ./cmd/feralbench -experiment isolevels -quick -check-history -metrics=false
-	$(GO) run ./cmd/feralbench -experiment overload -quick -metrics=false
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzScanWAL$$' -fuzztime 30s ./internal/storage
 	$(GO) test -run '^$$' -fuzz '^FuzzGraphMatchesReference$$' -fuzztime 30s ./internal/histcheck

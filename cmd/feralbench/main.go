@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"feralcc/internal/core"
-	"feralcc/internal/experiment"
 	"feralcc/internal/faultinject"
 	"feralcc/internal/obs"
 	"feralcc/internal/overload"
@@ -196,14 +195,13 @@ func printMetricsSnapshot(w io.Writer) {
 	}
 }
 
-// runOverloadBench renders the overload artifact in two parts: a
-// deterministic virtual-time sweep of goodput vs offered load with the
-// protection stack off and on (internal/overload — the numbers CI pins), and
-// one wall-clock open-loop spike against a real wire server per mode
-// (internal/experiment — the same story, live).
-func runOverloadBench(study *core.Study, w io.Writer) error {
+// runOverloadBench renders the overload artifact from internal/overload's
+// deterministic virtual-time simulator, with the protection stack off and
+// on: a steady-state sweep of goodput vs offered load, then the spike
+// timeline.
+func runOverloadBench(study *core.Study, w io.Writer) {
 	seed := uint64(study.Seed)
-	const capacity = 0.8 // default sim capacity: 4 slots / 5-tick service
+	const capacity = 0.8 // the simulator's capacity: 4 slots / 5-tick service
 
 	fmt.Fprintln(w, "goodput vs offered load (virtual-time simulator, steady state)")
 	fmt.Fprintf(w, "%-14s %12s %12s %12s\n", "offered/cap", "offered/tick", "feral", "protected")
@@ -235,31 +233,14 @@ func runOverloadBench(study *core.Study, w io.Writer) error {
 		fmt.Fprintf(w, "\n%-10s amplification %.2fx, sheds %d, wasted %d\n",
 			"", m.Amplification(), m.Sheds, m.Wasted)
 	}
-
-	fmt.Fprintln(w, "\nlive open-loop spike (wall clock; figures vary run to run)")
-	cfg := experiment.OverloadConfig{Seed: study.Seed}
-	if study.Quick {
-		cfg.BaseRate = 100
-		cfg.Warm = 800 * time.Millisecond
-		cfg.Spike = 800 * time.Millisecond
-		cfg.Cooldown = 1200 * time.Millisecond
-	}
-	for _, protected := range []bool{false, true} {
-		cfg.Protected = protected
-		res, err := experiment.RunOverload(cfg)
-		if err != nil {
-			return err
-		}
-		experiment.RenderOverload(w, res)
-	}
-	return nil
 }
 
 func run(study *core.Study, id string) error {
 	w := os.Stdout
 	start := time.Now()
 	defer func() {
-		fmt.Fprintf(w, "[%s completed in %v]\n", id, time.Since(start).Round(time.Millisecond))
+		// Timing goes to stderr so that stdout is the same from run to run.
+		fmt.Fprintf(os.Stderr, "[%s completed in %v]\n", id, time.Since(start).Round(time.Millisecond))
 	}()
 	switch id {
 	case "table1":
@@ -317,7 +298,7 @@ func run(study *core.Study, id string) error {
 		}
 		core.RenderFrameworkSurvey(w, results)
 	case "overload":
-		return runOverloadBench(study, w)
+		runOverloadBench(study, w)
 	default:
 		return fmt.Errorf("unknown experiment %q", id)
 	}

@@ -22,15 +22,7 @@ type Server struct {
 	pool *Pool
 	http *http.Server
 	ln   net.Listener
-	// brownout, when set via EnableBrownout, watches the shed rate and
-	// switches reads to its stale cache under sustained overload.
-	brownout *Brownout
 }
-
-// EnableBrownout installs a brownout controller (see Brownout). Call before
-// Listen; without it the server never degrades and keeps no state between
-// requests.
-func (s *Server) EnableBrownout(b *Brownout) { s.brownout = b }
 
 // NewServer builds the front end over a worker pool, routing the two
 // experiment applications' requests (each handler's body struct is its JSON
@@ -109,26 +101,6 @@ func respond(w http.ResponseWriter, reply any, err error) {
 	_ = json.NewEncoder(w).Encode(reply)
 }
 
-// shed reports whether err is a load-shed refusal from the layers below: a
-// saturated pool or an overloaded database.
-func shed(err error) bool {
-	return errors.Is(err, ErrPoolSaturated) || errors.Is(err, storage.ErrOverloaded)
-}
-
-// do runs fn on a pooled worker under the request's context and reports the
-// outcome to the brownout controller, if one is installed.
-func (s *Server) do(r *http.Request, fn func(*Worker) (any, error)) (any, error) {
-	var reply any
-	err := s.pool.DoContext(r.Context(), func(wk *Worker) (err error) {
-		reply, err = fn(wk)
-		return err
-	})
-	if s.brownout != nil {
-		s.brownout.Observe(shed(err))
-	}
-	return reply, err
-}
-
 // serve is the request path every worker-backed handler shares: decode the
 // JSON request body into body (nil for none; one that does not parse is a
 // 400), run fn on a worker, and reply with its result or its mapped error.
@@ -139,7 +111,11 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, body any, fn func
 			return
 		}
 	}
-	reply, err := s.do(r, fn)
+	var reply any
+	err := s.pool.DoContext(r.Context(), func(wk *Worker) (err error) {
+		reply, err = fn(wk)
+		return err
+	})
 	respond(w, reply, err)
 }
 
@@ -158,25 +134,17 @@ func (s *Server) createEntry(w http.ResponseWriter, r *http.Request) {
 		Value string `json:"value"`
 	}
 	s.serve(w, r, &body, func(wk *Worker) (any, error) {
-		rec, err := wk.Session.Create(body.Model, map[string]storage.Value{
+		return created(wk.Session.Create(body.Model, map[string]storage.Value{
 			"key":   storage.Str(body.Key),
 			"value": storage.Str(body.Value),
-		})
-		if err == nil && s.brownout != nil {
-			s.brownout.cache.Store(body.Model+"/"+body.Key, body.Value)
-		}
-		return created(rec, err)
+		}))
 	})
 }
 
-// readEntry serves GET /entries/{key}?model=..., the stack's only read and
-// the traffic brownout degrades. With a controller installed, a cached key
-// is answered from its cache, flagged X-Degraded: stale, when the
-// controller is degraded (spending no database capacity at all) or the
-// layers below shed the read; any other successful read refreshes the cache.
+// readEntry serves GET /entries/{key}?model=..., the stack's only read.
 func (s *Server) readEntry(w http.ResponseWriter, r *http.Request) {
 	key, model := r.PathValue("key"), r.URL.Query().Get("model")
-	read := func(wk *Worker) (any, error) {
+	s.serve(w, r, nil, func(wk *Worker) (any, error) {
 		recs, err := wk.Session.Where(model, "key", storage.Str(key))
 		if err != nil {
 			return nil, err
@@ -185,31 +153,7 @@ func (s *Server) readEntry(w http.ResponseWriter, r *http.Request) {
 			return nil, fmt.Errorf("%w: %s/%s", orm.ErrRecordNotFound, model, key)
 		}
 		return map[string]string{"key": key, "value": recs[0].GetString("value")}, nil
-	}
-	b := s.brownout
-	if b == nil {
-		s.serve(w, r, nil, read)
-		return
-	}
-	cacheKey := model + "/" + key
-	stale, cached := b.cache.Load(cacheKey)
-	// A miss reads through even when degraded: a degraded mode that turns
-	// every uncached read into an error would be worse than none.
-	degraded := cached && b.State() == BrownoutDegraded
-	var reply any
-	var err error
-	if !degraded {
-		reply, err = s.do(r, read)
-	}
-	switch {
-	case cached && (degraded || shed(err)):
-		mDegradedReads.Inc()
-		w.Header().Set("X-Degraded", "stale")
-		reply, err = map[string]string{"key": key, "value": stale.(string)}, nil
-	case err == nil:
-		b.cache.Store(cacheKey, reply.(map[string]string)["value"])
-	}
-	respond(w, reply, err)
+	})
 }
 
 func (s *Server) createUser(w http.ResponseWriter, r *http.Request) {

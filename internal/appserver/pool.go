@@ -2,9 +2,8 @@
 // a pool of P single-threaded application workers (the Unicorn model), each
 // owning one database connection and one ORM session, behind an HTTP front
 // end (the Nginx role). Workers share no state, and the front end keeps
-// none between requests unless a brownout controller is installed; the
-// database is their only rendezvous — which is precisely the condition under
-// which the paper's feral validations race.
+// none between requests; the database is their only rendezvous — which is
+// precisely the condition under which the paper's feral validations race.
 package appserver
 
 import (

@@ -29,9 +29,6 @@ type Profile struct {
 	// DeclaredFKBecomesConstraint: declaring an association produces an
 	// in-database foreign key (Django, Waterline when supported).
 	DeclaredFKBecomesConstraint bool
-	// CustomValidationsInTransaction: user-defined validations run
-	// transactionally (false for Django custom validators and Waterline).
-	CustomValidationsInTransaction bool
 	// Notes quotes the paper's findings.
 	Notes string
 }
@@ -42,15 +39,13 @@ func Survey() []Profile {
 	return []Profile{
 		{
 			Name: "Rails", Version: "4.1", Stack: "Ruby",
-			ValidationsInTransaction:       true,
-			CustomValidationsInTransaction: true,
-			Notes:                          "validations and associations feral by default; unique indexes and FKs require separate migrations",
+			ValidationsInTransaction: true,
+			Notes:                    "validations and associations feral by default; unique indexes and FKs require separate migrations",
 		},
 		{
 			Name: "JPA", Version: "EE 7", Stack: "Java",
 			ValidationsInTransaction:        true,
 			DeclaredUniqueBecomesConstraint: true,
-			CustomValidationsInTransaction:  true,
 			Notes:                           "@Column(unique=true) reaches the schema; Bean Validation UDFs run at default isolation and are susceptible",
 		},
 		{
@@ -58,7 +53,6 @@ func Survey() []Profile {
 			ValidationsInTransaction:        true,
 			DeclaredUniqueBecomesConstraint: true,
 			DeclaredFKBecomesConstraint:     false,
-			CustomValidationsInTransaction:  true,
 			Notes:                           "declared FK adds a column but no database foreign key; associations may dangle",
 		},
 		{
@@ -76,7 +70,6 @@ func Survey() []Profile {
 			ValidationsInTransaction:        true,
 			DeclaredUniqueBecomesConstraint: true,
 			DeclaredFKBecomesConstraint:     true,
-			CustomValidationsInTransaction:  false,
 			Notes:                           "unique and FK declarations are database-backed; custom validators are not wrapped in a transaction",
 		},
 		{
@@ -84,7 +77,6 @@ func Survey() []Profile {
 			ValidationsInTransaction:        false,
 			DeclaredUniqueBecomesConstraint: true,
 			DeclaredFKBecomesConstraint:     true,
-			CustomValidationsInTransaction:  false,
 			Notes:                           `"TO-DO: This should all be wrapped in a transaction" — custom validations unprotected`,
 		},
 	}

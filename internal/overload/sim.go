@@ -25,9 +25,26 @@ import (
 	"feralcc/internal/wire"
 )
 
-// tick is the simulator's time quantum, the unit all Config tick counts are
+// tick is the simulator's time quantum, the unit every tick count below is
 // denominated in.
 const tick = time.Millisecond
+
+// The modeled server, clients and run. No caller varies these; the tests
+// and feralbench's sweep move only the offered load and the mode.
+const (
+	capacity          = 4    // the server's concurrent service slots
+	serviceTicks      = 5    // fixed per-request service time
+	deadlineTicks     = 100  // each attempt's client-side budget
+	spikeStart        = 1000 // the spike's first tick
+	spikeEnd          = 1500 // the tick the spike ends
+	durationTicks     = 4000 // the run length
+	queueBound        = 8    // the admission queue bound when protected
+	retryRatio        = 1.0  // retry-budget tokens per first attempt when protected: ≤2× amplification
+	maxAttempts       = 4    // a protected request's attempt cap
+	feralBackoffTicks = 10   // the unprotected client's fixed retry delay, the paper's tight ad-hoc loop
+	bucketTicks       = 100  // the goodput reporting granularity
+	cooldownTicks     = 300  // the grace after the spike before the recovery window begins
+)
 
 // Config describes one simulated run. Zero fields take the defaults noted on
 // each; the zero Config is a complete, sensible experiment.
@@ -35,85 +52,24 @@ type Config struct {
 	// Seed drives every random draw (backoff jitter), making runs
 	// reproducible bit-for-bit.
 	Seed uint64
-	// Capacity is the server's concurrent service slots (default 4).
-	Capacity int
-	// ServiceTicks is the fixed per-request service time (default 5 → 5ms).
-	ServiceTicks int
-	// DeadlineTicks is each attempt's client-side budget (default 100).
-	DeadlineTicks int
 	// BaseRate is the baseline offered load in first attempts per tick
-	// (default 0.5 — about 62% utilization of the default capacity).
+	// (default 0.5 — about 62% utilization of the server's capacity).
 	BaseRate float64
 	// SpikeFactor multiplies the offered load during the spike (default 4).
 	SpikeFactor float64
-	// SpikeStart/SpikeEnd bound the spike in ticks (defaults 1000, 1500).
-	SpikeStart, SpikeEnd int
-	// DurationTicks is the run length (default 4000).
-	DurationTicks int
 	// Protected enables the protection stack: bounded admission queue,
 	// deadline-doomed shedding, budgeted full-jitter retries. Off, the
 	// server queues everything and clients retry ferally: a fixed short
 	// backoff, no cap, no budget.
 	Protected bool
-	// QueueBound is the admission queue bound when protected (default 8).
-	QueueBound int
-	// RetryRatio is the retry budget's tokens-per-first-attempt when
-	// protected (default 1.0 — the ≤2× amplification setting).
-	RetryRatio float64
-	// MaxAttempts caps a protected request's total attempts (default 4).
-	MaxAttempts int
-	// FeralBackoffTicks is the unprotected client's fixed retry delay
-	// (default 10 — the tight ad-hoc loop the paper's applications write).
-	FeralBackoffTicks int
-	// BucketTicks is the goodput reporting granularity (default 100).
-	BucketTicks int
-	// CooldownTicks is how long after the spike the protected stack is
-	// allowed before the recovery assertion window begins (default 300).
-	CooldownTicks int
 }
 
 func (c *Config) defaults() {
-	if c.Capacity <= 0 {
-		c.Capacity = 4
-	}
-	if c.ServiceTicks <= 0 {
-		c.ServiceTicks = 5
-	}
-	if c.DeadlineTicks <= 0 {
-		c.DeadlineTicks = 100
-	}
 	if c.BaseRate <= 0 {
 		c.BaseRate = 0.5
 	}
 	if c.SpikeFactor <= 0 {
 		c.SpikeFactor = 4
-	}
-	if c.SpikeStart <= 0 {
-		c.SpikeStart = 1000
-	}
-	if c.SpikeEnd <= 0 {
-		c.SpikeEnd = 1500
-	}
-	if c.DurationTicks <= 0 {
-		c.DurationTicks = 4000
-	}
-	if c.QueueBound <= 0 {
-		c.QueueBound = 8
-	}
-	if c.RetryRatio <= 0 {
-		c.RetryRatio = 1.0
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 4
-	}
-	if c.FeralBackoffTicks <= 0 {
-		c.FeralBackoffTicks = 10
-	}
-	if c.BucketTicks <= 0 {
-		c.BucketTicks = 100
-	}
-	if c.CooldownTicks <= 0 {
-		c.CooldownTicks = 300
 	}
 }
 
@@ -176,7 +132,7 @@ func Run(cfg Config) Metrics {
 	cfg.defaults()
 	var (
 		m      Metrics
-		slots  = make([]slot, cfg.Capacity)
+		slots  = make([]slot, capacity)
 		queue  []*simReq
 		live   int // queued, non-abandoned requests
 		acc    float64
@@ -186,13 +142,13 @@ func Run(cfg Config) Metrics {
 		retryAt  = make(map[int][]*simReq)
 		expireAt = make(map[int][]*simReq)
 	)
-	budget := db.NewRetryBudget(cfg.RetryRatio, 0)
+	budget := db.NewRetryBudget(retryRatio, 0)
 	policy := db.RetryPolicy{
-		MaxRetries: cfg.MaxAttempts - 1,
-		BaseDelay:  time.Duration(cfg.ServiceTicks) * tick,
-		MaxDelay:   time.Duration(cfg.DeadlineTicks) * tick,
+		MaxRetries: maxAttempts - 1,
+		BaseDelay:  time.Duration(serviceTicks) * tick,
+		MaxDelay:   time.Duration(deadlineTicks) * tick,
 	}
-	nbuckets := (cfg.DurationTicks + cfg.BucketTicks - 1) / cfg.BucketTicks
+	nbuckets := (durationTicks + bucketTicks - 1) / bucketTicks
 	goodputByBucket := make([]float64, nbuckets)
 
 	// ticksFor quantizes a real backoff duration onto the grid, rounding up.
@@ -207,7 +163,7 @@ func Run(cfg Config) Metrics {
 	// estWait mirrors wire's admission wait estimate with the simulator's
 	// perfect knowledge of the service time.
 	estWait := func(position int) time.Duration {
-		return time.Duration(cfg.ServiceTicks*position/cfg.Capacity+1) * tick
+		return time.Duration(serviceTicks*position/capacity+1) * tick
 	}
 
 	// scheduleRetry is the client's reaction to a failed attempt. Protected
@@ -220,7 +176,7 @@ func Run(cfg Config) Metrics {
 		next := r.attempt + 1
 		var wait int
 		if cfg.Protected {
-			if next > cfg.MaxAttempts {
+			if next > maxAttempts {
 				m.GaveUp++
 				return
 			}
@@ -232,7 +188,7 @@ func Run(cfg Config) Metrics {
 			p.Seed = cfg.Seed ^ (uint64(r.origin) * 0x9e3779b97f4a7c15)
 			wait = ticksFor(p.BackoffFor(next, err))
 		} else {
-			wait = cfg.FeralBackoffTicks
+			wait = feralBackoffTicks
 		}
 		m.Retries++
 		retryAt[t+wait] = append(retryAt[t+wait], &simReq{origin: r.origin, attempt: next})
@@ -241,19 +197,19 @@ func Run(cfg Config) Metrics {
 	// admit places one arriving attempt: straight into a free slot, into the
 	// queue, or — protected only — shed through the real verdict function.
 	admit := func(t int, r *simReq) {
-		r.deadline = t + cfg.DeadlineTicks
+		r.deadline = t + deadlineTicks
 		for i := range slots {
 			if slots[i].r == nil {
 				r.state = stServing
-				slots[i] = slot{r: r, finish: t + cfg.ServiceTicks}
+				slots[i] = slot{r: r, finish: t + serviceTicks}
 				expireAt[r.deadline] = append(expireAt[r.deadline], r)
 				return
 			}
 		}
 		if cfg.Protected {
 			est := estWait(live + 1)
-			remaining := time.Duration(cfg.DeadlineTicks) * tick
-			if shed, reason := wire.ShedVerdict(live, cfg.QueueBound, est, remaining); shed {
+			remaining := time.Duration(deadlineTicks) * tick
+			if shed, reason := wire.ShedVerdict(live, queueBound, est, remaining); shed {
 				m.Sheds++
 				scheduleRetry(t, r, &storage.OverloadError{Reason: "admission: " + reason, RetryAfter: est})
 				return
@@ -265,7 +221,7 @@ func Run(cfg Config) Metrics {
 		expireAt[r.deadline] = append(expireAt[r.deadline], r)
 	}
 
-	for t := 0; t < cfg.DurationTicks; t++ {
+	for t := 0; t < durationTicks; t++ {
 		// 1. Completions free slots; late completions are wasted work.
 		for i := range slots {
 			if slots[i].r != nil && slots[i].finish <= t {
@@ -275,7 +231,7 @@ func Run(cfg Config) Metrics {
 					m.Wasted++
 				} else {
 					m.Completed++
-					goodputByBucket[t/cfg.BucketTicks]++
+					goodputByBucket[t/bucketTicks]++
 				}
 				slots[i].r = nil
 			}
@@ -319,7 +275,7 @@ func Run(cfg Config) Metrics {
 				}
 				live--
 				r.state = stServing
-				slots[i] = slot{r: r, finish: t + cfg.ServiceTicks}
+				slots[i] = slot{r: r, finish: t + serviceTicks}
 				break
 			}
 		}
@@ -330,7 +286,7 @@ func Run(cfg Config) Metrics {
 		}
 		delete(retryAt, t)
 		rate := cfg.BaseRate
-		if t >= cfg.SpikeStart && t < cfg.SpikeEnd {
+		if t >= spikeStart && t < spikeEnd {
 			rate *= cfg.SpikeFactor
 		}
 		acc += rate
@@ -347,11 +303,11 @@ func Run(cfg Config) Metrics {
 
 	// Normalize buckets to per-tick goodput and compute the windows.
 	for i := range goodputByBucket {
-		goodputByBucket[i] /= float64(cfg.BucketTicks)
+		goodputByBucket[i] /= float64(bucketTicks)
 	}
 	m.Buckets = goodputByBucket
 	window := func(from, to int) float64 {
-		lo, hi := from/cfg.BucketTicks, to/cfg.BucketTicks
+		lo, hi := from/bucketTicks, to/bucketTicks
 		if hi > len(goodputByBucket) {
 			hi = len(goodputByBucket)
 		}
@@ -364,8 +320,8 @@ func Run(cfg Config) Metrics {
 		}
 		return sum / float64(hi-lo)
 	}
-	m.PeakGoodput = window(cfg.BucketTicks, cfg.SpikeStart)
-	m.SpikeGoodput = window(cfg.SpikeStart, cfg.SpikeEnd)
-	m.FinalGoodput = window(cfg.SpikeEnd+cfg.CooldownTicks, cfg.DurationTicks)
+	m.PeakGoodput = window(bucketTicks, spikeStart)
+	m.SpikeGoodput = window(spikeStart, spikeEnd)
+	m.FinalGoodput = window(spikeEnd+cooldownTicks, durationTicks)
 	return m
 }

@@ -1,6 +1,7 @@
 package overload
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -97,6 +98,45 @@ func TestDeterministic(t *testing.T) {
 		for i := range a.Buckets {
 			if math.Abs(a.Buckets[i]-b.Buckets[i]) > 0 {
 				t.Fatalf("protected=%v: bucket %d diverged: %v vs %v", prot, i, a.Buckets[i], b.Buckets[i])
+			}
+		}
+	}
+}
+
+// TestDocumentedFigures pins the numbers DESIGN.md and EXPERIMENTS.md quote
+// from `feralbench -experiment overload` at its default seed: the spike
+// timeline's summary for each mode and the steady-state goodput sweep.
+// Figures are compared as the rendered, rounded strings the docs print.
+func TestDocumentedFigures(t *testing.T) {
+	const seed = 2015
+	feral := Run(Config{Seed: seed, Protected: false})
+	prot := Run(Config{Seed: seed, Protected: true})
+	for _, c := range []struct{ name, got, want string }{
+		{"feral final goodput", fmt.Sprintf("%.2f", feral.FinalGoodput), "0.00"},
+		{"feral amplification", fmt.Sprintf("%.2f", feral.Amplification()), "13.70"},
+		{"feral wasted", fmt.Sprint(feral.Wasted), "2269"},
+		{"protected spike goodput", fmt.Sprintf("%.2f", prot.SpikeGoodput), "0.80"},
+		{"protected final goodput", fmt.Sprintf("%.2f", prot.FinalGoodput), "0.50"},
+		{"protected amplification", fmt.Sprintf("%.2f", prot.Amplification()), "1.36"},
+		{"protected sheds", fmt.Sprint(prot.Sheds), "1577"},
+		{"protected wasted", fmt.Sprint(prot.Wasted), "0"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %s, want %s", c.name, c.got, c.want)
+		}
+	}
+
+	// The steady-state sweep: offered load held at f × capacity (0.8 per
+	// tick) for the whole run, goodput read after the would-be spike.
+	want := map[bool][]string{
+		false: {"0.400", "0.600", "0.800", "0.000", "0.000", "0.000"},
+		true:  {"0.400", "0.600", "0.800", "0.800", "0.800", "0.800"},
+	}
+	for i, f := range []float64{0.5, 0.75, 1.0, 1.5, 2.0, 3.0} {
+		for _, protected := range []bool{false, true} {
+			m := Run(Config{Seed: seed, BaseRate: f * 0.8, SpikeFactor: 1, Protected: protected})
+			if got := fmt.Sprintf("%.3f", m.FinalGoodput); got != want[protected][i] {
+				t.Errorf("offered/cap %.2f protected=%v: goodput %s, want %s", f, protected, got, want[protected][i])
 			}
 		}
 	}

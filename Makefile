@@ -27,16 +27,18 @@ check:
 # are saved under $(WITNESS_DIR); CI uploads them) — after one deliberate
 # rerun, the histcheck TestGate suite under -v, whose output is the cycle
 # witnesses for the seeded lost-update and write-skew shapes. Last comes a fuzz budget of
-# 30 s each for the wire decoder, the WAL scanner and the incremental
-# serialization graph; `check` only replays their checked-in corpora. A
-# failing input is written under the package's testdata/fuzz and reproduces
-# with plain `go test`.
+# 30 s each for the wire decoder, the WAL scanner, the incremental
+# serialization graph and the full-scan prefilter's value hash (equal values
+# must hash alike); `check` only replays their checked-in corpora. A failing
+# input is written under the package's testdata/fuzz and reproduces with plain
+# `go test`.
 WITNESS_DIR ?= witnesses
 gates:
 	$(GO) test -count=1 -v -run TestGate ./internal/histcheck
 	HISTCHECK_WITNESS_DIR=$(WITNESS_DIR) $(GO) run ./cmd/feralbench -experiment isolevels -quick -check-history -metrics=false
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzScanWAL$$' -fuzztime 30s ./internal/storage
+	$(GO) test -run '^$$' -fuzz '^FuzzValueHashAgreesWithEqual$$' -fuzztime 30s ./internal/storage
 	$(GO) test -run '^$$' -fuzz '^FuzzGraphMatchesReference$$' -fuzztime 30s ./internal/histcheck
 
 # bench runs feralperf, the repository's benchmark (BENCHMARK.json,

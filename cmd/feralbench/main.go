@@ -75,14 +75,9 @@ func main() {
 		ids = []string{"table2", "fig1", "table1", "safety", "fig6", "fig7",
 			"fig2", "fig3", "fig4", "fig5", "ssibug", "frameworks", "isolevels", "overload"}
 	}
-	for i, id := range ids {
-		if i > 0 {
-			fmt.Println()
-		}
-		if err := run(study, strings.TrimSpace(id)); err != nil {
-			fmt.Fprintf(os.Stderr, "feralbench: %s: %v\n", id, err)
-			os.Exit(1)
-		}
+	if err := runAll(study, ids, os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "feralbench: %v\n", err)
+		os.Exit(1)
 	}
 	if *liveC {
 		fmt.Println()
@@ -235,8 +230,22 @@ func runOverloadBench(study *core.Study, w io.Writer) {
 	}
 }
 
-func run(study *core.Study, id string) error {
-	w := os.Stdout
+// runAll runs the experiments ids in order, rendering each to w with a blank
+// line between artifacts.
+func runAll(study *core.Study, ids []string, w io.Writer) error {
+	for i, id := range ids {
+		if i > 0 {
+			fmt.Fprintln(w)
+		}
+		id = strings.TrimSpace(id)
+		if err := run(study, id, w); err != nil {
+			return fmt.Errorf("%s: %w", id, err)
+		}
+	}
+	return nil
+}
+
+func run(study *core.Study, id string, w io.Writer) error {
 	start := time.Now()
 	defer func() {
 		// Timing goes to stderr so that stdout is the same from run to run.

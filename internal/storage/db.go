@@ -312,13 +312,8 @@ func (db *Database) AddIndex(tableName, column string, unique bool) error {
 	spec := IndexSpec{Column: t.schema.Columns[pos].Name, Unique: unique,
 		Name: tableName + "_" + column + "_idx"}
 	ix := newIndex(spec)
-	for id, chain := range t.rows {
-		if chain == nil {
-			continue
-		}
-		for _, v := range chain.versions {
-			ix.add(v.vals[pos].Key(), RowID(id))
-		}
+	for id := range t.rows {
+		t.rows[id].eachVals(func(vals []Value) { ix.add(vals[pos].Key(), RowID(id)) })
 	}
 	t.indexes[pos] = ix
 	t.schema.Indexes = append(t.schema.Indexes, spec)
@@ -333,8 +328,8 @@ func (db *Database) AddIndex(tableName, column string, unique bool) error {
 // column pos. Caller holds the exclusive pipeline gate and t.mu (either mode).
 func (db *Database) checkExistingUniqueLocked(t *table, pos int) error {
 	seen := make(map[string]struct{})
-	for _, chain := range t.rows {
-		v := chain.live()
+	for id := range t.rows {
+		v := t.rows[id].live()
 		if v == nil || v.vals[pos].IsNull() {
 			continue
 		}
@@ -406,16 +401,16 @@ func (db *Database) AddForeignKey(tableName, column, parentTable string, onDelet
 func findOrphan(child *table, pos int, parent *table, pkPos int) (Value, bool) {
 	parentKeys := make(map[string]struct{})
 	parent.mu.RLock()
-	for _, chain := range parent.rows {
-		if v := chain.live(); v != nil {
+	for id := range parent.rows {
+		if v := parent.rows[id].live(); v != nil {
 			parentKeys[v.vals[pkPos].Key()] = struct{}{}
 		}
 	}
 	parent.mu.RUnlock()
 	child.mu.RLock()
 	defer child.mu.RUnlock()
-	for _, chain := range child.rows {
-		v := chain.live()
+	for id := range child.rows {
+		v := child.rows[id].live()
 		if v == nil || v.vals[pos].IsNull() {
 			continue
 		}

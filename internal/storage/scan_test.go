@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -22,6 +23,18 @@ func (r scanRow) String() string {
 		s += " " + v.Format()
 	}
 	return s
+}
+
+// sameRows reports whether two scans produced the same rows, bit for bit:
+// same ids in the same order, same kinds, same values (NaN equals NaN, -0
+// differs from 0).
+func sameRows(a, b []scanRow) bool {
+	return slices.EqualFunc(a, b, func(x, y scanRow) bool {
+		return x.id == y.id && slices.EqualFunc(x.vals, y.vals, func(u, v Value) bool {
+			return u.Kind == v.Kind && u.I == v.I && math.Float64bits(u.F) == math.Float64bits(v.F) &&
+				u.S == v.S && u.B == v.B && u.T.Equal(v.T)
+		})
+	})
 }
 
 // collectScan runs tx.Scan and returns its rows in emission order. It then
@@ -96,9 +109,14 @@ func referenceScan(db *Database, tx *Tx, own map[RowID]bool, opts ScanOptions) (
 // commits, aborts and vacuums through several open transactions at once and,
 // as it goes, checks Tx.Scan against referenceScan — same rows, same images,
 // same ascending order — with and without a filter, an index, FOR UPDATE and
-// own writes, at every isolation level. Locks never wait (LockQueueBound < 0),
-// so the single driving goroutine cannot block: a transaction refused a lock
-// is rolled back, as one that lost a deadlock would be.
+// own writes, at every isolation level. Filters name the text column or a
+// DOUBLE column holding integers, ±0, NaN and NULL, probed with Int and
+// Float values alike. Every vacuum is followed by a scan, and a read-only
+// transaction kept open across commits scans with no own writes — the
+// hash-prefiltered heap walk — while later commits have moved row heads past
+// its snapshot. Locks never wait (LockQueueBound < 0), so the single driving
+// goroutine cannot block: a transaction refused a lock is rolled back, as one
+// that lost a deadlock would be.
 func TestScanMatchesReference(t *testing.T) {
 	levels := []IsolationLevel{ReadCommitted, RepeatableRead, SnapshotIsolation, Serializable, Serializable2PL}
 	for _, level := range levels {
@@ -114,10 +132,14 @@ func TestScanMatchesReference(t *testing.T) {
 func runScanDifferential(t *testing.T, level IsolationLevel, indexed bool, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	db := Open(Options{LockQueueBound: -1})
-	mustCreate(t, db, kvSchema("kv"))
+	schema := kvSchema("kv")
+	schema.Columns = append(schema.Columns, Column{Name: "num", Kind: KindFloat})
+	mustCreate(t, db, schema)
 	if indexed {
-		if err := db.AddIndex("kv", "key", false); err != nil {
-			t.Fatal(err)
+		for _, col := range []string{"key", "num"} {
+			if err := db.AddIndex("kv", col, false); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	randKey := func() Value {
@@ -126,10 +148,32 @@ func runScanDifferential(t *testing.T, level IsolationLevel, indexed bool, seed 
 		}
 		return Str(fmt.Sprint("k", rng.Intn(5)))
 	}
+	// randNum draws the DOUBLE column's values and filters: small integers as
+	// Int or Float (stored as Float either way), -0, NaN and NULL.
+	randNum := func() Value {
+		switch n := rng.Intn(10); {
+		case n == 0:
+			return Null()
+		case n == 1:
+			return Float(math.Copysign(0, -1))
+		case n == 2:
+			return Float(math.NaN())
+		case n < 6:
+			return Int(int64(n % 3))
+		default:
+			return Float(float64(n % 3))
+		}
+	}
+	randFilter := func() *EqFilter {
+		if rng.Intn(2) == 0 {
+			return &EqFilter{Column: "key", Value: randKey()}
+		}
+		return &EqFilter{Column: "num", Value: randNum()}
+	}
 	// Higher seeds start from a heap that spans several scan chunks.
 	for i := 0; i < int(seed-1)*(scanChunk-50); i++ {
 		tx := db.Begin(ReadCommitted)
-		if _, _, err := tx.Insert("kv", map[string]Value{"key": randKey(), "value": Str("preload")}); err != nil {
+		if _, _, err := tx.Insert("kv", map[string]Value{"key": randKey(), "value": Str("preload"), "num": randNum()}); err != nil {
 			t.Fatal(err)
 		}
 		if err := tx.Commit(); err != nil {
@@ -156,7 +200,7 @@ func runScanDifferential(t *testing.T, level IsolationLevel, indexed bool, seed 
 		o := open[i]
 		opts := ScanOptions{ForUpdate: rng.Intn(4) == 0}
 		if rng.Intn(3) > 0 {
-			opts.Filter = &EqFilter{Column: "key", Value: randKey()}
+			opts.Filter = randFilter()
 		}
 		// The reference runs first: under FOR UPDATE the scan takes row locks
 		// that would refuse the reference's fresh reader at Serializable2PL.
@@ -171,13 +215,52 @@ func runScanDifferential(t *testing.T, level IsolationLevel, indexed bool, seed 
 			return
 		}
 		checks++
-		if fmt.Sprint(got) != fmt.Sprint(want) {
+		if !sameRows(got, want) {
 			t.Fatalf("scan %+v (filter %v) in tx %d with own writes %v:\n got %v\nwant %v",
 				opts, opts.Filter, o.tx.ID(), o.own, got, want)
 		}
 	}
 
+	// reader never writes, so its scans take the prefiltered heap walk; it
+	// stays open for up to 40 steps (a 2PL reader's shared locks refuse every
+	// writer meanwhile) and counts the scans it ran after a commit.
+	var reader *Tx
+	var readerClock uint64
+	readerSteps, staleReads := 0, 0
+	checkReader := func() {
+		if reader == nil {
+			return
+		}
+		opts := ScanOptions{}
+		if rng.Intn(4) > 0 {
+			opts.Filter = randFilter()
+		}
+		want, err := referenceScan(db, reader, nil, opts)
+		if err == nil {
+			var got []scanRow
+			if got, err = collectScan(reader, opts); err == nil && !sameRows(got, want) {
+				t.Fatalf("read-only scan (filter %v) in tx %d:\n got %v\nwant %v", opts.Filter, reader.ID(), got, want)
+			}
+		}
+		if err != nil {
+			reader.Rollback()
+			reader = nil
+			return
+		}
+		if db.Clock() > readerClock {
+			staleReads++
+		}
+	}
+
 	for step := 0; step < 500; step++ {
+		if reader == nil {
+			reader, readerClock, readerSteps = db.Begin(level), db.Clock(), 0
+		} else if readerSteps++; readerSteps == 40 {
+			reader.Rollback()
+			reader = nil
+		} else if rng.Intn(10) == 0 {
+			checkReader()
+		}
 		if len(open) == 0 || (len(open) < 4 && rng.Intn(5) == 0) {
 			open = append(open, &openTx{tx: db.Begin(level), own: map[RowID]bool{}})
 			continue
@@ -188,14 +271,18 @@ func runScanDifferential(t *testing.T, level IsolationLevel, indexed bool, seed 
 		switch op := rng.Intn(20); {
 		case op < 5:
 			var id RowID
-			id, _, err = o.tx.Insert("kv", map[string]Value{"key": randKey(), "value": Str(fmt.Sprint("v", step))})
+			id, _, err = o.tx.Insert("kv", map[string]Value{"key": randKey(), "value": Str(fmt.Sprint("v", step)), "num": randNum()})
 			if err == nil {
 				allocated = append(allocated, id)
 				o.own[id] = true
 			}
 		case op < 9 && len(allocated) > 0:
 			id := allocated[rng.Intn(len(allocated))]
-			if err = o.tx.Update("kv", id, map[string]Value{"key": randKey()}); err == nil {
+			set := map[string]Value{"key": randKey()}
+			if rng.Intn(2) == 0 {
+				set = map[string]Value{"num": randNum()}
+			}
+			if err = o.tx.Update("kv", id, set); err == nil {
 				o.own[id] = true
 			} else if errors.Is(err, ErrNoSuchRow) {
 				err = nil // not a row this transaction can see; it stays usable
@@ -213,6 +300,8 @@ func runScanDifferential(t *testing.T, level IsolationLevel, indexed bool, seed 
 			end(i, false)
 		case op < 16:
 			db.Vacuum()
+			check(i)
+			checkReader()
 		default:
 			check(i)
 		}
@@ -223,8 +312,14 @@ func runScanDifferential(t *testing.T, level IsolationLevel, indexed bool, seed 
 	for len(open) > 0 {
 		end(0, false)
 	}
+	if reader != nil {
+		reader.Rollback()
+	}
 	if checks < 40 {
 		t.Fatalf("only %d scans were compared; the driver is not exercising the scan", checks)
+	}
+	if staleReads < 10 {
+		t.Fatalf("only %d read-only scans ran after a commit; the prefiltered walk is not exercised", staleReads)
 	}
 	if err := db.CheckIntegrity(); err != nil {
 		t.Fatal(err)
@@ -321,4 +416,61 @@ func TestScanRacesCommittersAndVacuum(t *testing.T) {
 	scanners.Wait()
 	stop.Store(true)
 	writers.Wait()
+}
+
+// TestIndexedAndHeapPlansAgreeOnNumbers: an equality filter returns the same
+// rows whether it walks the heap or an index bucket, for the numbers where the
+// two once disagreed — NaN (which compared equal to every number) and -0
+// (which keyed apart from 0) — and for Int and Float probes of one value.
+func TestIndexedAndHeapPlansAgreeOnNumbers(t *testing.T) {
+	db := Open(Options{})
+	mustCreate(t, db, &Schema{Name: "m", Columns: []Column{
+		{Name: "id", Kind: KindInt, PrimaryKey: true},
+		{Name: "f", Kind: KindFloat},
+	}})
+	negZero := Float(math.Copysign(0, -1))
+	for _, v := range []Value{Float(math.NaN()), Float(3), negZero, Float(0), Float(math.NaN()), Float(2.5), Null()} {
+		tx := db.Begin(ReadCommitted)
+		if _, _, err := tx.Insert("m", map[string]Value{"f": v}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	filters := []struct {
+		v    Value
+		want string
+	}{
+		{Float(math.NaN()), "[1 5]"},
+		{Float(0), "[3 4]"},
+		{negZero, "[3 4]"},
+		{Int(3), "[2]"},
+		{Float(3), "[2]"},
+		{Null(), "[]"},
+	}
+	ids := func(v Value) string {
+		tx := db.Begin(ReadCommitted)
+		defer tx.Rollback()
+		var out []RowID
+		if err := tx.Scan("m", ScanOptions{Filter: &EqFilter{Column: "f", Value: v}}, func(id RowID, _ []Value) bool {
+			out = append(out, id)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(out)
+	}
+	for _, plan := range []string{"heap", "index"} {
+		if plan == "index" {
+			if err := db.AddIndex("m", "f", false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, f := range filters {
+			if got := ids(f.v); got != f.want {
+				t.Errorf("%s plan: f = %v %s matched rows %s, want %s", plan, f.v.Kind, f.v.Format(), got, f.want)
+			}
+		}
+	}
 }

@@ -66,14 +66,14 @@ func (db *Database) Checkpoint() (CheckpointStats, error) {
 		payload = binary.AppendUvarint(payload, t.nextRow)
 		payload = binary.AppendUvarint(payload, t.nextID)
 		live := 0
-		for _, chain := range t.rows {
-			if chain.live() != nil {
+		for id := range t.rows {
+			if t.rows[id].live() != nil {
 				live++
 			}
 		}
 		payload = binary.AppendUvarint(payload, uint64(live))
-		for id, chain := range t.rows {
-			if v := chain.live(); v != nil {
+		for id := range t.rows {
+			if v := t.rows[id].live(); v != nil {
 				payload = binary.AppendUvarint(payload, uint64(id))
 				payload = binary.AppendUvarint(payload, v.beginTS)
 				payload = AppendRow(payload, v.vals)

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"sync/atomic"
 )
 
@@ -34,6 +35,7 @@ func (db *Database) Vacuum() VacuumStats {
 	defer db.pipe.gate.Unlock()
 
 	stats := VacuumStats{Horizon: horizon}
+	dead := func(v *version) bool { return v.endTS != 0 && v.endTS <= horizon }
 	db.catalogMu.RLock()
 	tables := make([]*table, 0, len(db.tables))
 	for _, t := range db.tables {
@@ -43,23 +45,21 @@ func (db *Database) Vacuum() VacuumStats {
 
 	for _, t := range tables {
 		t.mu.Lock()
-		for id, chain := range t.rows {
-			if chain == nil {
+		for id := range t.rows {
+			c := &t.rows[id]
+			if !c.used {
 				continue
 			}
-			kept := chain.versions[:0]
-			for _, v := range chain.versions {
-				dead := v.endTS != 0 && v.endTS <= horizon
-				if dead {
-					stats.VersionsPruned++
-					continue
-				}
-				kept = append(kept, v)
-			}
-			chain.versions = append([]*version(nil), kept...)
-			if len(chain.versions) == 0 {
-				t.rows[id] = nil
+			if dead(&c.head) {
+				// Every older version ended before the head began: all dead.
+				stats.VersionsPruned += c.count()
 				stats.RowsReclaimed++
+				*c = versionChain{}
+				continue
+			}
+			if kept := slices.DeleteFunc(c.older, dead); len(kept) < len(c.older) {
+				stats.VersionsPruned += len(c.older) - len(kept)
+				c.older = append([]*version(nil), kept...)
 			}
 		}
 		// Rebuild indexes from the surviving versions.
@@ -68,23 +68,10 @@ func (db *Database) Vacuum() VacuumStats {
 				continue
 			}
 			fresh := newIndex(ix.spec)
-			entries := 0
-			for id, chain := range t.rows {
-				if chain == nil {
-					continue
-				}
-				for _, v := range chain.versions {
-					fresh.add(v.vals[pos].Key(), RowID(id))
-				}
+			for id := range t.rows {
+				t.rows[id].eachVals(func(vals []Value) { fresh.add(vals[pos].Key(), RowID(id)) })
 			}
-			for _, bucket := range fresh.buckets {
-				entries += len(bucket)
-			}
-			old := 0
-			for _, bucket := range ix.buckets {
-				old += len(bucket)
-			}
-			stats.IndexEntriesPruned += old - entries
+			stats.IndexEntriesPruned += ix.entries() - fresh.entries()
 			t.indexes[pos] = fresh
 		}
 		t.mu.Unlock()
@@ -115,10 +102,8 @@ func (db *Database) VersionCount() int {
 	total := 0
 	for _, t := range db.tables {
 		t.mu.RLock()
-		for _, chain := range t.rows {
-			if chain != nil {
-				total += len(chain.versions)
-			}
+		for id := range t.rows {
+			total += t.rows[id].count()
 		}
 		t.mu.RUnlock()
 	}

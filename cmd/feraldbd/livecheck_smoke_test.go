@@ -8,7 +8,7 @@ package main
 // line with trace IDs, and the statusz fields. The witness is then piped
 // through the real feralcheck binary on stdin, closing the scrape-and-replay
 // loop: the offline verdict must agree with the live one.
-// `make livecheck-smoke` runs this.
+// `make check` runs this.
 
 import (
 	"bufio"

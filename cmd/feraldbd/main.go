@@ -57,7 +57,6 @@ func main() {
 		maxInFlight = flag.Int("max-in-flight", 0, "statement admission: concurrent execution slots (0 = unlimited)")
 		maxQueue    = flag.Int("max-queue", 0, "statement admission: waiters allowed behind the slots before shedding (with -max-in-flight; negative = shed instead of queueing)")
 		lockQueue   = flag.Int("lock-queue-bound", 0, "engine per-lock wait-queue bound: >0 caps waiters, negative sheds instead of waiting (0 = unbounded)")
-		commitQueue = flag.Int("commit-queue-bound", 0, "commit-pipeline submission queue bound, same semantics as -lock-queue-bound")
 	)
 	flag.Parse()
 	level, err := storage.ParseIsolationLevel(*iso)
@@ -74,7 +73,6 @@ func main() {
 		DataDir:          *dataDir,
 		SyncPolicy:       policy,
 		LockQueueBound:   *lockQueue,
-		CommitQueueBound: *commitQueue,
 	}
 	if *liveCheck > 0 {
 		opts.LiveCheck = &anomalywatch.Config{
@@ -113,9 +111,9 @@ func main() {
 	if *maxInFlight > 0 {
 		srv.SetAdmission(*maxInFlight, *maxQueue)
 	}
-	if *maxConns > 0 || *maxInFlight > 0 || *lockQueue != 0 || *commitQueue != 0 {
-		log.Printf("feraldbd: overload protection: max-conns=%d max-in-flight=%d max-queue=%d lock-queue-bound=%d commit-queue-bound=%d",
-			*maxConns, *maxInFlight, *maxQueue, *lockQueue, *commitQueue)
+	if *maxConns > 0 || *maxInFlight > 0 || *lockQueue != 0 {
+		log.Printf("feraldbd: overload protection: max-conns=%d max-in-flight=%d max-queue=%d lock-queue-bound=%d",
+			*maxConns, *maxInFlight, *maxQueue, *lockQueue)
 	}
 	if err := srv.Listen(*addr); err != nil {
 		log.Fatalf("feraldbd: %v", err)

@@ -4,7 +4,7 @@ package main
 // -metrics-addr, drive a few statements (one slow one) through the wire, and
 // assert /metrics is well-formed Prometheus text with the load visible in it,
 // /statusz is JSON, /debug/pprof answers, and the slow-query log produced
-// exactly one line for the offending statement. `make obs-smoke` runs this.
+// exactly one line for the offending statement. `make check` runs this.
 
 import (
 	"bufio"
@@ -152,18 +152,22 @@ func TestObsSmoke(t *testing.T) {
 	}
 	for _, series := range []string{
 		"feraldb_storage_commits_total",
+		"feraldb_storage_commit_seconds_count",
+		"feraldb_storage_wal_appends_total",
 		"feraldb_storage_wal_fsyncs_total",
+		"feraldb_storage_wal_fsync_seconds_count",
+		"feraldb_statement_seconds_count",
 		"feraldb_plancache_hits_total",
-		"feraldb_wire_connections_total",
-		`feraldb_statements_total{kind="insert"}`,
+		"feraldb_plancache_misses_total",
+		"feraldb_wire_read_bytes_total",
+		"feraldb_wire_written_bytes_total",
 		// The commit pipeline's group-commit instruments: every autocommit
 		// insert flows through group commit (sync=always is the default),
-		// so frames, batched transactions, the batch-size histogram, and the
-		// fsyncs-per-commit ratio must all be live after the load.
+		// so frames, batched transactions and the batch-size histogram must
+		// all be live after the load.
 		"feraldb_storage_group_commit_frames_total",
 		"feraldb_storage_group_commit_txns_total",
 		"feraldb_storage_group_commit_batch_txns_count",
-		"feraldb_storage_wal_fsyncs_per_commit_milli",
 	} {
 		if !nonZeroSeries(scrape, series) {
 			t.Errorf("series %s missing or zero after load:\n%s", series, scrape)

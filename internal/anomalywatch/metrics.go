@@ -7,7 +7,7 @@ import (
 
 // Live-checker instruments, registered once into the default registry. The
 // producer side (sampling, Offer) touches only pre-resolved pointers; the
-// consumer side updates the window gauges and anomaly counters as it goes.
+// consumer side updates the window and anomaly counters as it goes.
 var (
 	mEvents = obs.NewCounter(obs.Default(),
 		"feraldb_anomaly_watch_events_total", "History events accepted into the live-checker ring")
@@ -17,18 +17,12 @@ var (
 		"feraldb_anomaly_watch_sampled_txns_total", "Transactions selected for live checking")
 	mEscalations = obs.NewCounter(obs.Default(),
 		"feraldb_anomaly_watch_escalations_total", "Transactions sampled by conflict escalation rather than the base rate")
-	mWindowTxns = obs.NewGauge(obs.Default(),
-		"feraldb_anomaly_watch_window_txns", "Transactions currently held in the sliding window")
 	mEvictions = obs.NewCounter(obs.Default(),
 		"feraldb_anomaly_watch_window_evictions_total", "Closed transactions evicted from the sliding window")
 	mTruncated = obs.NewCounter(obs.Default(),
 		"feraldb_anomaly_watch_window_truncated_total", "Evictions that discarded dependency state a future cycle could have needed")
 	mCheckerLag = obs.NewHistogram(obs.Default(),
 		"feraldb_anomaly_watch_checker_lag_seconds", "Delay between event enqueue on the commit path and checker processing")
-	mRetargets = obs.NewCounter(obs.Default(),
-		"feraldb_anomaly_watch_rw_retargets_total", "Edges withdrawn because an install arrived below a version already installed: ww splits and rw re-points (nonzero means transient edges may have produced findings the final graph lacks)")
-	mAlmostCycles = obs.NewGauge(obs.Default(),
-		"feraldb_anomaly_watch_almost_cycles", "Near-miss wr dependencies (one rw edge short of a cycle) in the current window")
 
 	mAnomaliesByClass = map[histcheck.Anomaly]*obs.Counter{
 		histcheck.G0:      newAnomalyCounter("G0"),

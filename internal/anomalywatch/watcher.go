@@ -125,8 +125,7 @@ type Watcher struct {
 
 	enqueued  atomic.Uint64
 	processed atomic.Uint64
-	syncReq   atomic.Uint64
-	syncAck   atomic.Uint64
+	window    atomic.Int64 // resident transactions, published by the consumer
 
 	stShed        atomic.Uint64
 	stSampled     atomic.Uint64
@@ -134,18 +133,16 @@ type Watcher struct {
 	stRetargets   atomic.Uint64
 
 	// Consumer-private state: only the checker goroutine touches these.
-	seq         uint64
-	graph       *histcheck.Graph
-	bufs        map[uint64]*txBuf
-	closed      []uint64 // FIFO of closed transaction ids awaiting eviction
-	sinceAlmost int
+	seq    uint64
+	graph  *histcheck.Graph
+	bufs   map[uint64]*txBuf
+	closed []uint64 // FIFO of closed transaction ids awaiting eviction
 
 	// mu guards the cross-goroutine snapshot the consumer publishes.
 	mu          sync.Mutex
 	witnesses   []Witness
 	anomalies   map[histcheck.Anomaly]uint64
 	forbidden   uint64
-	windowSize  int
 	evictions   uint64
 	truncations uint64
 }
@@ -260,20 +257,11 @@ func (w *Watcher) Offer(e histcheck.Event) bool {
 	return true
 }
 
-// Drain blocks until every event accepted so far has been processed and the
-// derived gauges (almost-cycles, window size) refreshed. Test hook; callers
-// must have stopped producing.
+// Drain blocks until every event accepted so far has been processed. Test
+// hook; callers must have stopped producing.
 func (w *Watcher) Drain() {
 	target := w.enqueued.Load()
 	for w.processed.Load() < target {
-		time.Sleep(100 * time.Microsecond)
-	}
-	req := w.syncReq.Add(1)
-	for w.syncAck.Load() < req {
-		select {
-		case w.notify <- struct{}{}:
-		default:
-		}
 		time.Sleep(100 * time.Microsecond)
 	}
 }
@@ -287,47 +275,11 @@ func (w *Watcher) Stop() {
 	<-w.done
 }
 
-// The almost-cycle gauge is the one derived value whose recomputation walks
-// every read held in the window, so it runs on a self-amortizing cadence
-// rather than per drain: only once almostRefreshEvery events have arrived
-// (almostRefreshForce under sustained load, without waiting for the ring to
-// empty) AND the new events amount to at least 1/almostRefreshCost of the
-// reads the scan visits. The scan's cost is thus always amortized over a
-// proportional number of events, keeping overhead a constant fraction no
-// matter how large the window grows; the price is a gauge that can lag by up
-// to a quarter of the window's reads. Sync points (Drain, Stop) always
-// recompute, so observers that quiesce first read exact values.
-const (
-	almostRefreshEvery = 256
-	almostRefreshForce = 4096
-	almostRefreshCost  = 4
-)
-
-func (w *Watcher) almostDue(every int) bool {
-	return w.sinceAlmost >= every && w.sinceAlmost*almostRefreshCost >= w.graph.Reads()
-}
-
 func (w *Watcher) loop() {
 	defer close(w.done)
-	dirty := false
 	for {
 		e, ok := w.ring.poll()
 		if !ok {
-			if dirty {
-				// A drained ring republishes the cheap window gauge every
-				// time; the almost-cycle scan waits for its cadence, or a
-				// lightly loaded checker turns quadratic. The sync path below
-				// still forces an exact refresh for Drain() observers.
-				w.publishWindow()
-				if w.almostDue(almostRefreshEvery) {
-					w.refreshDerived()
-				}
-				dirty = false
-			}
-			if sr := w.syncReq.Load(); sr != w.syncAck.Load() {
-				w.refreshDerived()
-				w.syncAck.Store(sr)
-			}
 			select {
 			case <-w.notify:
 				continue
@@ -335,24 +287,14 @@ func (w *Watcher) loop() {
 				for {
 					e, ok := w.ring.poll()
 					if !ok {
-						break
+						return
 					}
 					w.handle(e)
 					w.processed.Add(1)
 				}
-				w.refreshDerived()
-				if sr := w.syncReq.Load(); sr != w.syncAck.Load() {
-					w.syncAck.Store(sr)
-				}
-				return
 			}
 		}
 		w.handle(e)
-		dirty = true
-		w.sinceAlmost++
-		if w.almostDue(almostRefreshForce) {
-			w.refreshDerived()
-		}
 		w.processed.Add(1)
 	}
 }
@@ -372,6 +314,7 @@ func (w *Watcher) handle(en entry) {
 	if b == nil {
 		b = &txBuf{}
 		w.bufs[e.Tx] = b
+		w.window.Store(int64(len(w.bufs)))
 	}
 	if len(b.events) < maxTxEvents {
 		b.events = append(b.events, e)
@@ -385,17 +328,14 @@ func (w *Watcher) handle(en entry) {
 	for _, f := range w.graph.Findings() {
 		w.report(f)
 	}
-	if d := w.graph.Retargets() - w.stRetargets.Load(); d != 0 {
-		mRetargets.Add(d)
-		w.stRetargets.Add(d)
-	}
+	w.stRetargets.Store(w.graph.Retargets())
 	b.closed = true
 	w.closed = append(w.closed, e.Tx)
 	for len(w.closed) > w.cfg.WindowTxns {
 		w.evict(w.closed[0])
 		w.closed = w.closed[1:]
 	}
-	w.publishWindow()
+	w.window.Store(int64(len(w.bufs)))
 }
 
 // report updates the counters, publishes the witness, and fires the callback.
@@ -475,24 +415,6 @@ func (w *Watcher) evict(id uint64) {
 	w.mu.Unlock()
 }
 
-func (w *Watcher) publishWindow() {
-	n := len(w.bufs)
-	mWindowTxns.Set(int64(n))
-	w.mu.Lock()
-	w.windowSize = n
-	w.mu.Unlock()
-}
-
-// refreshDerived recomputes the almost-cycle gauge (the near-miss pressure
-// signal feralhunt steers by, exported for operators) and republishes the
-// window gauge. Expensive — it visits every read in the window — so the loop
-// runs it on the almostRefresh* cadence and at sync points, never per event.
-func (w *Watcher) refreshDerived() {
-	w.sinceAlmost = 0
-	mAlmostCycles.Set(int64(len(w.graph.AlmostCycles())))
-	w.publishWindow()
-}
-
 // ---- cross-goroutine read API ----
 
 // Stats returns a snapshot of the watcher's counters.
@@ -506,10 +428,10 @@ func (w *Watcher) Stats() Stats {
 		Sampled:     w.stSampled.Load(),
 		Escalations: w.stEscalations.Load(),
 		Retargets:   w.stRetargets.Load(),
+		WindowTxns:  int(w.window.Load()),
 		Anomalies:   make(map[histcheck.Anomaly]uint64),
 	}
 	w.mu.Lock()
-	s.WindowTxns = w.windowSize
 	s.Evictions = w.evictions
 	s.Truncated = w.truncations
 	s.Forbidden = w.forbidden

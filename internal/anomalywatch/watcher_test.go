@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"feralcc/internal/histcheck"
+	"feralcc/internal/obs"
 )
 
 // hist stamps sequence numbers so test histories read as plain event lists.
@@ -185,6 +186,7 @@ func TestForbiddenVerdictMatchesLevel(t *testing.T) {
 		{"SERIALIZABLE", true},
 	} {
 		w := New(Config{SampleRate: 1})
+		forbidden := mForbidden.Value()
 		events := hist(
 			begin(10, tc.level),
 			write(10, 1, 1), write(10, 2, 1), commit(10),
@@ -197,6 +199,9 @@ func TestForbiddenVerdictMatchesLevel(t *testing.T) {
 		st := w.Stats()
 		if tc.forbidden && st.Forbidden == 0 {
 			t.Errorf("level %s: write skew not flagged forbidden", tc.level)
+		}
+		if tc.forbidden && mForbidden.Value() == forbidden {
+			t.Errorf("level %s: anomaly_watch_forbidden_total did not move", tc.level)
 		}
 		if !tc.forbidden && st.Forbidden != 0 {
 			t.Errorf("level %s: write skew flagged forbidden %d times", tc.level, st.Forbidden)
@@ -288,6 +293,8 @@ func TestWindowEvictionStraddle(t *testing.T) {
 	add(write(3, 1, 2))
 	add(write(3, 2, 2))
 	add(commit(3))
+	evictions, truncated := mEvictions.Value(), mTruncated.Value()
+	lag, _ := obs.Default().HistogramSnapshot("feraldb_anomaly_watch_checker_lag_seconds")
 	feed(t, w, events)
 
 	st := w.Stats()
@@ -296,6 +303,12 @@ func TestWindowEvictionStraddle(t *testing.T) {
 	}
 	if st.Truncated == 0 {
 		t.Error("cycle straddled the eviction horizon but Truncated == 0: the clean-window certificate would be false")
+	}
+	if mEvictions.Value() == evictions || mTruncated.Value() == truncated {
+		t.Error("window_evictions_total and window_truncated_total must both move")
+	}
+	if after, _ := obs.Default().HistogramSnapshot("feraldb_anomaly_watch_checker_lag_seconds"); after.Count == lag.Count {
+		t.Error("checker_lag_seconds observed none of the processed events")
 	}
 	if st.WindowTxns > 3 {
 		t.Errorf("window holds %d transactions, want <= WindowTxns+open", st.WindowTxns)
@@ -346,6 +359,7 @@ func TestShedAndCount(t *testing.T) {
 	w := newWatcher(Config{SampleRate: 1}, lim)
 	w.Stop() // consumer gone; the ring can only fill
 
+	events, sheds := mEvents.Value(), mShed.Value()
 	accepted, shed := 0, 0
 	for i := 0; i < 16; i++ {
 		if w.Offer(histcheck.Event{Seq: uint64(i + 1), Tx: 1, Kind: histcheck.KindBegin, Level: rc}) {
@@ -362,6 +376,9 @@ func TestShedAndCount(t *testing.T) {
 	}
 	if st := w.Stats(); st.Shed != 12 {
 		t.Errorf("Stats().Shed = %d, want 12", st.Shed)
+	}
+	if e, s := mEvents.Value()-events, mShed.Value()-sheds; e != 4 || s != 12 {
+		t.Errorf("events_total moved by %d, events_shed_total by %d; want 4 and 12", e, s)
 	}
 }
 
@@ -404,6 +421,7 @@ func TestConflictEscalation(t *testing.T) {
 	lim.escalation = 3
 	w := newWatcher(Config{SampleRate: 0}, lim)
 	defer w.Stop()
+	escalations, sampled := mEscalations.Value(), mSampled.Value()
 
 	if w.SampleTx(1) {
 		t.Fatal("rate 0 sampled without a conflict")
@@ -419,6 +437,9 @@ func TestConflictEscalation(t *testing.T) {
 	}
 	if st := w.Stats(); st.Escalations != 3 {
 		t.Errorf("Stats().Escalations = %d, want 3", st.Escalations)
+	}
+	if e, s := mEscalations.Value()-escalations, mSampled.Value()-sampled; e != 3 || s != 3 {
+		t.Errorf("escalations_total moved by %d, sampled_txns_total by %d; want 3 and 3", e, s)
 	}
 	// Re-arming tops the budget back up rather than accumulating.
 	w.NoteConflict()

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"feralcc/internal/db"
+	"feralcc/internal/obs"
 	"feralcc/internal/orm"
 	"feralcc/internal/storage"
 )
@@ -42,6 +43,7 @@ func TestPoolSizeValidation(t *testing.T) {
 func TestPoolBoundsConcurrency(t *testing.T) {
 	reg, _ := UniquenessModels()
 	_, pool := newStack(t, reg, 2)
+	requests := mPoolRequests.Value()
 	var mu sync.Mutex
 	active, maxActive := 0, 0
 	var wg sync.WaitGroup
@@ -68,6 +70,9 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 	if maxActive > 2 {
 		t.Fatalf("pool of 2 ran %d concurrent workers", maxActive)
 	}
+	if got := mPoolRequests.Value() - requests; got != 16 {
+		t.Fatalf("appserver_requests_total moved by %d, want 16", got)
+	}
 }
 
 func TestUniquenessAppValidatedVsSimple(t *testing.T) {
@@ -87,6 +92,12 @@ func TestUniquenessAppValidatedVsSimple(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Each validated create runs one feral uniqueness probe; the second
+	// finds the first's row. The invariant observatory counts both probes
+	// and the one violation at the appserver tier.
+	const series = `{tier="appserver",invariant="uniqueness"}`
+	checks := obs.Default().CounterValue("feraldb_invariant_checks_total" + series)
+	violations := obs.Default().CounterValue("feraldb_invariant_violations_total" + series)
 	results := make([]error, 2)
 	for i := 0; i < 2; i++ {
 		results[i] = pool.Do(func(w *Worker) error {
@@ -97,6 +108,11 @@ func TestUniquenessAppValidatedVsSimple(t *testing.T) {
 	}
 	if results[0] != nil || results[1] == nil {
 		t.Fatalf("validated model sequential behavior wrong: %v %v", results[0], results[1])
+	}
+	c := obs.Default().CounterValue("feraldb_invariant_checks_total"+series) - checks
+	v := obs.Default().CounterValue("feraldb_invariant_violations_total"+series) - violations
+	if c != 2 || v != 1 {
+		t.Fatalf("invariant_checks_total moved by %d, invariant_violations_total by %d; want 2 and 1", c, v)
 	}
 	conn := d.Connect()
 	defer conn.Close()

@@ -16,21 +16,9 @@ import (
 	"feralcc/internal/orm"
 )
 
-// Pool instruments: how many workers are mid-request (utilization, against
-// feraldb_appserver_pool_size), how many requests are queued waiting for a
-// worker (the Unicorn backlog depth), and cumulative checkout outcomes.
-var (
-	mPoolSize = obs.NewGauge(obs.Default(),
-		"feraldb_appserver_pool_size", "Configured worker count")
-	mPoolBusy = obs.NewGauge(obs.Default(),
-		"feraldb_appserver_busy_workers", "Workers currently executing a request")
-	mPoolWaiting = obs.NewGauge(obs.Default(),
-		"feraldb_appserver_waiting_requests", "Requests queued for a free worker")
-	mPoolRequests = obs.NewCounter(obs.Default(),
-		"feraldb_appserver_requests_total", "Requests dispatched to a worker")
-	mPoolSaturated = obs.NewCounter(obs.Default(),
-		"feraldb_appserver_saturated_total", "Checkouts abandoned before a worker freed up")
-)
+// mPoolRequests counts requests dispatched to a worker.
+var mPoolRequests = obs.NewCounter(obs.Default(),
+	"feraldb_appserver_requests_total", "Requests dispatched to a worker")
 
 // ErrPoolSaturated reports that no worker freed up before the request's
 // context ended — the app-server analogue of a full Unicorn backlog.
@@ -64,7 +52,6 @@ func NewPool(size int, registry *orm.Registry, connect func() db.Conn) (*Pool, e
 		p.conns = append(p.conns, conn)
 		p.workers <- &Worker{ID: i, Session: orm.NewSession(registry, conn)}
 	}
-	mPoolSize.Set(int64(size))
 	return p, nil
 }
 
@@ -94,25 +81,17 @@ func (p *Pool) Do(fn func(*Worker) error) error {
 // deadline rides every statement down to the engine's lock waits.
 func (p *Pool) DoContext(ctx context.Context, fn func(*Worker) error) error {
 	var w *Worker
-	mPoolWaiting.Inc()
 	if ctx == nil {
 		w = <-p.workers
 	} else {
 		select {
 		case w = <-p.workers:
 		case <-ctx.Done():
-			mPoolWaiting.Dec()
-			mPoolSaturated.Inc()
 			return fmt.Errorf("%w: %v", ErrPoolSaturated, ctx.Err())
 		}
 	}
-	mPoolWaiting.Dec()
-	mPoolBusy.Inc()
 	mPoolRequests.Inc()
-	defer func() {
-		mPoolBusy.Dec()
-		p.workers <- w
-	}()
+	defer func() { p.workers <- w }()
 	if ctx != nil {
 		w.Session.SetContext(ctx)
 		defer w.Session.SetContext(nil)

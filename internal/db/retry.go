@@ -24,9 +24,7 @@
 // retryable-after-backoff. The work never ran, so a fresh attempt is safe,
 // but the failure is a load signal, not a race — retrying immediately feeds
 // the overload. Shed errors therefore carry a retry-after hint (extract it
-// with RetryAfter) that floors the backoff sleep, and automatic retries are
-// additionally metered by an optional RetryBudget so that retry traffic can
-// never exceed a configured fraction of first-attempt traffic.
+// with RetryAfter) that floors the backoff sleep.
 package db
 
 import (
@@ -128,12 +126,6 @@ type RetryPolicy struct {
 	// Seed makes the jitter deterministic; two runs with the same seed make
 	// identical sleep decisions, which the chaos tests rely on.
 	Seed uint64
-	// Budget, when non-nil, meters retries against first-attempt traffic:
-	// each first attempt deposits into the token bucket and each retry
-	// withdraws, so under sustained failure the retry rate is capped at
-	// Budget's ratio times the offered load. A denied retry surfaces the
-	// original error. Share one budget across a pool's connections.
-	Budget *RetryBudget
 }
 
 // Enabled reports whether the policy performs any retries.
@@ -189,14 +181,13 @@ func (p RetryPolicy) BackoffFor(attempt int, err error) time.Duration {
 // the policy must have retries left; the backoff, floored by any
 // retry-after hint, must fit in ctx's remaining deadline (a nil ctx has
 // none), so an attempt that cannot start in time surfaces the real error
-// instead of a guaranteed expiry; only then does the budget grant a token,
-// so a retry refused on its deadline spends none.
+// instead of a guaranteed expiry.
 func (p RetryPolicy) Next(ctx context.Context, attempt int, err error) (time.Duration, bool) {
 	if !Retryable(err) || attempt > p.MaxRetries {
 		return 0, false
 	}
 	backoff := p.BackoffFor(attempt, err)
-	if !sleepAllowed(ctx, backoff) || !p.Budget.Allow() {
+	if !sleepAllowed(ctx, backoff) {
 		return 0, false
 	}
 	return backoff, true
@@ -298,10 +289,9 @@ func (r *reliableConn) ExecContext(ctx context.Context, sql string, args ...stor
 // through the reliable path by statement text, which keeps replay logging
 // and re-preparation after a reconnect in one place.
 func (r *reliableConn) Prepare(sql string) (Stmt, error) {
-	r.policy.Budget.OnAttempt()
 	st, err := r.conn.Prepare(sql)
 	// Preparing is read-only, so a retryable failure (a dropped connection,
-	// an injected abort) is always safe to re-attempt — budget permitting.
+	// an injected abort) is always safe to re-attempt.
 	for attempt := 1; err != nil; attempt++ {
 		backoff, ok := r.policy.Next(nil, attempt, err)
 		if !ok {
@@ -387,7 +377,6 @@ func classify(sql string) stmtKind {
 // transaction state itself).
 func (r *reliableConn) exec(ctx context.Context, sql string, args []storage.Value) (*Result, error) {
 	kind := classify(sql)
-	r.policy.Budget.OnAttempt()
 	res, err := r.doExec(ctx, sql, args)
 
 	if kind == kindRollback && Retryable(err) && r.policy.Enabled() {

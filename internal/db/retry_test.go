@@ -33,6 +33,24 @@ func (f *flakyConn) ExecContext(ctx context.Context, sql string, args ...storage
 func (f *flakyConn) Prepare(sql string) (Stmt, error) { return nil, errors.New("not implemented") }
 func (f *flakyConn) Close() error                     { return nil }
 
+// TestReliableRetriesThrough: a Reliable connection re-attempts a retryable
+// failure until it succeeds, and each re-attempt counts in
+// feraldb_db_retries_total.
+func TestReliableRetriesThrough(t *testing.T) {
+	f := &flakyConn{fails: 3, err: storage.ErrSerialization}
+	conn := Reliable(f, RetryPolicy{MaxRetries: 5, BaseDelay: time.Microsecond, Seed: 9})
+	retries := mRetries.Value()
+	if _, err := conn.Exec("UPDATE t SET x = 1"); err != nil {
+		t.Fatalf("three serialization aborts within five retries must succeed: %v", err)
+	}
+	if f.attempts != 4 {
+		t.Fatalf("expected 4 attempts (1 + 3 retries), got %d", f.attempts)
+	}
+	if got := mRetries.Value() - retries; got != 3 {
+		t.Fatalf("db_retries_total moved by %d, want 3", got)
+	}
+}
+
 // TestFullJitterBackoffWithinWindow pins the backoff distribution contract:
 // every draw lands in (window/16, window], where the window grows
 // exponentially from BaseDelay and caps at MaxDelay; and the draw is a pure
@@ -101,64 +119,5 @@ func TestRetryNeverOutlivesDeadline(t *testing.T) {
 	}
 	if f.attempts != 1 {
 		t.Fatalf("expected exactly 1 attempt (backoff > remaining budget), got %d", f.attempts)
-	}
-}
-
-// TestRetryBudgetCapsRetries: with the bucket drained and ratio 1.0, the
-// retry loop stops the moment the budget denies, surfacing the original
-// error, and total grants can never exceed first attempts plus the burst.
-func TestRetryBudgetCapsRetries(t *testing.T) {
-	b := NewRetryBudget(1.0, 5)
-	granted := 0
-	for i := 0; i < 100; i++ {
-		if b.Allow() {
-			granted++
-		}
-	}
-	if granted != 5 {
-		t.Fatalf("fresh bucket should grant exactly its burst (5), granted %d", granted)
-	}
-	// 10 first attempts deposit 10 tokens; total grants ≤ first + burst.
-	for i := 0; i < 10; i++ {
-		b.OnAttempt()
-	}
-	for i := 0; i < 100; i++ {
-		if b.Allow() {
-			granted++
-		}
-	}
-	if granted != 10 {
-		t.Fatalf("bucket capped at burst 5: expected 10 total grants, got %d", granted)
-	}
-	s := b.Stats()
-	if s.Denied == 0 {
-		t.Error("expected denials once the bucket drained")
-	}
-	if amp := s.Amplification(); amp > 2.0 {
-		t.Errorf("ratio-1.0 budget must keep amplification ≤ 2, got %.2f", amp)
-	}
-}
-
-// TestRetryBudgetGatesReliableConn: a Reliable connection with an empty
-// budget performs no retries at all — the failure surfaces immediately.
-func TestRetryBudgetGatesReliableConn(t *testing.T) {
-	drained := NewRetryBudget(0.0001, 1)
-	drained.Allow() // empty the bucket
-	f := &flakyConn{fails: 3, err: storage.ErrSerialization}
-	conn := Reliable(f, RetryPolicy{MaxRetries: 5, BaseDelay: time.Microsecond, Seed: 9, Budget: drained})
-	if _, err := conn.Exec("UPDATE t SET x = 1"); !errors.Is(err, storage.ErrSerialization) {
-		t.Fatalf("expected the original error with an empty budget, got %v", err)
-	}
-	if f.attempts != 1 {
-		t.Fatalf("empty budget must mean zero retries, got %d attempts", f.attempts)
-	}
-	// With tokens available the same failure pattern is retried through.
-	f2 := &flakyConn{fails: 3, err: storage.ErrSerialization}
-	conn2 := Reliable(f2, RetryPolicy{MaxRetries: 5, BaseDelay: time.Microsecond, Seed: 9, Budget: NewRetryBudget(1.0, 10)})
-	if _, err := conn2.Exec("UPDATE t SET x = 1"); err != nil {
-		t.Fatalf("funded budget should retry through: %v", err)
-	}
-	if f2.attempts != 4 {
-		t.Fatalf("expected 4 attempts (1 + 3 retries), got %d", f2.attempts)
 	}
 }

@@ -19,7 +19,7 @@ import (
 )
 
 // chaosStressConfig is the scaled-down Figure 2 shape shared by the chaos
-// cells: small enough for `make chaos` to stay quick, concurrent enough that
+// cells: small enough for `make check` to stay quick, concurrent enough that
 // every round races internally.
 func chaosStressConfig(faults string, seed int64) experiment.StressConfig {
 	spec, err := faultinject.ParseSpec(faults)

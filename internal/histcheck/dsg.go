@@ -149,7 +149,6 @@ type Graph struct {
 	dirty     bool                // an edge was added since the last classification
 	fresh     []Finding           // G1a/G1b findings not yet returned
 	reported  map[string]struct{} // dedup keys of every finding returned
-	reads     int
 	retargets uint64
 }
 
@@ -181,10 +180,6 @@ func graphOf(events []Event) *Graph {
 // may have seen an edge the final graph lacks.
 func (g *Graph) Retargets() uint64 { return g.retargets }
 
-// Reads is the number of item reads the graph currently holds — the cost of
-// one AlmostCycles call.
-func (g *Graph) Reads() int { return g.reads }
-
 func (g *Graph) row(rk rowKey) *rowState {
 	r := g.rows[rk]
 	if r == nil {
@@ -212,7 +207,6 @@ func (g *Graph) Add(e Event) {
 	case KindRead:
 		if !e.Own && e.Observed != 0 {
 			t.reads = append(t.reads, read{rowKey{e.Table, e.Row}, e.Observed})
-			g.reads++
 		}
 	case KindWrite:
 		if e.Version == 0 {
@@ -439,7 +433,6 @@ func (g *Graph) Evict(tx uint64) (lostDeps bool) {
 	for _, k := range t.findKeys {
 		delete(g.reported, k)
 	}
-	g.reads -= len(t.reads)
 	delete(g.txs, tx)
 	return lostDeps
 }

@@ -1,7 +1,8 @@
 // gate_test drives the storage engine through seeded anomaly shapes and
 // concurrent workloads at every isolation level and gates the recorded
-// histories through the checker — the `make histcheck` CI job. The test
-// names all start with TestGate so the job can select exactly this file.
+// histories through the checker. `make check` runs them with everything
+// else; the test names all start with TestGate so `make gates` can select
+// exactly this file and print its witnesses under -v.
 //
 // The assertions are the engine's isolation contract, stated in Adya's
 // vocabulary: weak levels admit exactly the anomaly classes they document

@@ -304,7 +304,7 @@ func dumpGraph(g *Graph) string {
 			id, t.level, t.committed, t.aborted, t.reads, writes, t.finalWrite, len(t.deferred), t.unresolved))
 	}
 	sort.Strings(lines)
-	return fmt.Sprintf("%s\nkinds %v reads %d", strings.Join(lines, "\n"), g.kinds, g.reads)
+	return fmt.Sprintf("%s\nkinds %v", strings.Join(lines, "\n"), g.kinds)
 }
 
 // TestGraphEvictIsExact pins Evict's contract on every terminated transaction

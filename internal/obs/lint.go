@@ -12,7 +12,7 @@ import (
 // well-formed # HELP / # TYPE comment or a `name[{labels}] value` sample,
 // each family's # TYPE must precede its samples, and sample values must
 // parse as floats. It returns an error naming the first offending line.
-// The obs-smoke CI step runs this against a live feraldbd scrape.
+// TestObsSmoke (run by `make check`) lints a live feraldbd scrape with it.
 func LintPrometheus(r io.Reader) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)

@@ -343,15 +343,13 @@ func (s *Session) TransactionAt(level string, fn func() error) error {
 // and writes of a save share one transaction either way). When the session
 // opened the transaction itself and it fails retryably, the whole body is
 // re-run under the Retry policy — safe because Save and Destroy restore
-// their record's pre-attempt state at the top of fn. Each transaction the
-// session opens is one first attempt to the policy's budget. A transaction
-// the caller opened is never retried here: only the caller can re-run its
+// their record's pre-attempt state at the top of fn. A transaction the
+// caller opened is never retried here: only the caller can re-run its
 // body.
 func (s *Session) withTx(fn func() error) error {
 	if s.inTx {
 		return fn()
 	}
-	s.Retry.Budget.OnAttempt()
 	err := s.Transaction(fn)
 	for attempt := 1; err != nil; attempt++ {
 		backoff, ok := s.Retry.Next(s.ctx, attempt, err)

@@ -4,17 +4,17 @@
 // load spike ends but goodput does not recover, because timed-out clients'
 // retries keep the server saturated with work nobody is waiting for), and
 // that the protection stack (bounded admission queues via wire.ShedVerdict,
-// full-jitter backoff and retry budgets via db.RetryPolicy) keeps goodput up
+// full-jitter backoff via db.RetryPolicy, and a retry budget) keeps goodput up
 // during the spike and restores it promptly after — as exact, seeded test
 // assertions that run in milliseconds of wall time.
 //
 // The simulator advances virtual time in 1ms ticks and reuses the real
 // policy code: admission decisions go through wire.ShedVerdict, client
-// backoff through db.RetryPolicy.BackoffFor, and retry metering through
-// db.RetryBudget. Only the server (fixed service time, fixed concurrency)
-// and the arrival process are modeled. Chaos tests exercise the same
-// mechanisms against the real stack; this package is where the shape of the
-// curve is pinned numerically.
+// backoff through db.RetryPolicy.BackoffFor; retries are metered by this
+// package's own retryBudget. Only the server (fixed service time, fixed
+// concurrency) and the arrival process are modeled. Chaos tests exercise the
+// admission and backoff mechanisms against the real stack; this package is
+// where the shape of the curve is pinned numerically.
 package overload
 
 import (
@@ -40,6 +40,7 @@ const (
 	durationTicks     = 4000 // the run length
 	queueBound        = 8    // the admission queue bound when protected
 	retryRatio        = 1.0  // retry-budget tokens per first attempt when protected: ≤2× amplification
+	retryBurst        = 10   // the retry budget's bucket cap, enough to ride out a brief blip
 	maxAttempts       = 4    // a protected request's attempt cap
 	feralBackoffTicks = 10   // the unprotected client's fixed retry delay, the paper's tight ad-hoc loop
 	bucketTicks       = 100  // the goodput reporting granularity
@@ -142,7 +143,7 @@ func Run(cfg Config) Metrics {
 		retryAt  = make(map[int][]*simReq)
 		expireAt = make(map[int][]*simReq)
 	)
-	budget := db.NewRetryBudget(retryRatio, 0)
+	budget := newRetryBudget(retryRatio, retryBurst)
 	policy := db.RetryPolicy{
 		MaxRetries: maxAttempts - 1,
 		BaseDelay:  time.Duration(serviceTicks) * tick,
@@ -180,7 +181,7 @@ func Run(cfg Config) Metrics {
 				m.GaveUp++
 				return
 			}
-			if !budget.Allow() {
+			if !budget.allow() {
 				m.GaveUp++
 				return
 			}
@@ -295,7 +296,7 @@ func Run(cfg Config) Metrics {
 			origin++
 			m.FirstAttempts++
 			if cfg.Protected {
-				budget.OnAttempt()
+				budget.onAttempt()
 			}
 			admit(t, &simReq{origin: origin, attempt: 1})
 		}

@@ -89,9 +89,9 @@ func (s *Session) ExecStmt(stmt sqlfront.Statement, args []storage.Value) (*Resu
 
 // execPlan wraps runPlan with the statement's observability envelope: it
 // stamps the trace (caller-minted ID or a fresh one), folds in the staged
-// parse time and cache verdict, times the whole execution as the exec span,
-// and records the per-kind throughput counter. The finished trace is copied
-// into the result so it survives the trip back to the client.
+// parse time and cache verdict, and times the whole execution as the exec
+// span. The finished trace is copied into the result so it survives the trip
+// back to the client.
 func (s *Session) execPlan(p *Prepared, args []storage.Value) (*Result, error) {
 	start := time.Now()
 	id := s.pendingTraceID
@@ -110,7 +110,6 @@ func (s *Session) execPlan(p *Prepared, args []storage.Value) (*Result, error) {
 	d := time.Since(start)
 	s.trace.Add(obs.SpanExec, d)
 	mStatementSeconds.Observe(d)
-	stmtKindCounter(p.stmt).Inc()
 	if res != nil {
 		res.Trace = s.trace
 	}
@@ -197,7 +196,7 @@ func (s *Session) runPlan(p *Prepared, args []storage.Value) (*Result, error) {
 	}
 	if auto {
 		if err != nil {
-			tx.Rollback()
+			tx.Fail(err)
 			return nil, err
 		}
 		if cerr := tx.Commit(); cerr != nil {
@@ -208,7 +207,7 @@ func (s *Session) runPlan(p *Prepared, args []storage.Value) (*Result, error) {
 	if err != nil {
 		// Statement errors inside an explicit transaction abort it, as
 		// PostgreSQL does.
-		s.tx.Rollback()
+		s.tx.Fail(err)
 		s.tx = nil
 	}
 	return res, err

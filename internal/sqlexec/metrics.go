@@ -1,64 +1,15 @@
 package sqlexec
 
-import (
-	"feralcc/internal/obs"
-	"feralcc/internal/sqlfront"
-)
+import "feralcc/internal/obs"
 
-// Executor-tier instruments: statement throughput/latency by kind and the
-// plan-cache outcome counters (mirroring PlanCache.Stats into the scrape).
+// Executor-tier instruments: statement latency and the plan-cache outcome
+// counters.
 var (
 	mStatementSeconds = obs.NewHistogram(obs.Default(),
 		"feraldb_statement_seconds", "End-to-end statement execution latency")
-
-	mStmtSelect = obs.NewCounter(obs.Default(),
-		`feraldb_statements_total{kind="select"}`, "Statements executed, by kind")
-	mStmtInsert = obs.NewCounter(obs.Default(),
-		`feraldb_statements_total{kind="insert"}`, "Statements executed, by kind")
-	mStmtUpdate = obs.NewCounter(obs.Default(),
-		`feraldb_statements_total{kind="update"}`, "Statements executed, by kind")
-	mStmtDelete = obs.NewCounter(obs.Default(),
-		`feraldb_statements_total{kind="delete"}`, "Statements executed, by kind")
-	mStmtBegin = obs.NewCounter(obs.Default(),
-		`feraldb_statements_total{kind="begin"}`, "Statements executed, by kind")
-	mStmtCommit = obs.NewCounter(obs.Default(),
-		`feraldb_statements_total{kind="commit"}`, "Statements executed, by kind")
-	mStmtRollback = obs.NewCounter(obs.Default(),
-		`feraldb_statements_total{kind="rollback"}`, "Statements executed, by kind")
-	mStmtDDL = obs.NewCounter(obs.Default(),
-		`feraldb_statements_total{kind="ddl"}`, "Statements executed, by kind")
-	mStmtOther = obs.NewCounter(obs.Default(),
-		`feraldb_statements_total{kind="other"}`, "Statements executed, by kind")
 
 	mPlanHits = obs.NewCounter(obs.Default(),
 		"feraldb_plancache_hits_total", "Plan-cache lookups served from cache")
 	mPlanMisses = obs.NewCounter(obs.Default(),
 		"feraldb_plancache_misses_total", "Plan-cache lookups that re-prepared (cold or stale)")
-	mPlanEvictions = obs.NewCounter(obs.Default(),
-		"feraldb_plancache_evictions_total", "Plans evicted by the LRU bound")
 )
-
-// stmtKindCounter maps a statement's AST type to its throughput counter.
-func stmtKindCounter(st sqlfront.Statement) *obs.Counter {
-	switch st.(type) {
-	case *sqlfront.SelectStmt:
-		return mStmtSelect
-	case *sqlfront.InsertStmt:
-		return mStmtInsert
-	case *sqlfront.UpdateStmt:
-		return mStmtUpdate
-	case *sqlfront.DeleteStmt:
-		return mStmtDelete
-	case *sqlfront.BeginStmt:
-		return mStmtBegin
-	case *sqlfront.CommitStmt:
-		return mStmtCommit
-	case *sqlfront.RollbackStmt:
-		return mStmtRollback
-	case *sqlfront.CreateTableStmt, *sqlfront.CreateIndexStmt,
-		*sqlfront.DropTableStmt, *sqlfront.AlterTableAddFKStmt:
-		return mStmtDDL
-	default:
-		return mStmtOther
-	}
-}

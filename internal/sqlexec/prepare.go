@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"feralcc/internal/sqlfront"
@@ -109,11 +108,12 @@ func (s *Session) ExecutePreparedContext(ctx context.Context, p *Prepared, args 
 		// statement*: inside an explicit transaction that aborts the
 		// transaction, matching the engine's PostgreSQL-style semantics. The
 		// wire server relies on this to discard a cancelled client's open tx.
+		err = ctxStatementErr(err)
 		if s.tx != nil {
-			s.tx.Rollback()
+			s.tx.Fail(err)
 			s.tx = nil
 		}
-		return nil, ctxStatementErr(err)
+		return nil, err
 	}
 	if dl, ok := ctx.Deadline(); ok {
 		s.stmtDeadline = dl
@@ -217,10 +217,6 @@ type PlanCache struct {
 	// perShard is the entry budget of each shard (total capacity divided
 	// evenly, at least one).
 	perShard int
-
-	hits      uint64 // atomic
-	misses    uint64 // atomic
-	evictions uint64 // atomic
 }
 
 type planShard struct {
@@ -267,7 +263,6 @@ func (c *PlanCache) Get(s *Session, sql string) (*Prepared, error) {
 		if e.p.epoch == epoch {
 			sh.lru.MoveToFront(el)
 			sh.mu.Unlock()
-			atomic.AddUint64(&c.hits, 1)
 			mPlanHits.Inc()
 			s.pendingCacheHit = true
 			return e.p, nil
@@ -277,7 +272,6 @@ func (c *PlanCache) Get(s *Session, sql string) (*Prepared, error) {
 	}
 	sh.mu.Unlock()
 
-	atomic.AddUint64(&c.misses, 1)
 	mPlanMisses.Inc()
 	s.pendingCacheHit = false
 	p, err := s.Prepare(sql)
@@ -295,8 +289,6 @@ func (c *PlanCache) Get(s *Session, sql string) (*Prepared, error) {
 			oldest := sh.lru.Back()
 			sh.lru.Remove(oldest)
 			delete(sh.entries, oldest.Value.(*planEntry).sql)
-			atomic.AddUint64(&c.evictions, 1)
-			mPlanEvictions.Inc()
 		}
 	}
 	sh.mu.Unlock()
@@ -312,20 +304,6 @@ func (c *PlanCache) Len() int {
 		c.shards[i].mu.Unlock()
 	}
 	return n
-}
-
-// CacheStats are cumulative cache outcome counters.
-type CacheStats struct {
-	Hits, Misses, Evictions uint64
-}
-
-// Stats returns cumulative counters.
-func (c *PlanCache) Stats() CacheStats {
-	return CacheStats{
-		Hits:      atomic.LoadUint64(&c.hits),
-		Misses:    atomic.LoadUint64(&c.misses),
-		Evictions: atomic.LoadUint64(&c.evictions),
-	}
 }
 
 // fnv32a hashes a string (FNV-1a) for shard selection.

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"feralcc/internal/obs"
@@ -57,15 +56,6 @@ type commitPipeline struct {
 	qmu   sync.Mutex
 	qcond *sync.Cond
 	queue []*walSubmission
-
-	// Fsync-amortization bookkeeping for the fsyncs-per-commit gauge.
-	groupFsyncs uint64 // atomic
-	groupTxns   uint64 // atomic
-
-	// queueDepth counts submissions queued and not yet taken into a batch
-	// (mirrors mCommitQueueDepth as a readable value); submit sheds against
-	// Options.CommitQueueBound using it.
-	queueDepth int64 // atomic
 }
 
 // commitIntent is a validated-but-not-yet-installed commit. Its summary is
@@ -333,24 +323,8 @@ const maxGroupBatch = 128
 // next record. The others wait until their record is done or they reach the
 // head, so a lone committer writes its own frame with no handoff, and records
 // that queue during a leader's fsync share the next one.
-//
-// With a CommitQueueBound set, a submission that would push the queue past the
-// bound is shed with ErrOverloaded instead of enqueued: the caller's commit
-// fails exactly like a WAL-stage fault (nothing installed, nothing
-// acknowledged, CSN turn consumed by abortIntent), and the retry-after hint
-// scales with the depth the queue had reached.
 func (p *commitPipeline) submit(payload []byte, tr *obs.StmtTrace) error {
-	depth := atomic.AddInt64(&p.queueDepth, 1)
-	if b := p.db.opts.CommitQueueBound; b != 0 && (b < 0 || depth > int64(b)) {
-		atomic.AddInt64(&p.queueDepth, -1)
-		mCommitSheds.Inc()
-		return &OverloadError{
-			Reason:     "commit queue full",
-			RetryAfter: overloadRetryAfter(time.Duration(depth) * 100 * time.Microsecond),
-		}
-	}
 	s := &walSubmission{payload: payload, tr: tr, enqueued: time.Now()}
-	mCommitQueueDepth.Inc()
 	p.qmu.Lock()
 	p.queue = append(p.queue, s)
 	for !s.done && p.queue[0] != s {
@@ -389,18 +363,15 @@ func (p *commitPipeline) submit(payload []byte, tr *obs.StmtTrace) error {
 }
 
 // writeBatch appends one batch as a single WAL frame and records every
-// submission's outcome in its err. Queue-depth accounting and the enqueue and
-// fsync-wait spans are settled here, before the batch is marked done, so the
-// released committers observe fully written traces.
+// submission's outcome in its err. The enqueue and fsync-wait spans are
+// settled here, before the batch is marked done, so the released committers
+// observe fully written traces.
 func (p *commitPipeline) writeBatch(batch []*walSubmission) {
-	w := p.db.wal
 	now := time.Now()
 	for _, s := range batch {
-		mCommitQueueDepth.Dec()
-		atomic.AddInt64(&p.queueDepth, -1)
 		s.tr.Add(obs.SpanCommitQueue, now.Sub(s.enqueued))
 	}
-	survivors, err := w.appendGroup(batch)
+	survivors, err := p.db.wal.appendGroup(batch)
 	wait := time.Since(now)
 	for _, s := range batch {
 		s.tr.Add(obs.SpanCommitFsyncWait, wait)
@@ -409,14 +380,6 @@ func (p *commitPipeline) writeBatch(batch []*walSubmission) {
 		mGroupCommitFrames.Inc()
 		mGroupCommitTxns.Add(uint64(len(survivors)))
 		mGroupCommitBatchTxns.Observe(time.Duration(len(survivors)))
-		txns := atomic.AddUint64(&p.groupTxns, uint64(len(survivors)))
-		var fsyncs uint64
-		if w.policy == SyncAlways {
-			fsyncs = atomic.AddUint64(&p.groupFsyncs, 1)
-		} else {
-			fsyncs = atomic.LoadUint64(&p.groupFsyncs)
-		}
-		mFsyncsPerCommitMilli.Set(int64(fsyncs * 1000 / txns))
 	}
 	for _, s := range survivors {
 		s.err = err

@@ -145,12 +145,6 @@ type Options struct {
 	// waiting entirely: any acquisition that cannot be granted on the spot is
 	// shed — the fully deterministic setting the overload contract tests use.
 	LockQueueBound int
-	// CommitQueueBound bounds the group-commit writer queue the same way:
-	// 0 = unbounded (default), N > 0 sheds commits once N records wait in the
-	// queue for a batch leader to take them, negative sheds any commit that
-	// would queue at all. A shed commit fails with ErrOverloaded before
-	// anything is installed or acknowledged, exactly like a WAL-stage fault.
-	CommitQueueBound int
 	// RecordHistory, when true, makes every transaction emit an operation
 	// history (begins, reads with observed versions, predicate reads,
 	// installed writes, commits, aborts) into an in-memory recorder readable

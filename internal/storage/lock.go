@@ -156,7 +156,6 @@ func (lm *lockManager) acquire(owner uint64, key string, mode LockMode, deadline
 	}
 	if b := lm.queueBound; b != 0 && (b < 0 || len(e.queue) >= b) {
 		lm.mu.Unlock()
-		mLockSheds.Inc()
 		return &OverloadError{Reason: "lock wait queue full", RetryAfter: overloadRetryAfter(lm.timeout / 4)}
 	}
 	w := &lockWaiter{owner: owner, mode: mode, granted: make(chan struct{})}

@@ -34,11 +34,6 @@ var (
 	mAbortsOverload = obs.NewCounter(obs.Default(),
 		`feraldb_storage_aborts_total{reason="overload"}`, "Transactions aborted, by reason")
 
-	mLockSheds = obs.NewCounter(obs.Default(),
-		`feraldb_storage_sheds_total{queue="lock"}`, "Acquisitions shed at a bounded queue, by queue")
-	mCommitSheds = obs.NewCounter(obs.Default(),
-		`feraldb_storage_sheds_total{queue="commit"}`, "Acquisitions shed at a bounded queue, by queue")
-
 	mLockWaits = obs.NewCounter(obs.Default(),
 		"feraldb_storage_lock_waits_total", "Lock acquisitions that queued behind a holder")
 	mLockWaitSeconds = obs.NewHistogram(obs.Default(),
@@ -48,8 +43,6 @@ var (
 
 	mWALAppends = obs.NewCounter(obs.Default(),
 		"feraldb_storage_wal_appends_total", "Write-ahead log records appended")
-	mWALAppendSeconds = obs.NewHistogram(obs.Default(),
-		"feraldb_storage_wal_append_seconds", "WAL append latency (includes the fsync under sync=always)")
 	mWALFsyncs = obs.NewCounter(obs.Default(),
 		"feraldb_storage_wal_fsyncs_total", "WAL fsync calls")
 	mWALFsyncSeconds = obs.NewHistogram(obs.Default(),
@@ -61,31 +54,11 @@ var (
 		"feraldb_storage_group_commit_txns_total", "Transactions made durable through group commit")
 	mGroupCommitBatchTxns = obs.NewHistogram(obs.Default(),
 		"feraldb_storage_group_commit_batch_txns", "Transactions per group-commit batch (unitless count, power-of-two buckets)")
-	mCommitQueueDepth = obs.NewGauge(obs.Default(),
-		"feraldb_storage_commit_queue_depth", "Commit records in the group-commit writer queue not yet taken into a batch")
-	mFsyncsPerCommitMilli = obs.NewGauge(obs.Default(),
-		"feraldb_storage_wal_fsyncs_per_commit_milli", "Cumulative WAL fsyncs per group-committed transaction, in thousandths (1000 = one fsync per commit)")
-
-	mCheckpoints = obs.NewCounter(obs.Default(),
-		"feraldb_storage_checkpoints_total", "Snapshot checkpoints completed")
-	mCheckpointSeconds = obs.NewHistogram(obs.Default(),
-		"feraldb_storage_checkpoint_seconds", "Snapshot checkpoint duration")
-	mRecoverySeconds = obs.NewHistogram(obs.Default(),
-		"feraldb_storage_recovery_seconds", "OpenDir crash-recovery duration (snapshot load + log replay)")
-	mRecoveryRecords = obs.NewCounter(obs.Default(),
-		"feraldb_storage_recovery_records_total", "WAL records replayed during recovery")
-
-	mVacuumRuns = obs.NewCounter(obs.Default(),
-		"feraldb_storage_vacuum_runs_total", "Vacuum passes completed")
-	mVacuumVersions = obs.NewCounter(obs.Default(),
-		"feraldb_storage_vacuum_versions_pruned_total", "Dead versions pruned by vacuum")
-	mVacuumRows = obs.NewCounter(obs.Default(),
-		"feraldb_storage_vacuum_rows_reclaimed_total", "Fully dead rows reclaimed by vacuum")
 )
 
-// abortCounter classifies a commit failure at or before validation into its
-// labeled abort counter (a WAL-stage failure counts under reason="wal"
-// whatever the error; see Tx.abortCommit). Classification is by error
+// abortCounter classifies a failed statement or a commit failure at or before
+// validation into its labeled abort counter (a WAL-stage failure counts under
+// reason="wal" whatever the error; see Tx.abortCommit). Classification is by error
 // sentinel so injected faults count as the failure they masquerade as.
 func abortCounter(err error) *obs.Counter {
 	switch {

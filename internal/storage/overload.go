@@ -7,9 +7,9 @@ import (
 )
 
 // ErrOverloaded reports that the engine shed work at a bounded queue instead
-// of letting it wait: the lock-wait queue or the group-commit submission
-// queue was full (see Options.LockQueueBound and Options.CommitQueueBound),
-// or an upstream admission controller refused the request. Shedding converts
+// of letting it wait: the lock-wait queue was full (see
+// Options.LockQueueBound), or an upstream admission controller refused the
+// request. Shedding converts
 // unbounded queueing latency into an immediate, explicitly retryable
 // failure — the caller should back off for at least the attached hint and
 // try again (retryable-after-backoff in the db package's taxonomy). Nothing
@@ -23,7 +23,7 @@ var ErrOverloaded = errors.New("storage: overloaded, retry after backoff")
 // — except that the retry-after hint floors the backoff.
 type OverloadError struct {
 	// Reason names the queue or controller that shed the work
-	// (e.g. "lock wait queue full", "commit queue full", "admission").
+	// (e.g. "lock wait queue full", "admission").
 	Reason string
 	// RetryAfter is the server's backoff hint. Advisory: retrying sooner is
 	// not an error, just likely to be shed again.

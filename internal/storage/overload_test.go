@@ -2,7 +2,6 @@ package storage
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -80,82 +79,4 @@ func TestLockQueueBoundLimitsWaiters(t *testing.T) {
 	}
 	wg.Wait()
 	lm.ReleaseAll(2)
-}
-
-// TestCommitQueueBoundSheds pins the commit-pipeline backpressure path: with
-// a negative CommitQueueBound every commit that reaches the group-commit
-// writer sheds with ErrOverloaded — a pathological setting, but it makes the
-// shed deterministic — and the shed transaction aborts cleanly, its writes
-// never visible.
-func TestCommitQueueBoundSheds(t *testing.T) {
-	// The bound guards the group-commit WAL writer, so the database must be
-	// durable (in-memory commits never enter the pipeline's submit queue).
-	db, err := OpenDir(Options{DataDir: t.TempDir(), CommitQueueBound: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if err := db.CreateTable(kvSchema("kv")); err != nil {
-		t.Fatal(err)
-	}
-	tx := db.BeginDefault()
-	if _, _, err := tx.Insert("kv", map[string]Value{"key": Str("a")}); err != nil {
-		t.Fatal(err)
-	}
-	err = tx.Commit()
-	if !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("expected commit-queue shed, got %v", err)
-	}
-	reader := db.Begin(SnapshotIsolation)
-	if n := scanCount(reader, "kv", nil); n != 0 {
-		t.Fatalf("shed commit left %d rows visible", n)
-	}
-	reader.Rollback()
-}
-
-// TestCommitQueueBoundAllowsWithinBound: each committer has at most one
-// record in the writer queue, so a bound as large as the number of concurrent
-// committers can never shed, however the batches fall; once they finish the
-// queue-depth gauge is back at zero.
-func TestCommitQueueBoundAllowsWithinBound(t *testing.T) {
-	const committers, perCommitter = 8, 10
-	db, err := OpenDir(Options{DataDir: t.TempDir(), CommitQueueBound: committers})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if err := db.CreateTable(kvSchema("kv")); err != nil {
-		t.Fatal(err)
-	}
-	sheds := mCommitSheds.Value()
-	var wg sync.WaitGroup
-	for c := 0; c < committers; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; i < perCommitter; i++ {
-				tx := db.BeginDefault()
-				if _, _, err := tx.Insert("kv", map[string]Value{"key": Str(fmt.Sprintf("c%d-%d", c, i))}); err != nil {
-					t.Error(err)
-					return
-				}
-				if err := tx.Commit(); err != nil {
-					t.Errorf("committer %d commit %d under bound failed: %v", c, i, err)
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	if got := mCommitSheds.Value() - sheds; got != 0 {
-		t.Errorf("%d commits shed under a bound of %d committers", got, committers)
-	}
-	if d := mCommitQueueDepth.Value(); d != 0 {
-		t.Errorf("queue-depth gauge reads %d after every commit returned", d)
-	}
-	reader := db.Begin(SnapshotIsolation)
-	if n := scanCount(reader, "kv", nil); n != committers*perCommitter {
-		t.Fatalf("expected %d rows, got %d", committers*perCommitter, n)
-	}
-	reader.Rollback()
 }

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync/atomic"
-	"time"
 )
 
 // RecoveryStats describes what OpenDir found and replayed.
@@ -46,7 +45,6 @@ func OpenDir(opts Options) (*Database, error) {
 	if o.DataDir == "" {
 		return db, nil
 	}
-	recoverStart := time.Now()
 	if err := db.point(YieldWALRecover); err != nil {
 		return nil, err
 	}
@@ -107,8 +105,6 @@ func OpenDir(opts Options) (*Database, error) {
 	}
 	// Continue the CSN sequence from the recovered clock.
 	db.pipe.setBase(atomic.LoadUint64(&db.clock))
-	mRecoverySeconds.Observe(time.Since(recoverStart))
-	mRecoveryRecords.Add(uint64(db.recovery.RecordsReplayed))
 	return db, nil
 }
 

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 )
 
 // A snapshot checkpoint is one frame (appendFrame, as for a WAL record)
@@ -45,7 +44,6 @@ func (db *Database) Checkpoint() (CheckpointStats, error) {
 	if err := db.point(YieldWALCheckpoint); err != nil {
 		return stats, err
 	}
-	start := time.Now()
 	db.pipe.gate.Lock()
 	defer db.pipe.gate.Unlock()
 	db.catalogMu.RLock()
@@ -104,8 +102,6 @@ func (db *Database) Checkpoint() (CheckpointStats, error) {
 	if err := db.wal.truncateAll(); err != nil {
 		return stats, err
 	}
-	mCheckpoints.Inc()
-	mCheckpointSeconds.Observe(time.Since(start))
 	return stats, nil
 }
 

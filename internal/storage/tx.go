@@ -646,6 +646,24 @@ func (tx *Tx) Rollback() {
 	tx.abort(mAbortsRollback, "rollback")
 }
 
+// Fail abandons the transaction because a statement in it failed with err.
+// Unlike Rollback, the abort counts under err's reason (a lock timeout as
+// deadlock, a shed as overload), and a conflict-class failure arms the live
+// checker's escalation, exactly as a failed commit does. No-op once the
+// transaction has ended.
+func (tx *Tx) Fail(err error) {
+	if tx.done {
+		return
+	}
+	// Conflict-class aborts arm the live checker's escalation: the next
+	// transactions sample at 100%, because contention is exactly where
+	// anomalies live.
+	if w := tx.db.watch; w != nil && isConflictAbort(err) {
+		w.NoteConflict()
+	}
+	tx.abort(abortCounter(err), err.Error())
+}
+
 // abort is the one place a transaction ends unsuccessfully: it counts the
 // abort under its reason, records the abort event, and releases the
 // transaction's locks.
@@ -707,13 +725,7 @@ func (tx *Tx) abortCommit(err error, walStage bool) error {
 		tx.abort(mAbortsWAL, err.Error())
 		return fmt.Errorf("commit aborted: %w", err)
 	}
-	// Conflict-class aborts arm the live checker's escalation: the next
-	// transactions sample at 100%, because contention is exactly where
-	// anomalies live.
-	if w := tx.db.watch; w != nil && isConflictAbort(err) {
-		w.NoteConflict()
-	}
-	tx.abort(abortCounter(err), err.Error())
+	tx.Fail(err)
 	return err
 }
 

@@ -88,9 +88,6 @@ func (db *Database) Vacuum() VacuumStats {
 	}
 	db.committed = append([]*txSummary(nil), kept...)
 	db.activeMu.Unlock()
-	mVacuumRuns.Inc()
-	mVacuumVersions.Add(uint64(stats.VersionsPruned))
-	mVacuumRows.Add(uint64(stats.RowsReclaimed))
 	return stats
 }
 

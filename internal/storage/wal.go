@@ -145,7 +145,6 @@ func openWAL(path string, size int64, policy SyncPolicy, point func(string) erro
 // the log keeps its pre-append length, so the caller can abort the catalog
 // mutation knowing recovery will never observe it.
 func (w *wal) append(payload []byte) error {
-	start := time.Now()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.broken != nil {
@@ -158,7 +157,6 @@ func (w *wal) append(payload []byte) error {
 		return err
 	}
 	mWALAppends.Inc()
-	mWALAppendSeconds.Observe(time.Since(start))
 	return nil
 }
 
@@ -301,7 +299,6 @@ func (w *wal) appendGroup(batch []*walSubmission) ([]*walSubmission, error) {
 	}
 	d := time.Since(start)
 	mWALAppends.Add(uint64(len(survivors)))
-	mWALAppendSeconds.Observe(d)
 	for _, s := range survivors {
 		s.tr.Add(obs.SpanWALFsync, fd)
 		s.tr.Add(obs.SpanWALAppend, d)

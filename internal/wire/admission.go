@@ -75,11 +75,7 @@ func (a *admission) acquire(remaining time.Duration) error {
 		return &storage.OverloadError{Reason: "admission: " + reason, RetryAfter: clampRetryAfter(est)}
 	}
 	atomic.AddInt64(&a.queued, 1)
-	mAdmissionQueued.Inc()
-	defer func() {
-		atomic.AddInt64(&a.queued, -1)
-		mAdmissionQueued.Dec()
-	}()
+	defer atomic.AddInt64(&a.queued, -1)
 	if remaining > 0 {
 		t := time.NewTimer(remaining)
 		defer t.Stop()

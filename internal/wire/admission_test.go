@@ -3,6 +3,7 @@ package wire
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,6 +32,7 @@ func startServerWith(t *testing.T, store *storage.Database, tune func(*Server)) 
 func TestMaxConnsRejectsGracefully(t *testing.T) {
 	store := storage.Open(storage.Options{})
 	addr := startServerWith(t, store, func(s *Server) { s.SetMaxConns(1) })
+	rejected := mConnsRejected.Value()
 
 	first := dialT(t, addr)
 	if _, err := first.Exec("CREATE TABLE kv (id BIGINT PRIMARY KEY, key TEXT)"); err != nil {
@@ -53,6 +55,9 @@ func TestMaxConnsRejectsGracefully(t *testing.T) {
 	}
 	if hint, ok := db.RetryAfter(err); !ok || hint <= 0 {
 		t.Fatalf("rejection must carry a retry-after hint, got %v ok=%v", hint, ok)
+	}
+	if got := mConnsRejected.Value() - rejected; got != 1 {
+		t.Fatalf("connections_rejected_total moved by %d, want 1", got)
 	}
 
 	// Free the slot; a fresh dial is served normally.
@@ -118,6 +123,7 @@ func TestAdmissionShedsAtFullQueue(t *testing.T) {
 	}()
 
 	// Wait until the blocked statement actually holds the slot.
+	sheds := mShedQueueFull.Value()
 	shedder := dialT(t, addr)
 	deadline := time.Now().Add(2 * time.Second)
 	var err error
@@ -133,6 +139,9 @@ func TestAdmissionShedsAtFullQueue(t *testing.T) {
 	}
 	if !db.Retryable(err) || !db.Transient(err) {
 		t.Fatalf("admission shed must classify retryable and transient: %v", err)
+	}
+	if mShedQueueFull.Value() == sheds {
+		t.Fatal(`admission_sheds_total{reason="queue_full"} did not move`)
 	}
 
 	// The parked statement eventually loses its lock wait (LockTimeout) and
@@ -152,6 +161,32 @@ func TestAdmissionShedsAtFullQueue(t *testing.T) {
 			t.Fatalf("admission did not recover: %v", err)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestAdmissionCountsShedsByReason: a shed counts under the reason
+// ShedVerdict gave, so an operator can tell a full queue from work whose
+// deadline the estimated wait already exceeds.
+func TestAdmissionCountsShedsByReason(t *testing.T) {
+	a := newAdmission(1, 1)
+	if err := a.acquire(0); err != nil {
+		t.Fatal(err)
+	}
+	full, doomed := mShedQueueFull.Value(), mShedDoomed.Value()
+	// With the slot taken, the estimated wait (1ms before any statement has
+	// completed) exceeds a 1µs budget.
+	if err := a.acquire(time.Microsecond); !errors.Is(err, storage.ErrOverloaded) {
+		t.Fatalf("doomed statement: want a shed, got %v", err)
+	}
+	atomic.StoreInt64(&a.queued, 1)
+	if err := a.acquire(0); !errors.Is(err, storage.ErrOverloaded) {
+		t.Fatalf("statement at a full queue: want a shed, got %v", err)
+	}
+	if got := mShedDoomed.Value() - doomed; got != 1 {
+		t.Errorf(`admission_sheds_total{reason="deadline_doomed"} moved by %d, want 1`, got)
+	}
+	if got := mShedQueueFull.Value() - full; got != 1 {
+		t.Errorf(`admission_sheds_total{reason="queue_full"} moved by %d, want 1`, got)
 	}
 }
 

@@ -1,7 +1,7 @@
 package wire
 
 // Chaos suite: the wire stack under deterministic fault injection. Every test
-// arms a fixed-seed injector, so a failure replays exactly; `make chaos` runs
+// arms a fixed-seed injector, so a failure replays exactly; `make check` runs
 // these (plus the faultinject package's) under the race detector.
 
 import (
@@ -106,7 +106,7 @@ func TestChaosTruncatedResponseSurfacesLostResponse(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj.Arm(faultinject.PointServerWrite, faultinject.Rule{Kind: faultinject.KindTruncate, Rate: 1, Limit: 1})
-	gen := c.Gen()
+	gen, redials := c.Gen(), mClientRedials.Value()
 	_, err = c.Exec("INSERT INTO kv (key) VALUES ('x')")
 	if err == nil {
 		t.Fatal("truncated response decoded cleanly")
@@ -124,6 +124,9 @@ func TestChaosTruncatedResponseSurfacesLostResponse(t *testing.T) {
 	}
 	if c.Gen() <= gen {
 		t.Fatal("client did not redial after severed response stream")
+	}
+	if got := mClientRedials.Value() - redials; got != 1 {
+		t.Fatalf("client_redials_total moved by %d, want 1", got)
 	}
 }
 

@@ -158,7 +158,6 @@ func (c *Client) sendPathErr(err error) error {
 		// The budget ran out mid-send: the statement did not execute, but
 		// the caller's time is spent, so this is a deadline error (transient,
 		// not auto-retried) rather than a retryable drop.
-		mClientDeadlineExpiries.Inc()
 		return fmt.Errorf("%w: %v", storage.ErrStmtDeadline, err)
 	}
 	return fmt.Errorf("%w: %v", db.ErrConnDropped, err)
@@ -169,7 +168,6 @@ func (c *Client) sendPathErr(err error) error {
 func (c *Client) recvPathErr(err error) error {
 	c.sever()
 	if ne, ok := err.(net.Error); ok && ne.Timeout() {
-		mClientDeadlineExpiries.Inc()
 		return fmt.Errorf("%w: no response within round-trip budget: %v", storage.ErrStmtDeadline, err)
 	}
 	return &responseLostError{err: err}
@@ -187,7 +185,6 @@ func (c *Client) budgetFor(ctx context.Context) (time.Duration, error) {
 		if dl, ok := ctx.Deadline(); ok {
 			budget = time.Until(dl)
 			if budget <= 0 {
-				mClientDeadlineExpiries.Inc()
 				return 0, fmt.Errorf("%w: context deadline already passed", storage.ErrStmtDeadline)
 			}
 		}
@@ -310,9 +307,6 @@ func (c *Client) roundTrip(ctx context.Context, req *request) (*response, error)
 		return nil, c.recvPathErr(err)
 	}
 	if resp.Code != CodeOK {
-		if resp.Code == CodeOverloaded {
-			mClientOverloaded.Inc()
-		}
 		return nil, errorFor(resp.Code, resp.Error, time.Duration(resp.RetryAfterNanos))
 	}
 	return resp, nil

@@ -2,41 +2,17 @@ package wire
 
 import "feralcc/internal/obs"
 
-// Wire-tier instruments. Server side: connection churn and concurrency,
-// request throughput by message type, frame bytes in both directions, and
-// per-request latency as seen at the protocol layer (decode through response
-// flush, so it includes executor time). Client side: redials and expired
-// round-trip budgets, the two failure symptoms an application notices first.
+// Wire-tier instruments. Server side: frame bytes in both directions, and
+// the two refusals an overloaded server makes (a connection at accept, a
+// statement at admission). Client side: redials after a severed connection.
 var (
-	mConnsInFlight = obs.NewGauge(obs.Default(),
-		"feraldb_wire_connections", "Currently open server connections")
-	mConnsTotal = obs.NewCounter(obs.Default(),
-		"feraldb_wire_connections_total", "Connections accepted since start")
-
-	mReqExec = obs.NewCounter(obs.Default(),
-		`feraldb_wire_requests_total{type="exec"}`, "Requests served, by message type")
-	mReqPrepare = obs.NewCounter(obs.Default(),
-		`feraldb_wire_requests_total{type="prepare"}`, "Requests served, by message type")
-	mReqExecute = obs.NewCounter(obs.Default(),
-		`feraldb_wire_requests_total{type="execute"}`, "Requests served, by message type")
-	mReqCloseStmt = obs.NewCounter(obs.Default(),
-		`feraldb_wire_requests_total{type="close_stmt"}`, "Requests served, by message type")
-	mReqOther = obs.NewCounter(obs.Default(),
-		`feraldb_wire_requests_total{type="other"}`, "Requests served, by message type")
-
 	mBytesRead = obs.NewCounter(obs.Default(),
 		"feraldb_wire_read_bytes_total", "Frame bytes received (headers included)")
 	mBytesWritten = obs.NewCounter(obs.Default(),
 		"feraldb_wire_written_bytes_total", "Frame bytes sent (headers included)")
-	mRequestSeconds = obs.NewHistogram(obs.Default(),
-		"feraldb_wire_request_seconds", "Server-side request latency, decode to flush")
-	mSlowQueries = obs.NewCounter(obs.Default(),
-		"feraldb_wire_slow_queries_total", "Statements that exceeded the slow-query threshold")
 
 	mConnsRejected = obs.NewCounter(obs.Default(),
 		"feraldb_wire_connections_rejected_total", "Connections refused at accept because max-conns was reached")
-	mAdmissionQueued = obs.NewGauge(obs.Default(),
-		"feraldb_wire_admission_queued", "Statements waiting for an admission slot")
 	mShedQueueFull = obs.NewCounter(obs.Default(),
 		`feraldb_wire_admission_sheds_total{reason="queue_full"}`, "Statements shed by admission control, by reason")
 	mShedDoomed = obs.NewCounter(obs.Default(),
@@ -44,24 +20,4 @@ var (
 
 	mClientRedials = obs.NewCounter(obs.Default(),
 		"feraldb_client_redials_total", "Automatic reconnects after a severed connection")
-	mClientDeadlineExpiries = obs.NewCounter(obs.Default(),
-		"feraldb_client_deadline_expiries_total", "Round trips abandoned because the time budget expired")
-	mClientOverloaded = obs.NewCounter(obs.Default(),
-		"feraldb_client_overloaded_total", "Responses carrying CodeOverloaded (server shed the work)")
 )
-
-// requestCounter maps a message type to its throughput counter.
-func requestCounter(t MsgType) *obs.Counter {
-	switch t {
-	case MsgExec:
-		return mReqExec
-	case MsgPrepare:
-		return mReqPrepare
-	case MsgExecute:
-		return mReqExecute
-	case MsgCloseStmt:
-		return mReqCloseStmt
-	default:
-		return mReqOther
-	}
-}

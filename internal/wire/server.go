@@ -224,9 +224,6 @@ func (s *Server) handle(conn net.Conn) {
 	if st == nil {
 		return
 	}
-	mConnsTotal.Inc()
-	mConnsInFlight.Inc()
-	defer mConnsInFlight.Dec()
 	session := sqlexec.NewSession(s.store)
 	defer session.Reset()
 
@@ -270,7 +267,6 @@ func (s *Server) handle(conn net.Conn) {
 			s.endStatement(st)
 			return
 		}
-		reqStart := time.Now()
 
 		var resp response
 		switch req.Type {
@@ -289,9 +285,6 @@ func (s *Server) handle(conn net.Conn) {
 		case MsgCloseStmt:
 			delete(stmts, req.Handle)
 		}
-
-		requestCounter(req.Type).Inc()
-		mRequestSeconds.Observe(time.Since(reqStart))
 
 		if f := s.inj.EvalTraced(faultinject.PointServerWrite, resp.TraceID); f != nil {
 			switch f.Kind {
@@ -417,7 +410,6 @@ func (s *Server) finishExec(session *sqlexec.Session, sql string, resp *response
 	resp.CacheHit = tr.CacheHit
 	resp.Spans = tr.Spans
 	if s.slowQuery > 0 && dur >= s.slowQuery {
-		mSlowQueries.Inc()
 		s.logf("wire: slow query dur=%s %s sql=%q", dur, tr.String(), sql)
 	}
 }
